@@ -116,7 +116,7 @@ func emulate(ctx context.Context, prog *emu.Program, max uint64, allRegs bool) e
 	fmt.Printf("executed %d instructions, halted=%v\n", n, m.Halted())
 	if allRegs {
 		for r := 0; r < isa.NumRegs; r++ {
-			if v := m.Regs[r]; v != 0 {
+			if v := m.Reg(isa.Reg(r)); v != 0 {
 				fmt.Printf("  %-4s = %#x (%d)\n", isa.Reg(r), v, int64(v))
 			}
 		}

@@ -62,8 +62,8 @@ func TestFormatRoundTrip(t *testing.T) {
 		t.Errorf("instruction counts differ: %d vs %d", m1.InstCount(), m2.InstCount())
 	}
 	for r := 0; r < isa.NumRegs; r++ {
-		if m1.Regs[r] != m2.Regs[r] {
-			t.Errorf("register %d differs: %#x vs %#x", r, m1.Regs[r], m2.Regs[r])
+		if m1.Reg(isa.Reg(r)) != m2.Reg(isa.Reg(r)) {
+			t.Errorf("register %d differs: %#x vs %#x", r, m1.Reg(isa.Reg(r)), m2.Reg(isa.Reg(r)))
 		}
 	}
 }

@@ -52,7 +52,7 @@ func sameArchState(t *testing.T, label string, a, b *emu.Machine) {
 		t.Fatalf("%s: PC/count/halt (%d,%d,%v) vs (%d,%d,%v)",
 			label, a.PC, a.InstCount(), a.Halted(), b.PC, b.InstCount(), b.Halted())
 	}
-	if a.Regs != b.Regs {
+	if a.Regs() != b.Regs() {
 		t.Fatalf("%s: register files differ", label)
 	}
 }
@@ -144,9 +144,9 @@ func TestRestoreRejectsWrongProgram(t *testing.T) {
 	emu.New(other).Restore(ck)
 }
 
-// TestRunMatchesStep pins the architectural-only fast path (stepArch,
-// used by Run) against the record-producing path (Step): fast-forward
-// and stepping must land on identical architectural state.
+// TestRunMatchesStep pins the architectural-only fast path (Run, which
+// writes no records) against the record-producing path (Step):
+// fast-forward and stepping must land on identical architectural state.
 func TestRunMatchesStep(t *testing.T) {
 	for _, name := range []string{"mcf", "gcc", "untst", "tst"} {
 		t.Run(name, func(t *testing.T) {

@@ -9,12 +9,17 @@ package emu
 import (
 	"fmt"
 	"math"
+	"math/bits"
+	"sync"
 
 	"repro/internal/isa"
 	"repro/internal/mem"
 )
 
 // Program is an executable CO64 image: code plus an initial data segment.
+// Code must not change once the program has executed: the interpreter
+// decodes it once, on first execution, and runs every machine of the
+// program from that table.
 type Program struct {
 	// Name identifies the program in stats output.
 	Name string
@@ -28,6 +33,9 @@ type Program struct {
 	// code labels, byte addresses for data labels. Populated by the
 	// assembler; useful for locating result cells in tests and tools.
 	Symbols map[string]uint64
+
+	decodeOnce sync.Once
+	table      []decoded
 }
 
 // Symbol looks up a label defined in the program source.
@@ -83,11 +91,15 @@ type DynInst struct {
 // Machine is the architectural state of a CO64 core: the 64 registers
 // (floats stored as IEEE bits), data memory and PC.
 type Machine struct {
-	Regs [isa.NumRegs]uint64
-	Mem  *mem.Memory
-	PC   uint64
+	Mem *mem.Memory
+	PC  uint64
 
+	// regs is the register file indexed by interpreter slot: the 64
+	// architectural registers, then the read-as-zero and write-sink
+	// slots.
+	regs [numSlots]uint64
 	prog *Program
+	code []decoded
 	seq  uint64
 	halt bool
 }
@@ -95,7 +107,7 @@ type Machine struct {
 // New constructs a machine ready to execute p from its entry point with a
 // fresh copy of the program's data image.
 func New(p *Program) *Machine {
-	return &Machine{Mem: p.NewMemory(), PC: p.Entry, prog: p}
+	return &Machine{Mem: p.NewMemory(), PC: p.Entry, prog: p, code: p.decoded()}
 }
 
 // Halted reports whether the machine has executed HALT.
@@ -106,26 +118,20 @@ func (m *Machine) InstCount() uint64 { return m.seq }
 
 // Reg reads an architectural register, honoring the hardwired zeros.
 func (m *Machine) Reg(r isa.Reg) uint64 {
-	if r.IsZero() || !r.Valid() {
-		return 0
-	}
-	return m.Regs[r]
+	return m.regs[readSlot(r)]
 }
 
-func (m *Machine) setReg(r isa.Reg, v uint64) {
-	if r == isa.NoReg || r.IsZero() {
-		return
-	}
-	m.Regs[r] = v
+// Regs returns a copy of the architectural register file (floats as
+// IEEE bits; the hardwired zeros read as zero).
+func (m *Machine) Regs() [isa.NumRegs]uint64 {
+	var out [isa.NumRegs]uint64
+	copy(out[:], m.regs[:isa.NumRegs])
+	return out
 }
 
-func f64(bits uint64) float64 { return math.Float64frombits(bits) }
-func bits(f float64) uint64   { return math.Float64bits(f) }
-func b2u(b bool) uint64 {
-	if b {
-		return 1
-	}
-	return 0
+// setRegs installs an architectural register file.
+func (m *Machine) setRegs(regs *[isa.NumRegs]uint64) {
+	copy(m.regs[:isa.NumRegs], regs[:])
 }
 
 // EvalALU computes the architectural result of a non-memory, non-control
@@ -163,7 +169,7 @@ func EvalALU(op isa.Op, a, b uint64) uint64 {
 	case isa.MUL:
 		return a * b
 	case isa.MULH:
-		hi, _ := mul128(a, b)
+		hi, _ := bits.Mul64(a, b)
 		return hi
 	case isa.DIV:
 		if b == 0 {
@@ -176,15 +182,15 @@ func EvalALU(op isa.Op, a, b uint64) uint64 {
 		}
 		return uint64(int64(a) % int64(b))
 	case isa.FADD:
-		return bits(f64(a) + f64(b))
+		return fbits(f64(a) + f64(b))
 	case isa.FSUB:
-		return bits(f64(a) - f64(b))
+		return fbits(f64(a) - f64(b))
 	case isa.FMUL:
-		return bits(f64(a) * f64(b))
+		return fbits(f64(a) * f64(b))
 	case isa.FDIV:
-		return bits(f64(a) / f64(b))
+		return fbits(f64(a) / f64(b))
 	case isa.FNEG:
-		return bits(-f64(a))
+		return fbits(-f64(a))
 	case isa.FCMPEQ:
 		return b2u(f64(a) == f64(b))
 	case isa.FCMPLT:
@@ -192,26 +198,11 @@ func EvalALU(op isa.Op, a, b uint64) uint64 {
 	case isa.FMOV:
 		return a
 	case isa.ITOF:
-		return bits(float64(int64(a)))
+		return fbits(float64(int64(a)))
 	case isa.FTOI:
 		return uint64(int64(f64(a)))
 	}
 	panic(fmt.Sprintf("emu: EvalALU called with %v", op))
-}
-
-func mul128(a, b uint64) (hi, lo uint64) {
-	const mask = 1<<32 - 1
-	al, ah := a&mask, a>>32
-	bl, bh := b&mask, b>>32
-	t := al * bl
-	lo = t & mask
-	c := t >> 32
-	t = ah*bl + c
-	c = t >> 32
-	t2 := al*bh + t&mask
-	lo |= t2 << 32
-	hi = ah*bh + c + t2>>32
-	return hi, lo
 }
 
 // BranchTaken evaluates a conditional branch condition against the source
@@ -271,7 +262,7 @@ func (m *Machine) Snapshot() *Checkpoint {
 		PC:        m.PC,
 		InstCount: m.seq,
 		Halted:    m.halt,
-		Regs:      m.Regs,
+		Regs:      m.Regs(),
 		Mem:       m.Mem.Clone(),
 	}
 }
@@ -285,7 +276,7 @@ func (m *Machine) Restore(c *Checkpoint) {
 	if c.Program != m.prog.Name {
 		panic(fmt.Sprintf("emu: restoring %q checkpoint into %q machine", c.Program, m.prog.Name))
 	}
-	m.Regs = c.Regs
+	m.setRegs(&c.Regs)
 	m.Mem = c.Mem.Clone()
 	m.PC = c.PC
 	m.seq = c.InstCount
@@ -303,14 +294,16 @@ func NewAt(p *Program, c *Checkpoint) *Machine {
 	if c.Program != p.Name {
 		panic(fmt.Sprintf("emu: resuming %q checkpoint on program %q", c.Program, p.Name))
 	}
-	return &Machine{
-		Regs: c.Regs,
+	m := &Machine{
 		Mem:  c.Mem.Clone(),
 		PC:   c.PC,
 		prog: p,
+		code: p.decoded(),
 		seq:  c.InstCount,
 		halt: c.Halted,
 	}
+	m.setRegs(&c.Regs)
+	return m
 }
 
 // Step executes one instruction and returns its dynamic record. Calling
@@ -320,7 +313,7 @@ func (m *Machine) Step() *DynInst {
 		return nil
 	}
 	d := new(DynInst)
-	m.step(d)
+	m.exec(1, d, nil)
 	return d
 }
 
@@ -332,158 +325,19 @@ func (m *Machine) StepInto(d *DynInst) bool {
 	if m.halt {
 		return false
 	}
-	m.step(d)
+	m.exec(1, d, nil)
 	return true
-}
-
-// step executes one instruction into d, which the caller may reuse
-// (Run's fast-forward loop does, to keep functional emulation
-// allocation-free). The machine must not be halted.
-func (m *Machine) step(d *DynInst) {
-	if m.PC >= uint64(len(m.prog.Code)) {
-		panic(fmt.Sprintf("emu: PC %d outside program %q (len %d)", m.PC, m.prog.Name, len(m.prog.Code)))
-	}
-	in := &m.prog.Code[m.PC]
-	*d = DynInst{Seq: m.seq, PC: m.PC, Inst: in}
-	m.seq++
-
-	srcs, n := in.Sources()
-	for i := 0; i < n; i++ {
-		d.SrcVals[i] = m.Reg(srcs[i])
-	}
-
-	next := m.PC + 1
-	switch in.Op.Class() {
-	case isa.ClassNop:
-		// nothing
-	case isa.ClassSimpleInt, isa.ClassComplexInt, isa.ClassFP:
-		a := m.Reg(in.SrcA)
-		var b uint64
-		if in.Op == isa.LDI {
-			a = uint64(in.Imm)
-		} else if in.HasImm {
-			b = uint64(in.Imm)
-		} else {
-			b = m.Reg(in.SrcB)
-		}
-		d.Result = EvalALU(in.Op, a, b)
-		m.setReg(in.Dst, d.Result)
-	case isa.ClassLoad:
-		d.Addr = m.Reg(in.SrcA) + uint64(in.Imm)
-		if in.Op == isa.LDL {
-			d.Result = uint64(int64(int32(m.Mem.Load32(d.Addr))))
-		} else {
-			d.Result = m.Mem.Load64(d.Addr)
-		}
-		m.setReg(in.Dst, d.Result)
-	case isa.ClassStore:
-		d.Addr = m.Reg(in.SrcA) + uint64(in.Imm)
-		d.StoreVal = m.Reg(in.SrcB)
-		if in.Op == isa.STL {
-			d.StoreVal = uint64(uint32(d.StoreVal))
-			m.Mem.Store32(d.Addr, uint32(d.StoreVal))
-		} else {
-			m.Mem.Store64(d.Addr, d.StoreVal)
-		}
-	case isa.ClassBranch:
-		switch {
-		case in.Op.IsCondBranch():
-			d.Taken = BranchTaken(in.Op, m.Reg(in.SrcA))
-			if d.Taken {
-				next = uint64(in.Imm)
-			}
-		case in.Op == isa.BR:
-			d.Taken = true
-			next = uint64(in.Imm)
-		case in.Op == isa.JSR:
-			d.Taken = true
-			d.Result = m.PC + 1
-			m.setReg(in.Dst, d.Result)
-			next = uint64(in.Imm)
-		case in.Op == isa.JMP:
-			d.Taken = true
-			next = m.Reg(in.SrcA)
-		}
-	case isa.ClassHalt:
-		d.Halt = true
-		m.halt = true
-	}
-	m.PC = next
-	d.NextPC = next
 }
 
 // Run executes until HALT or until max instructions have run (max <= 0
 // means unlimited). It returns the number of instructions executed. Run
-// goes through stepArch — architectural effects only, no dynamic
-// record — so fast-forwarding costs a fraction of observed stepping.
+// writes no dynamic records — architectural effects only — so
+// fast-forwarding costs a fraction of observed stepping.
 func (m *Machine) Run(max uint64) uint64 {
-	start := m.seq
-	for !m.halt {
-		if max > 0 && m.seq-start >= max {
-			break
-		}
-		m.stepArch()
+	if max == 0 {
+		max = math.MaxUint64
 	}
-	return m.seq - start
-}
-
-// stepArch executes one instruction for architectural effect only: the
-// fast-forward path of sampled simulation, where nothing consumes the
-// dynamic record. It must mirror step exactly. The machine must not be
-// halted.
-func (m *Machine) stepArch() {
-	if m.PC >= uint64(len(m.prog.Code)) {
-		panic(fmt.Sprintf("emu: PC %d outside program %q (len %d)", m.PC, m.prog.Name, len(m.prog.Code)))
-	}
-	in := &m.prog.Code[m.PC]
-	m.seq++
-	next := m.PC + 1
-	switch in.Op.Class() {
-	case isa.ClassNop:
-		// nothing
-	case isa.ClassSimpleInt, isa.ClassComplexInt, isa.ClassFP:
-		a := m.Reg(in.SrcA)
-		var b uint64
-		if in.Op == isa.LDI {
-			a = uint64(in.Imm)
-		} else if in.HasImm {
-			b = uint64(in.Imm)
-		} else {
-			b = m.Reg(in.SrcB)
-		}
-		m.setReg(in.Dst, EvalALU(in.Op, a, b))
-	case isa.ClassLoad:
-		addr := m.Reg(in.SrcA) + uint64(in.Imm)
-		if in.Op == isa.LDL {
-			m.setReg(in.Dst, uint64(int64(int32(m.Mem.Load32(addr)))))
-		} else {
-			m.setReg(in.Dst, m.Mem.Load64(addr))
-		}
-	case isa.ClassStore:
-		addr := m.Reg(in.SrcA) + uint64(in.Imm)
-		if in.Op == isa.STL {
-			m.Mem.Store32(addr, uint32(m.Reg(in.SrcB)))
-		} else {
-			m.Mem.Store64(addr, m.Reg(in.SrcB))
-		}
-	case isa.ClassBranch:
-		switch {
-		case in.Op.IsCondBranch():
-			if BranchTaken(in.Op, m.Reg(in.SrcA)) {
-				next = uint64(in.Imm)
-			}
-		case in.Op == isa.BR:
-			next = uint64(in.Imm)
-		case in.Op == isa.JSR:
-			m.setReg(in.Dst, m.PC+1)
-			next = uint64(in.Imm)
-		case in.Op == isa.JMP:
-			next = m.Reg(in.SrcA)
-		}
-	case isa.ClassHalt:
-		m.halt = true
-	}
-	m.PC = next
+	return m.exec(max, nil, nil)
 }
 
 // RunObserved executes until HALT or until max instructions have run
@@ -493,16 +347,11 @@ func (m *Machine) stepArch() {
 // fast-forward (e.g. functional cache/predictor warming in sampled
 // simulation) allocation-free like Run.
 func (m *Machine) RunObserved(max uint64, fn func(*DynInst)) uint64 {
-	start := m.seq
-	var scratch DynInst
-	for !m.halt {
-		if max > 0 && m.seq-start >= max {
-			break
-		}
-		m.step(&scratch)
-		fn(&scratch)
+	if max == 0 {
+		max = math.MaxUint64
 	}
-	return m.seq - start
+	var scratch DynInst
+	return m.exec(max, &scratch, fn)
 }
 
 // RunProgram executes p to completion (bounded by max when max > 0) and

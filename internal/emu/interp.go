@@ -1,0 +1,257 @@
+package emu
+
+import (
+	"fmt"
+	"math"
+	"math/bits"
+
+	"repro/internal/isa"
+)
+
+// The predecoded interpreter. Each Program is decoded once, on first
+// execution, into a table with one entry per instruction: a dispatch
+// opcode plus operands resolved to register-file slots. Every way of
+// executing a program — Run, Step, StepInto, RunObserved, Record and
+// the live pipeline sessions fed by StepInto — goes through exec, which
+// dispatches each instruction with one switch and reads operands
+// without register-validity checks.
+
+// Register-file slots. Slots 0..63 are the architectural registers.
+// Both hardwired-zero registers and absent operands read zeroSlot, which
+// is never written; hardwired-zero and absent destinations, and
+// instructions that write no register, write sinkSlot, which is never
+// read.
+const (
+	zeroSlot = isa.NumRegs
+	sinkSlot = isa.NumRegs + 1
+	numSlots = isa.NumRegs + 2
+)
+
+// decoded is one predecoded instruction.
+type decoded struct {
+	// op is the dispatch opcode; an invalid opcode decodes as NOP.
+	op isa.Op
+	// dst is the slot the instruction's result is written to.
+	dst uint8
+	// a is the first operand's slot; b is the second operand's slot for
+	// register-form ALU operations and the data slot for stores.
+	a, b uint8
+	// srcs are the slots of Inst.Sources(), in order, padded with
+	// zeroSlot.
+	srcs [2]uint8
+	// imm is the resolved immediate: the ALU second operand (b is then
+	// zeroSlot, so b+imm is the operand in either form), the LDI value,
+	// the load/store displacement or the branch target.
+	imm uint64
+}
+
+// readSlot maps a source register to its slot.
+func readSlot(r isa.Reg) uint8 {
+	if r.IsZero() || !r.Valid() {
+		return zeroSlot
+	}
+	return uint8(r)
+}
+
+// writeSlot maps a destination register to its slot.
+func writeSlot(r isa.Reg) uint8 {
+	if r.IsZero() || !r.Valid() {
+		return sinkSlot
+	}
+	return uint8(r)
+}
+
+// decode builds the interpreter table for code, one entry per
+// instruction.
+func decode(code []isa.Inst) []decoded {
+	out := make([]decoded, len(code))
+	for i := range code {
+		in := &code[i]
+		e := decoded{op: in.Op, dst: sinkSlot, a: readSlot(in.SrcA), b: zeroSlot, srcs: [2]uint8{zeroSlot, zeroSlot}}
+		srcs, n := in.Sources()
+		for j := 0; j < n; j++ {
+			e.srcs[j] = readSlot(srcs[j])
+		}
+		switch in.Op.Class() {
+		case isa.ClassSimpleInt, isa.ClassComplexInt, isa.ClassFP:
+			e.dst = writeSlot(in.Dst)
+			if in.Op == isa.LDI || in.HasImm {
+				e.imm = uint64(in.Imm)
+			} else {
+				e.b = readSlot(in.SrcB)
+			}
+		case isa.ClassLoad:
+			e.dst = writeSlot(in.Dst)
+			e.imm = uint64(in.Imm)
+		case isa.ClassStore:
+			e.b = readSlot(in.SrcB)
+			e.imm = uint64(in.Imm)
+		case isa.ClassBranch:
+			if in.Op == isa.JSR {
+				e.dst = writeSlot(in.Dst)
+			}
+			e.imm = uint64(in.Imm)
+		case isa.ClassHalt:
+		default:
+			e.op = isa.NOP
+		}
+		out[i] = e
+	}
+	return out
+}
+
+// decoded returns p's interpreter table, decoding it on first use.
+func (p *Program) decoded() []decoded {
+	p.decodeOnce.Do(func() { p.table = decode(p.Code) })
+	return p.table
+}
+
+func f64(b uint64) float64   { return math.Float64frombits(b) }
+func fbits(f float64) uint64 { return math.Float64bits(f) }
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// exec executes up to n instructions, stopping early at HALT, and
+// returns how many ran. When d is non-nil each instruction's dynamic
+// record is written into d and, when fn is non-nil, handed to fn before
+// the next instruction executes.
+func (m *Machine) exec(n uint64, d *DynInst, fn func(*DynInst)) uint64 {
+	code, r := m.code, &m.regs
+	pc, seq, halt := m.PC, m.seq, m.halt
+	start := seq
+	for ; n > 0 && !halt; n-- {
+		if pc >= uint64(len(code)) {
+			m.PC, m.seq = pc, seq
+			panic(fmt.Sprintf("emu: PC %d outside program %q (len %d)", pc, m.prog.Name, len(code)))
+		}
+		e := &code[pc]
+		x, y := r[e.a], r[e.b]+e.imm
+		var res, addr, sv uint64
+		next, taken := pc+1, false
+		switch e.op {
+		case isa.ADD:
+			res = x + y
+		case isa.SUB:
+			res = x - y
+		case isa.AND:
+			res = x & y
+		case isa.OR:
+			res = x | y
+		case isa.XOR:
+			res = x ^ y
+		case isa.SLL:
+			res = x << (y & 63)
+		case isa.SRL:
+			res = x >> (y & 63)
+		case isa.SRA:
+			res = uint64(int64(x) >> (y & 63))
+		case isa.CMPEQ:
+			res = b2u(x == y)
+		case isa.CMPLT:
+			res = b2u(int64(x) < int64(y))
+		case isa.CMPLE:
+			res = b2u(int64(x) <= int64(y))
+		case isa.CMPULT:
+			res = b2u(x < y)
+		case isa.MOV, isa.FMOV:
+			res = x
+		case isa.LDI:
+			res = y
+		case isa.MUL:
+			res = x * y
+		case isa.MULH:
+			res, _ = bits.Mul64(x, y)
+		case isa.DIV:
+			if y != 0 {
+				res = uint64(int64(x) / int64(y))
+			}
+		case isa.REM:
+			if y != 0 {
+				res = uint64(int64(x) % int64(y))
+			}
+		case isa.FADD:
+			res = fbits(f64(x) + f64(y))
+		case isa.FSUB:
+			res = fbits(f64(x) - f64(y))
+		case isa.FMUL:
+			res = fbits(f64(x) * f64(y))
+		case isa.FDIV:
+			res = fbits(f64(x) / f64(y))
+		case isa.FNEG:
+			res = fbits(-f64(x))
+		case isa.FCMPEQ:
+			res = b2u(f64(x) == f64(y))
+		case isa.FCMPLT:
+			res = b2u(f64(x) < f64(y))
+		case isa.ITOF:
+			res = fbits(float64(int64(x)))
+		case isa.FTOI:
+			res = uint64(int64(f64(x)))
+		case isa.LDQ, isa.FLDQ:
+			addr = x + e.imm
+			res = m.Mem.Load64(addr)
+		case isa.LDL:
+			addr = x + e.imm
+			res = uint64(int64(int32(m.Mem.Load32(addr))))
+		case isa.STQ, isa.FSTQ:
+			addr, sv = x+e.imm, r[e.b]
+			m.Mem.Store64(addr, sv)
+		case isa.STL:
+			addr, sv = x+e.imm, uint64(uint32(r[e.b]))
+			m.Mem.Store32(addr, uint32(sv))
+		case isa.BEQ:
+			if x == 0 {
+				taken, next = true, e.imm
+			}
+		case isa.BNE:
+			if x != 0 {
+				taken, next = true, e.imm
+			}
+		case isa.BLT:
+			if int64(x) < 0 {
+				taken, next = true, e.imm
+			}
+		case isa.BGE:
+			if int64(x) >= 0 {
+				taken, next = true, e.imm
+			}
+		case isa.BLE:
+			if int64(x) <= 0 {
+				taken, next = true, e.imm
+			}
+		case isa.BGT:
+			if int64(x) > 0 {
+				taken, next = true, e.imm
+			}
+		case isa.BR:
+			taken, next = true, e.imm
+		case isa.JSR:
+			taken, next, res = true, e.imm, pc+1
+		case isa.JMP:
+			taken, next = true, x
+		case isa.HALT:
+			halt = true
+		}
+		if d != nil {
+			// Field by field, not as one composite literal: that would
+			// copy a temporary through a write-barriered struct move.
+			// Sources are read before the result is written back.
+			d.Seq, d.PC, d.Inst = seq, pc, &m.prog.Code[pc]
+			d.SrcVals = [2]uint64{r[e.srcs[0]], r[e.srcs[1]]}
+			d.Result, d.Addr, d.StoreVal = res, addr, sv
+			d.Taken, d.NextPC, d.Halt = taken, next, halt
+		}
+		r[e.dst] = res
+		if fn != nil {
+			fn(d)
+		}
+		pc = next
+		seq++
+	}
+	m.PC, m.seq, m.halt = pc, seq, halt
+	return seq - start
+}

@@ -98,9 +98,8 @@ func Record(ctx context.Context, p *Program, maxInsts uint64) (*Trace, error) {
 			}
 		}
 		for i := uint64(0); i < n && !m.halt; i++ {
-			var d DynInst
-			m.step(&d)
-			t.Insts = append(t.Insts, d)
+			t.Insts = append(t.Insts, DynInst{})
+			m.exec(1, &t.Insts[len(t.Insts)-1], nil)
 		}
 	}
 	return t, nil

@@ -352,27 +352,29 @@ func (r *Runner) SetProgressInterval(cycles uint64) {
 	r.progressEvery = cycles
 }
 
-// runOpts builds the pipeline RunOpts for one simulation, wiring the
-// engine's observers to it (nil Observer and zero Interval when no
-// observer is registered, keeping unobserved runs telemetry-free).
-// Engine telemetry is stream-only: the cached Result does not retain
-// the interval series, so observing a long sweep costs no memory.
-func (r *Runner) runOpts(cfg *pipeline.Config, bench *workloads.Benchmark, scale int) pipeline.RunOpts {
+// runOpts builds the pipeline RunOpts for one simulation of cfg, whose
+// Config.Key() is cfgKey, wiring the engine's observers to it (nil
+// Observer and zero Interval when no observer is registered, keeping
+// unobserved runs telemetry-free). Engine telemetry is stream-only: the
+// cached Result does not retain the interval series, so observing a
+// long sweep costs no memory.
+func (r *Runner) runOpts(cfg *pipeline.Config, cfgKey string, bench *workloads.Benchmark, scale int) pipeline.RunOpts {
 	r.omu.Lock()
 	obs := make([]func(Progress), len(r.observers))
 	copy(obs, r.observers)
 	every := r.progressEvery
 	r.omu.Unlock()
 	if len(obs) == 0 {
-		return pipeline.RunOpts{}
+		return pipeline.RunOpts{ConfigKey: cfgKey}
 	}
 	id := Progress{
 		Machine:   cfg.Name,
-		ConfigKey: cfg.Key(),
+		ConfigKey: cfgKey,
 		Benchmark: bench.Name,
 		Scale:     scale,
 	}
 	return pipeline.RunOpts{
+		ConfigKey:  cfgKey,
 		Interval:   every,
 		StreamOnly: true,
 		Observer: func(iv pipeline.IntervalStats) {
@@ -468,7 +470,7 @@ func (r *Runner) Run(ctx context.Context, cfg pipeline.Config, bench *workloads.
 				return &cached, nil
 			}
 		}
-		res, err := r.simulate(ctx, cfg, bench, scale)
+		res, err := r.simulate(ctx, cfg, k.cfg, bench, scale)
 		if err != nil {
 			return nil, err
 		}
@@ -481,13 +483,13 @@ func (r *Runner) Run(ctx context.Context, cfg pipeline.Config, bench *workloads.
 	return res, err
 }
 
-// simulate runs one simulation under the worker pool. The timing
-// session replays the workload's cached trace when the decode-once
-// layer has (or can record) one — byte-for-byte identical results,
-// minus the per-config live emulation — and falls back to a live
-// emulator when the trace layer is disabled or the program exceeds
-// the budget.
-func (r *Runner) simulate(ctx context.Context, cfg pipeline.Config, bench *workloads.Benchmark, scale int) (*pipeline.Result, error) {
+// simulate runs one simulation of cfg (whose Config.Key() is cfgKey)
+// under the worker pool. The timing session replays the workload's
+// cached trace when the decode-once layer has (or can record) one —
+// byte-for-byte identical results, minus the per-config live emulation
+// — and falls back to a live emulator when the trace layer is disabled
+// or the program exceeds the budget.
+func (r *Runner) simulate(ctx context.Context, cfg pipeline.Config, cfgKey string, bench *workloads.Benchmark, scale int) (*pipeline.Result, error) {
 	select {
 	case r.sem <- struct{}{}:
 	case <-ctx.Done():
@@ -515,7 +517,7 @@ func (r *Runner) simulate(ctx context.Context, cfg pipeline.Config, bench *workl
 	if err != nil {
 		return nil, err
 	}
-	res, err := s.Run(wctx, r.runOpts(&cfg, bench, scale))
+	res, err := s.Run(wctx, r.runOpts(&cfg, cfgKey, bench, scale))
 	if err != nil {
 		return nil, watchdogErr(wctx, err)
 	}
@@ -552,14 +554,6 @@ func (r *Runner) RunSampled(ctx context.Context, cfg pipeline.Config, bench *wor
 				return &cached, nil
 			}
 		}
-		// The counting pre-pass is shared: InstCount is memoized per
-		// (benchmark, scale), so every machine configuration sampling
-		// the same workload reuses one emulation of it. (Acquired
-		// before the pool slot below — InstCount takes its own slot.)
-		total, err := r.InstCount(ctx, bench, scale)
-		if err != nil {
-			return nil, err
-		}
 		select {
 		case r.sem <- struct{}{}:
 		case <-ctx.Done():
@@ -572,10 +566,11 @@ func (r *Runner) RunSampled(ctx context.Context, cfg pipeline.Config, bench *wor
 		if err := fault.InjectCtx(wctx, "exper.cell", bench.Name+"/"+cfg.Name); err != nil {
 			return nil, watchdogErr(wctx, err)
 		}
-		// The window plan (fast-forward + per-window checkpoints) is
-		// config-independent: build it once per (benchmark, scale,
-		// regime) and share it across every configuration of a sweep.
-		plan, err := r.planFor(wctx, bench, scale, sc, total)
+		// The window plan (one functional pass that counts the program
+		// and checkpoints its windows) is config-independent: build it
+		// once per (benchmark, scale, regime) and share it across every
+		// configuration of a sweep.
+		plan, err := r.planFor(wctx, bench, scale, sc)
 		if err != nil {
 			return nil, watchdogErr(wctx, err)
 		}
@@ -583,11 +578,14 @@ func (r *Runner) RunSampled(ctx context.Context, cfg pipeline.Config, bench *wor
 		if plan != nil {
 			sr, err = sample.RunPlanned(wctx, cfg, bench.Program(scale), sc, plan)
 		} else {
-			sr, err = sample.RunTotal(wctx, cfg, bench.Program(scale), sc, total)
+			sr, err = sample.Run(wctx, cfg, bench.Program(scale), sc)
 		}
 		if err != nil {
 			return nil, watchdogErr(wctx, err)
 		}
+		// The plan's pass counted the program: seed the count memo so
+		// nothing emulates the workload again just to count it.
+		r.seedCount(bench, scale, sr.TotalInsts)
 		sr.Scale = scale
 		r.storePut(ctx, sk, sr)
 		return sr, nil
@@ -601,7 +599,9 @@ func (r *Runner) RunSampled(ctx context.Context, cfg pipeline.Config, bench *wor
 // InstCount returns bench's dynamic instruction count at scale from the
 // architectural emulator, memoized by (benchmark, scale) and persisted
 // in the attached store (KindCount entries), so warm processes skip
-// even the counting emulation. Emulation runs under the same worker
+// even the counting emulation. A trace recording or a sample plan of
+// the workload seeds the memo too, so sampled and exact runs never
+// emulate just to count. Emulation runs under the same worker
 // pool as simulations and honors ctx with the same leader-handoff
 // semantics as Run.
 func (r *Runner) InstCount(ctx context.Context, bench *workloads.Benchmark, scale int) (uint64, error) {

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/pipeline"
 	"repro/internal/sample"
+	"repro/internal/store"
 	"repro/internal/workloads"
 )
 
@@ -185,5 +186,74 @@ func TestRunSampledUsesSharedInstCount(t *testing.T) {
 	}
 	if n != base.TotalInsts {
 		t.Errorf("InstCount %d != sampled TotalInsts %d", n, base.TotalInsts)
+	}
+}
+
+// memoCount returns the count memo's settled value for (bench, scale),
+// without running or waiting on anything.
+func memoCount(r *Runner, b *workloads.Benchmark, scale int) (uint64, bool) {
+	r.cmu.Lock()
+	e, ok := r.counts[countKey{bench: b.Name, scale: scale}]
+	r.cmu.Unlock()
+	if !ok {
+		return 0, false
+	}
+	select {
+	case <-e.done:
+		return e.val, e.err == nil
+	default:
+		return 0, false
+	}
+}
+
+// TestColdRunSampledEmulatesOnce: a cold sampled run's only emulation
+// is its plan's pass, which also counts the program. The count memo and
+// the store's count entry are seeded from the plan, so a later
+// InstCount emulates nothing; a second process whose plan comes from
+// the store is seeded the same way.
+func TestColdRunSampledEmulatesOnce(t *testing.T) {
+	ctx := context.Background()
+	st := openStore(t)
+	b := testBench(t, "mgd")
+	r := storeRunner(st)
+	res, err := r.RunSampled(ctx, pipeline.DefaultConfig(), b, 1, sample.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := r.Stats().PlanBuilds; got != 1 {
+		t.Fatalf("%d plans built, want 1", got)
+	}
+	if n, ok := memoCount(r, b, 1); !ok || n != res.TotalInsts {
+		t.Fatalf("count memo after a cold sampled run = (%d, %v), want the plan's %d", n, ok, res.TotalInsts)
+	}
+	var stored store.Count
+	if err := st.Get(store.CountKey(b.Name, 1, r.workloadKey(b, 1)), &stored); err != nil || stored.Insts != res.TotalInsts {
+		t.Fatalf("stored count = (%d, %v), want %d", stored.Insts, err, res.TotalInsts)
+	}
+	if n, err := r.InstCount(ctx, b, 1); err != nil || n != res.TotalInsts {
+		t.Fatalf("InstCount = (%d, %v), want %d", n, err, res.TotalInsts)
+	}
+
+	// Another process: a different machine misses the result cache but
+	// loads the plan, and the plan seeds the count.
+	r2 := storeRunner(st)
+	if _, err := r2.RunSampled(ctx, pipeline.DefaultConfig().Baseline(), b, 1, sample.DefaultConfig()); err != nil {
+		t.Fatal(err)
+	}
+	if s := r2.Stats(); s.PlanStoreHits != 1 || s.PlanBuilds != 0 {
+		t.Fatalf("second process: %d plan store hits, %d builds; want 1, 0", s.PlanStoreHits, s.PlanBuilds)
+	}
+	if n, ok := memoCount(r2, b, 1); !ok || n != res.TotalInsts {
+		t.Fatalf("count memo after a plan store hit = (%d, %v), want %d", n, ok, res.TotalInsts)
+	}
+
+	// With the plan cache off, the sample.Run fallback seeds it too.
+	r3 := NewRunner(2)
+	r3.SetTraceBudget(0)
+	if _, err := r3.RunSampled(ctx, pipeline.DefaultConfig(), b, 1, sample.DefaultConfig()); err != nil {
+		t.Fatal(err)
+	}
+	if n, ok := memoCount(r3, b, 1); !ok || n != res.TotalInsts {
+		t.Fatalf("count memo after an unplanned sampled run = (%d, %v), want %d", n, ok, res.TotalInsts)
 	}
 }

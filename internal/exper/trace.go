@@ -247,7 +247,7 @@ func (r *Runner) traceFor(ctx context.Context, bench *workloads.Benchmark, scale
 // does build before waking waiters. Store reads that fail — missing,
 // torn mid-write, or written by a build with a different plan codec —
 // are misses: the leader rebuilds and the Put heals the entry.
-func (r *Runner) planFor(ctx context.Context, bench *workloads.Benchmark, scale int, sc sample.Config, totalInsts uint64) (*sample.Plan, error) {
+func (r *Runner) planFor(ctx context.Context, bench *workloads.Benchmark, scale int, sc sample.Config) (*sample.Plan, error) {
 	k := planKey{bench: bench.Name, scale: scale, sampling: sc.Key()}
 	for {
 		if err := ctx.Err(); err != nil {
@@ -280,7 +280,7 @@ func (r *Runner) planFor(ctx context.Context, bench *workloads.Benchmark, scale 
 					return &cached, nil
 				}
 			}
-			plan, err := buildPlanSafe(ctx, bench, scale, sc, totalInsts)
+			plan, err := buildPlanSafe(ctx, bench, scale, sc)
 			if err != nil {
 				if ctxErr(err) {
 					r.tmu.Lock()
@@ -326,7 +326,8 @@ func (r *Runner) planFor(ctx context.Context, bench *workloads.Benchmark, scale 
 
 // seedCount installs a known-exact instruction count into the count
 // memo (and the persistent store) without an emulation pass — used
-// when a full trace recording has already established it.
+// when a full trace recording or a sampled run's plan pass has already
+// established it.
 func (r *Runner) seedCount(bench *workloads.Benchmark, scale int, n uint64) {
 	k := countKey{bench: bench.Name, scale: scale}
 	r.cmu.Lock()
@@ -351,8 +352,9 @@ func recordSafe(ctx context.Context, bench *workloads.Benchmark, scale int, maxI
 	return emu.Record(ctx, bench.Program(scale), maxInsts)
 }
 
-// buildPlanSafe is sample.BuildPlan behind the same boundary.
-func buildPlanSafe(ctx context.Context, bench *workloads.Benchmark, scale int, sc sample.Config, totalInsts uint64) (plan *sample.Plan, err error) {
+// buildPlanSafe is sample.BuildPlan behind the same boundary. The
+// plan's own pass counts the program, so no count is passed in.
+func buildPlanSafe(ctx context.Context, bench *workloads.Benchmark, scale int, sc sample.Config) (plan *sample.Plan, err error) {
 	defer fault.CatchPanic(&err, "plan "+bench.Name)
-	return sample.BuildPlan(ctx, bench.Program(scale), sc, totalInsts)
+	return sample.BuildPlan(ctx, bench.Program(scale), sc, 0)
 }

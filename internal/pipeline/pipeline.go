@@ -292,7 +292,6 @@ func newSession(cfg Config, prog *emu.Program, src Source, ck *emu.Checkpoint, w
 	}
 	s.res.Machine = cfg.Name
 	s.res.Program = prog.Name
-	s.res.ConfigKey = cfg.Key()
 	if ck != nil {
 		s.res.StartInst = ck.InstCount
 	}

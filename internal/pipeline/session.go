@@ -41,6 +41,11 @@ type RunOpts struct {
 	// MaxRetired to bound warmup + measured window together. If the run
 	// ends before the boundary is reached, Result.Measured stays nil.
 	WarmupRetired uint64
+	// ConfigKey, when non-empty, is the session config's Config.Key(),
+	// computed by the caller: Result.ConfigKey takes it instead of
+	// hashing the config again. Callers that run many sessions of one
+	// machine (sampled simulation runs one per window) hash it once.
+	ConfigKey string
 }
 
 // TruncateReason says why a simulation stopped before program
@@ -135,6 +140,10 @@ func (s *Session) Run(ctx context.Context, opts RunOpts) (*Result, error) {
 		ctx = context.Background()
 	}
 	done := ctx.Done()
+	s.res.ConfigKey = opts.ConfigKey
+	if s.res.ConfigKey == "" {
+		s.res.ConfigKey = s.cfg.Key()
+	}
 
 	var (
 		truncated    TruncateReason

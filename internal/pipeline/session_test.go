@@ -324,3 +324,24 @@ func TestStreamOnlyTelemetry(t *testing.T) {
 		t.Errorf("StreamOnly run retained %d intervals", len(res.Intervals))
 	}
 }
+
+// TestRunStampsConfigKey: a Result carries its config's key — hashed by
+// Run, or taken from RunOpts.ConfigKey when the caller already has it.
+func TestRunStampsConfigKey(t *testing.T) {
+	cfg := pipeline.DefaultConfig()
+	res, err := newSession(t, "tst", 1).Run(context.Background(), pipeline.RunOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.ConfigKey != cfg.Key() {
+		t.Errorf("ConfigKey = %q, want %q", res.ConfigKey, cfg.Key())
+	}
+	// The caller's key is taken as given, not recomputed.
+	res, err = newSession(t, "tst", 1).Run(context.Background(), pipeline.RunOpts{ConfigKey: "precomputed"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.ConfigKey != "precomputed" {
+		t.Errorf("ConfigKey with a precomputed key = %q, want %q", res.ConfigKey, "precomputed")
+	}
+}

@@ -18,6 +18,12 @@
 // cycles as TotalInsts × CPI, and the spread of per-window CPIs yields
 // a 95% confidence interval on the estimate.
 //
+// The windows' checkpoints come from one functional pass (BuildPlan):
+// it runs the program to HALT, counting it while keeping a bounded,
+// thinning grid of checkpoints, then schedules the windows against the
+// observed count and re-forwards each window's starting state from the
+// nearest grid checkpoint.
+//
 // While fast-forwarding, the emulator functionally warms the caches
 // and branch predictor by default (pipeline.Warmer observes every
 // skipped instruction), which is what makes a couple hundred

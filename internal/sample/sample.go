@@ -404,34 +404,29 @@ func forward(ctx context.Context, m *emu.Machine, target uint64, w *pipeline.War
 // whole-run estimate. Canceling ctx aborts promptly with an error
 // wrapping ctx.Err(). Sampled runs are fully deterministic: the same
 // (cfg, prog, sc) always yields an identical Result.
-func Run(ctx context.Context, cfg pipeline.Config, prog *emu.Program, sc Config) (*Result, error) {
-	// Pre-pass: one raw (allocation-free) emulation establishes the
-	// exact dynamic instruction count, which auto-period scales against
-	// and the estimator extrapolates to. Callers that already know the
-	// count (the experiment engine memoizes it) use RunTotal instead.
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	pre := emu.New(prog)
-	if err := forward(ctx, pre, math.MaxUint64, nil); err != nil {
-		return nil, err
-	}
-	return RunTotal(ctx, cfg, prog, sc, pre.InstCount())
-}
-
-// RunTotal is Run for callers that already know prog's dynamic
-// instruction count (it must be exact — the estimator extrapolates to
-// it and schedules windows against it), skipping Run's counting
-// pre-pass. The experiment engine feeds it the memoized InstCount, so
-// the count is established once per (benchmark, scale) no matter how
-// many machine configurations sample it.
 //
-// RunTotal is BuildPlan + RunPlanned: callers that sample the same
+// Run is BuildPlan + RunPlanned: the plan's one functional pass counts
+// the program and snapshots its windows. Callers that sample the same
 // program under many machine configurations should build the
 // (config-independent) plan once and call RunPlanned per config — the
 // whole-program fast-forward is the dominant per-run cost, and the
 // plan pays it exactly once.
+func Run(ctx context.Context, cfg pipeline.Config, prog *emu.Program, sc Config) (*Result, error) {
+	plan, err := BuildPlan(ctx, prog, sc, 0)
+	if err != nil {
+		return nil, err
+	}
+	return RunPlanned(ctx, cfg, prog, sc, plan)
+}
+
+// RunTotal is Run for callers that already know prog's dynamic
+// instruction count: BuildPlan checks the stated count against the one
+// its pass observes and fails on a mismatch, so a stale count is an
+// error rather than a silently wrong schedule.
 func RunTotal(ctx context.Context, cfg pipeline.Config, prog *emu.Program, sc Config, totalInsts uint64) (*Result, error) {
+	if totalInsts == 0 {
+		return nil, fmt.Errorf("sample: totalInsts must be positive")
+	}
 	sc = sc.Normalize()
 	plan, err := BuildPlan(ctx, prog, sc, totalInsts)
 	if err != nil {
@@ -461,12 +456,12 @@ type PlanWindow struct {
 }
 
 // Plan is the config-independent half of a sampled run: the window
-// schedule for one (program, sampling regime, total instruction count)
-// triple, with an architectural checkpoint per window. Building it
-// costs one raw fast-forward across the program — the dominant cost of
-// a sampled run — so the experiment engine caches plans and replays
-// them across every machine configuration of a sweep. A Plan is
-// read-only after BuildPlan and safe for concurrent use.
+// schedule for one (program, sampling regime) pair, with an
+// architectural checkpoint per window. Building it costs one raw
+// fast-forward across the program — the dominant cost of a sampled run
+// — so the experiment engine caches plans and replays them across every
+// machine configuration of a sweep. A Plan is read-only after BuildPlan
+// and safe for concurrent use.
 //
 // A Plan with Period == 0 schedules no windows: the program is too
 // short to sample and RunPlanned falls back to one exact detailed run.
@@ -474,8 +469,8 @@ type Plan struct {
 	// Program names the program the plan was built from; RunPlanned
 	// rejects a plan for a different program.
 	Program string
-	// TotalInsts is the exact dynamic instruction count the plan was
-	// scheduled against.
+	// TotalInsts is the program's exact dynamic instruction count,
+	// observed by the plan's pass; the windows are scheduled against it.
 	TotalInsts uint64
 	// Period is the resolved sampling period (0 = exact fallback).
 	Period uint64
@@ -497,40 +492,97 @@ func (p *Plan) Bytes() uint64 {
 	return n
 }
 
-// BuildPlan schedules the detailed windows for a program of totalInsts
-// dynamic instructions under regime sc, snapshotting the architectural
-// state at each window's warm-from point with a single monotone
-// fast-forward pass. One window per period-length stratum, centered:
-// the detailed region sits at the stratum midpoint rather than its
-// left edge, so each measurement represents its stratum's average
-// behavior rather than over-weighting the boundary (the left-edge
-// window of the first stratum would measure the program's coldest
-// startup instructions and bias the whole estimate). A window whose
-// full warmup+measure extent would run past the program end is dropped
-// (its truncated measurement would be drain-biased), and emulation
-// stops at the last window's warm-from point — instructions past it
-// are never needed here.
+// maxCheckpoints bounds the checkpoint grid BuildPlan keeps while its
+// pass runs to HALT; gridSpacing is the grid's starting spacing in
+// instructions. When the grid fills, every other checkpoint is dropped
+// and the spacing doubles, so the retained checkpoints always span the
+// run evenly and the transient memory stays within about twice a plan's
+// size whatever the program's length.
+const (
+	maxCheckpoints = 32
+	gridSpacing    = 1 << 14
+)
+
+// scan runs prog from its entry point to HALT, returning its dynamic
+// instruction count and a grid of checkpoints: grid[i] is the state
+// after i × spacing instructions, with at most maxCheckpoints kept.
+// spacing starts at start.
+func scan(ctx context.Context, prog *emu.Program, start uint64) (total uint64, grid []*emu.Checkpoint, spacing uint64, err error) {
+	m := emu.New(prog)
+	grid = []*emu.Checkpoint{m.Snapshot()}
+	spacing = start
+	for {
+		if err := forward(ctx, m, uint64(len(grid))*spacing, nil); err != nil {
+			return 0, nil, 0, err
+		}
+		if m.Halted() {
+			return m.InstCount(), grid, spacing, nil
+		}
+		if len(grid) == maxCheckpoints {
+			// Keep the even-indexed checkpoints: they sit on the
+			// doubled spacing, and the machine stands on the next point.
+			half := len(grid) / 2
+			for i := 0; i < half; i++ {
+				grid[i] = grid[2*i]
+			}
+			clear(grid[half:])
+			grid = grid[:half]
+			spacing *= 2
+		}
+		grid = append(grid, m.Snapshot())
+	}
+}
+
+// BuildPlan schedules the detailed windows of prog under regime sc in
+// one functional pass. The pass runs the program to HALT, counting it
+// and keeping a bounded grid of checkpoints (see maxCheckpoints); then
+// the windows are scheduled against the observed count, and each
+// window's warm-from state is re-forwarded from the nearest grid
+// checkpoint at or before it.
+//
+// One window per period-length stratum, centered: the detailed region
+// sits at the stratum midpoint rather than its left edge, so each
+// measurement represents its stratum's average behavior rather than
+// over-weighting the boundary (the left-edge window of the first
+// stratum would measure the program's coldest startup instructions and
+// bias the whole estimate). A window whose full warmup+measure extent
+// would run past the program end is dropped (its truncated measurement
+// would be drain-biased).
+//
+// totalInsts is the caller's count of prog's dynamic instructions, or 0
+// when unknown. A nonzero count that differs from the observed one is
+// an error: it is stale, and scheduling against it would be wrong.
 func BuildPlan(ctx context.Context, prog *emu.Program, sc Config, totalInsts uint64) (*Plan, error) {
+	return buildPlan(ctx, prog, sc, totalInsts, gridSpacing)
+}
+
+// buildPlan is BuildPlan with the grid's starting spacing as a
+// parameter.
+func buildPlan(ctx context.Context, prog *emu.Program, sc Config, totalInsts, startSpacing uint64) (*Plan, error) {
 	sc = sc.Normalize()
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
-	if totalInsts == 0 {
-		return nil, fmt.Errorf("sample: totalInsts must be positive")
-	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	plan := &Plan{Program: prog.Name, TotalInsts: totalInsts}
-	period := sc.periodFor(totalInsts)
+	total, grid, spacing, err := scan(ctx, prog, startSpacing)
+	if err != nil {
+		return nil, err
+	}
+	if totalInsts != 0 && totalInsts != total {
+		return nil, fmt.Errorf("sample: %q runs %d instructions, not the stated %d", prog.Name, total, totalInsts)
+	}
+	plan := &Plan{Program: prog.Name, TotalInsts: total}
+	period := sc.periodFor(total)
 	if period == 0 {
 		return plan, nil // too short to sample: exact fallback
 	}
 	plan.Period = period
 	detail := sc.Warmup + sc.Window
 	stretch := warmStretchFactor * detail
-	m := emu.New(prog)
-	for start := (period - detail) / 2; start+detail <= totalInsts; start += period {
+	var m *emu.Machine
+	for start := (period - detail) / 2; start+detail <= total; start += period {
 		if sc.MaxWindows > 0 && len(plan.Windows) >= sc.MaxWindows {
 			break
 		}
@@ -542,11 +594,14 @@ func BuildPlan(ctx context.Context, prog *emu.Program, sc Config, totalInsts uin
 				warmFrom = 0
 			}
 		}
+		// Warm-from points ascend, so the machine only restarts from a
+		// checkpoint that lies ahead of it.
+		ck := grid[min(warmFrom/spacing, uint64(len(grid)-1))]
+		if m == nil || m.InstCount() < ck.InstCount {
+			m = emu.NewAt(prog, ck)
+		}
 		if err := forward(ctx, m, warmFrom, nil); err != nil {
 			return nil, err
-		}
-		if m.Halted() {
-			break // totalInsts overstated; drop the unreachable windows
 		}
 		plan.Windows = append(plan.Windows, PlanWindow{
 			Index:    len(plan.Windows),
@@ -558,13 +613,14 @@ func BuildPlan(ctx context.Context, prog *emu.Program, sc Config, totalInsts uin
 	return plan, nil
 }
 
-// runWindow executes one scheduled window under cfg: resume the
-// emulator at the checkpoint, warm fresh cache/predictor clones over
-// the [WarmFrom, Start) stretch (skipped under ColdStart, where the
-// checkpoint already sits at Start), seed a detailed session from the
-// warmed state, and run warmup + measured window. ok is false when the
-// program halts before yielding a measurable window.
-func runWindow(ctx context.Context, cfg pipeline.Config, prog *emu.Program, sc Config, pw PlanWindow) (w Window, ok bool, err error) {
+// runWindow executes one scheduled window under cfg, whose Config.Key()
+// is cfgKey: resume the emulator at the checkpoint, warm fresh
+// cache/predictor clones over the [WarmFrom, Start) stretch (skipped
+// under ColdStart, where the checkpoint already sits at Start), seed a
+// detailed session from the warmed state, and run warmup + measured
+// window. ok is false when the program halts before yielding a
+// measurable window.
+func runWindow(ctx context.Context, cfg pipeline.Config, cfgKey string, prog *emu.Program, sc Config, pw PlanWindow) (w Window, ok bool, err error) {
 	var s *pipeline.Session
 	if pw.WarmFrom == pw.Start {
 		s, err = pipeline.NewFromCheckpoint(cfg, prog, pw.Ck)
@@ -587,6 +643,7 @@ func runWindow(ctx context.Context, cfg pipeline.Config, prog *emu.Program, sc C
 	r, err := s.Run(ctx, pipeline.RunOpts{
 		MaxRetired:    sc.Warmup + sc.Window,
 		WarmupRetired: sc.Warmup,
+		ConfigKey:     cfgKey,
 	})
 	if err != nil {
 		return Window{}, false, err
@@ -601,12 +658,12 @@ func runWindow(ctx context.Context, cfg pipeline.Config, prog *emu.Program, sc C
 // process or its sibling workers down. idx names the window in the
 // schedule; the fault key "program#idx" lets clauses target one window
 // of one workload.
-func runWindowSafe(ctx context.Context, cfg pipeline.Config, prog *emu.Program, sc Config, pw PlanWindow, idx int) (w Window, ok bool, err error) {
+func runWindowSafe(ctx context.Context, cfg pipeline.Config, cfgKey string, prog *emu.Program, sc Config, pw PlanWindow, idx int) (w Window, ok bool, err error) {
 	defer fault.CatchPanic(&err, fmt.Sprintf("sample: window %d of %s", idx, prog.Name))
 	if err := fault.InjectCtx(ctx, "sample.window", fmt.Sprintf("%s#%d", prog.Name, idx)); err != nil {
 		return Window{}, false, err
 	}
-	return runWindow(ctx, cfg, prog, sc, pw)
+	return runWindow(ctx, cfg, cfgKey, prog, sc, pw)
 }
 
 // RunPlanned executes plan's detailed windows under cfg and returns
@@ -646,9 +703,8 @@ func RunPlanned(ctx context.Context, cfg pipeline.Config, prog *emu.Program, sc 
 		TotalInsts: plan.TotalInsts,
 	}
 	if plan.Period == 0 || len(plan.Windows) == 0 {
-		// Too short to sample (or totalInsts was overstated and no
-		// window fit): one exact detailed run, recorded as a single
-		// all-measured window.
+		// Too short to sample (or no window fit a fixed period): one
+		// exact detailed run, recorded as a single all-measured window.
 		if err := res.exactFallback(ctx, cfg, prog); err != nil {
 			return nil, err
 		}
@@ -671,7 +727,7 @@ func RunPlanned(ctx context.Context, cfg pipeline.Config, prog *emu.Program, sc 
 	}
 	if workers <= 1 {
 		for i, pw := range plan.Windows {
-			w, ok, err := runWindowSafe(ctx, cfg, prog, sc, pw, i)
+			w, ok, err := runWindowSafe(ctx, cfg, res.ConfigKey, prog, sc, pw, i)
 			if err != nil {
 				return nil, err
 			}
@@ -696,7 +752,7 @@ func RunPlanned(ctx context.Context, cfg pipeline.Config, prog *emu.Program, sc 
 					if i >= int64(len(plan.Windows)) {
 						return
 					}
-					w, ok, err := runWindowSafe(wctx, cfg, prog, sc, plan.Windows[i], int(i))
+					w, ok, err := runWindowSafe(wctx, cfg, res.ConfigKey, prog, sc, plan.Windows[i], int(i))
 					if err != nil {
 						// Keep the earliest-indexed error so the
 						// reported failure does not depend on worker
@@ -754,7 +810,7 @@ func (r *Result) exactFallback(ctx context.Context, cfg pipeline.Config, prog *e
 	if err != nil {
 		return err
 	}
-	er, err := s.Run(ctx, pipeline.RunOpts{})
+	er, err := s.Run(ctx, pipeline.RunOpts{ConfigKey: r.ConfigKey})
 	if err != nil {
 		return err
 	}

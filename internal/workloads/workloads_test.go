@@ -89,10 +89,8 @@ func TestBenchmarksDeterministic(t *testing.T) {
 			if m1.InstCount() != m2.InstCount() {
 				t.Errorf("instruction counts differ: %d vs %d", m1.InstCount(), m2.InstCount())
 			}
-			for r := 0; r < 64; r++ {
-				if m1.Regs[r] != m2.Regs[r] {
-					t.Errorf("register %d differs", r)
-				}
+			if m1.Regs() != m2.Regs() {
+				t.Error("register files differ")
 			}
 		})
 	}
