@@ -33,7 +33,11 @@ const benchScale = 1
 // benchRun runs the pipeline and fails the benchmark on error.
 func benchRun(b *testing.B, cfg pipeline.Config, prog *emu.Program) *pipeline.Result {
 	b.Helper()
-	res, err := pipeline.Run(cfg, prog)
+	s, err := pipeline.New(cfg, prog)
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := s.Run(context.Background(), pipeline.RunOpts{})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -327,16 +327,6 @@ func RunProgram(ctx context.Context, cfg Config, prog *Program) (*Result, error)
 	return s.Run(ctx, RunOpts{})
 }
 
-// Run simulates prog on the machine described by cfg, blocking until
-// completion. An invalid config or failed simulation is reported as an
-// error (earlier releases panicked instead).
-//
-// Deprecated: Run cannot be canceled or observed. Use RunProgram (or
-// NewSession + Session.Run) in new code.
-func Run(cfg Config, prog *Program) (*Result, error) {
-	return pipeline.Run(cfg, prog)
-}
-
 // Emulate executes prog architecturally (no timing) for at most max
 // instructions (0 = to completion) and returns the finished machine.
 func Emulate(prog *Program, max uint64) *emu.Machine {

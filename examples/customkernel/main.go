@@ -99,11 +99,11 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		base, err := contopt.Run(contopt.BaselineConfig(), prog)
+		base, err := contopt.RunProgram(context.Background(), contopt.BaselineConfig(), prog)
 		if err != nil {
 			log.Fatal(err)
 		}
-		opt, err := contopt.Run(contopt.DefaultConfig(), prog)
+		opt, err := contopt.RunProgram(context.Background(), contopt.DefaultConfig(), prog)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -15,6 +15,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -45,7 +46,7 @@ func main() {
 }
 
 func mustRun(cfg contopt.Config, prog *contopt.Program) *contopt.Result {
-	r, err := contopt.Run(cfg, prog)
+	r, err := contopt.RunProgram(context.Background(), cfg, prog)
 	if err != nil {
 		log.Fatal(err)
 	}

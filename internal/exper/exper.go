@@ -34,14 +34,15 @@ const emuChunk = 1 << 20
 type Runner struct {
 	sem chan struct{}
 
-	mu   sync.Mutex
-	sims map[simKey]*flight[*pipeline.Result]
-
-	pmu     sync.Mutex
-	sampled map[sampleKey]*flight[*sample.Result]
-
-	cmu    sync.Mutex
-	counts map[countKey]*flight[uint64]
+	// The memo layer (see cache.go): exact results, sampled estimates
+	// and instruction counts are retained for the Runner's lifetime;
+	// traces and plans (see trace.go) share the byte budget of traceLRU.
+	sims     *cache[simKey, *pipeline.Result]
+	sampled  *cache[sampleKey, *sample.Result]
+	counts   *cache[countKey, uint64]
+	traces   *cache[countKey, *emu.Trace]
+	plans    *cache[planKey, *sample.Plan]
+	traceLRU *lru
 
 	omu           sync.Mutex
 	observers     []func(Progress)
@@ -51,16 +52,6 @@ type Runner struct {
 
 	wmu   sync.Mutex
 	wkeys map[countKey]string
-
-	// Decode-once caches (see trace.go): recorded traces per
-	// (benchmark, scale) and sampled-run plans per (benchmark, scale,
-	// regime), sharing one byte budget and LRU clock under tmu.
-	tmu         sync.Mutex
-	traces      map[countKey]*cacheEntry
-	plans       map[planKey]*cacheEntry
-	traceBudget int64
-	traceBytes  int64
-	traceClock  uint64
 
 	memHits         atomic.Uint64
 	storeHits       atomic.Uint64
@@ -115,85 +106,22 @@ type countKey struct {
 	scale int
 }
 
-// flight is one singleflight slot: the leader (the caller that created
-// the entry) computes the value and closes done; waiters block on done.
-type flight[V any] struct {
-	done chan struct{}
-	val  V
-	err  error
-}
-
-// singleflight collapses concurrent calls for the same key k of m into
-// one execution of do, cancellation-safely. The first caller to claim
-// the slot (the leader) runs do; waiters block until it finishes or
-// their own ctx dies. A leader that fails with a context-shaped error
-// vacates the slot before waking waiters, so the work is not poisoned:
-// a live waiter retries and takes over as the new leader. Deterministic
-// failures stay memoized — rerunning them cannot help. leader reports
-// whether this call executed do itself.
-func singleflight[K comparable, V any](ctx context.Context, mu *sync.Mutex, m map[K]*flight[V], k K, do func(context.Context) (V, error)) (val V, leader bool, err error) {
-	var zero V
-	for {
-		if err := ctx.Err(); err != nil {
-			return zero, false, err
-		}
-		mu.Lock()
-		e, ok := m[k]
-		if !ok {
-			e = &flight[V]{done: make(chan struct{})}
-			m[k] = e
-		}
-		mu.Unlock()
-
-		if !ok {
-			v, err := do(ctx)
-			if err != nil {
-				if ctxErr(err) {
-					mu.Lock()
-					delete(m, k)
-					mu.Unlock()
-				}
-				e.err = err
-				close(e.done)
-				return zero, true, err
-			}
-			e.val = v
-			close(e.done)
-			return v, true, nil
-		}
-
-		select {
-		case <-e.done:
-			if e.err == nil {
-				return e.val, false, nil
-			}
-			if ctxErr(e.err) {
-				// The previous leader was canceled, not the work:
-				// retry, and take over if the slot is still vacant.
-				continue
-			}
-			return zero, false, e.err
-		case <-ctx.Done():
-			return zero, false, ctx.Err()
-		}
-	}
-}
-
 // NewRunner builds an engine whose worker pool admits at most
 // parallelism concurrent simulations (0 = GOMAXPROCS).
 func NewRunner(parallelism int) *Runner {
 	if parallelism <= 0 {
 		parallelism = runtime.GOMAXPROCS(0)
 	}
+	traceLRU := &lru{budget: DefaultTraceBudget}
 	return &Runner{
 		sem:           make(chan struct{}, parallelism),
-		sims:          map[simKey]*flight[*pipeline.Result]{},
-		sampled:       map[sampleKey]*flight[*sample.Result]{},
-		counts:        map[countKey]*flight[uint64]{},
+		sims:          newCache[simKey, *pipeline.Result](nil, nil),
+		sampled:       newCache[sampleKey, *sample.Result](nil, nil),
+		counts:        newCache[countKey, uint64](nil, nil),
+		traces:        newCache[countKey](traceLRU, traceBytes),
+		plans:         newCache[planKey](traceLRU, planBytes),
+		traceLRU:      traceLRU,
 		wkeys:         map[countKey]string{},
-		traces:        map[countKey]*cacheEntry{},
-		plans:         map[planKey]*cacheEntry{},
-		traceBudget:   DefaultTraceBudget,
 		progressEvery: DefaultProgressInterval,
 		retryAttempts: defaultRetryAttempts,
 		retryBase:     defaultRetryBase,
@@ -242,8 +170,11 @@ func (r *Runner) SetStore(st *store.Store) {
 // persistent store instead of a build, and PlanStoreWrites plans
 // persisted after a build (both always 0 without SetStore): a sampled
 // sweep sharded across processes is the pattern {PlanBuilds: 1 in one
-// process, PlanStoreHits > 0 everywhere else}. TraceBytes is the
-// resident size of both caches right now, bounded by SetTraceBudget.
+// process, PlanStoreHits > 0 everywhere else}. With the layer disabled
+// (SetTraceBudget(0)) sampled runs build uncached plans that none of
+// these counters see. TraceBytes is the bytes the trace and plan
+// caches hold right now under their shared budget; it never exceeds
+// SetTraceBudget, and is 0 with the layer disabled.
 // Stats marshals to JSON with stable snake_case field names, so
 // services can expose a snapshot directly (e.g. a /metrics endpoint),
 // and String renders the CLI's "-v" stat lines — one formatter for
@@ -290,12 +221,6 @@ func (s Stats) String() string {
 
 // Stats returns a snapshot of the runner's counters.
 func (r *Runner) Stats() Stats {
-	r.tmu.Lock()
-	resident := r.traceBytes
-	r.tmu.Unlock()
-	if resident < 0 {
-		resident = 0
-	}
 	return Stats{
 		Simulations:     r.runs.Load(),
 		MemHits:         r.memHits.Load(),
@@ -306,7 +231,7 @@ func (r *Runner) Stats() Stats {
 		PlanHits:        r.planHits.Load(),
 		PlanStoreHits:   r.planStoreHits.Load(),
 		PlanStoreWrites: r.planStoreWrites.Load(),
-		TraceBytes:      uint64(resident),
+		TraceBytes:      uint64(r.traceLRU.bytes()),
 		PanicsRecovered: r.panicsRecovered.Load(),
 		StoreRetries:    r.storeRetries.Load(),
 		StoreDegraded:   r.storeDegrades.Load(),
@@ -397,7 +322,7 @@ func effectiveScale(b *workloads.Benchmark, scale int) int {
 }
 
 // ctxErr reports whether err is the shape a canceled or expired context
-// produces — the class of singleflight-leader failure that a waiter can
+// produces — the class of cache-leader failure that a waiter can
 // recover from by re-running the work itself.
 func ctxErr(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
@@ -461,7 +386,7 @@ func (r *Runner) Run(ctx context.Context, cfg pipeline.Config, bench *workloads.
 	scale = effectiveScale(bench, scale)
 	k := simKey{cfg: cfg.Key(), bench: bench.Name, scale: scale}
 
-	res, leader, err := singleflight(ctx, &r.mu, r.sims, k, protect(r, "cell "+k.bench+"/"+cfg.Name, func(ctx context.Context) (*pipeline.Result, error) {
+	res, leader, err := r.sims.get(ctx, k, protect(r, "cell "+k.bench+"/"+cfg.Name, func(ctx context.Context) (*pipeline.Result, error) {
 		var sk store.Key
 		if r.store.Load() != nil {
 			sk = store.ExactKey(k.cfg, k.bench, k.scale, r.workloadKey(bench, scale))
@@ -545,7 +470,7 @@ func (r *Runner) RunSampled(ctx context.Context, cfg pipeline.Config, bench *wor
 	scale = effectiveScale(bench, scale)
 	k := sampleKey{cfg: cfg.Key(), bench: bench.Name, scale: scale, sampling: sc.Key()}
 
-	res, leader, err := singleflight(ctx, &r.pmu, r.sampled, k, protect(r, "sampled cell "+k.bench+"/"+cfg.Name, func(ctx context.Context) (*sample.Result, error) {
+	res, leader, err := r.sampled.get(ctx, k, protect(r, "sampled cell "+k.bench+"/"+cfg.Name, func(ctx context.Context) (*sample.Result, error) {
 		var sk store.Key
 		if r.store.Load() != nil {
 			sk = store.SampledKey(k.cfg, k.bench, k.scale, k.sampling, r.workloadKey(bench, scale))
@@ -574,12 +499,7 @@ func (r *Runner) RunSampled(ctx context.Context, cfg pipeline.Config, bench *wor
 		if err != nil {
 			return nil, watchdogErr(wctx, err)
 		}
-		var sr *sample.Result
-		if plan != nil {
-			sr, err = sample.RunPlanned(wctx, cfg, bench.Program(scale), sc, plan)
-		} else {
-			sr, err = sample.Run(wctx, cfg, bench.Program(scale), sc)
-		}
+		sr, err := sample.RunPlanned(wctx, cfg, bench.Program(scale), sc, plan)
 		if err != nil {
 			return nil, watchdogErr(wctx, err)
 		}
@@ -608,7 +528,7 @@ func (r *Runner) InstCount(ctx context.Context, bench *workloads.Benchmark, scal
 	scale = effectiveScale(bench, scale)
 	k := countKey{bench: bench.Name, scale: scale}
 
-	n, _, err := singleflight(ctx, &r.cmu, r.counts, k, protect(r, "count "+k.bench, func(ctx context.Context) (uint64, error) {
+	n, _, err := r.counts.get(ctx, k, protect(r, "count "+k.bench, func(ctx context.Context) (uint64, error) {
 		var sk store.Key
 		if r.store.Load() != nil {
 			sk = store.CountKey(k.bench, k.scale, r.workloadKey(bench, scale))

@@ -7,7 +7,7 @@ package exper
 //
 // Three mechanisms, layered onto the existing seams:
 //
-//   - panic containment: every singleflight leader runs inside
+//   - panic containment: every cache leader runs inside
 //     protect(), which recovers a panic into a *PanicError (operation,
 //     value, stack) that memoizes and propagates like any other
 //     deterministic cell failure;
@@ -42,9 +42,9 @@ import (
 type PanicError = fault.PanicError
 
 // WatchdogError reports a cell canceled by the hard watchdog deadline.
-// It is deliberately not context-shaped: singleflight memoizes it, so
-// waiters of a deterministically wedged cell fail fast instead of
-// re-running the wedge in turn.
+// It is deliberately not context-shaped: the engine's cache memoizes
+// it, so waiters of a deterministically wedged cell fail fast instead
+// of re-running the wedge in turn.
 type WatchdogError struct {
 	// Op names the watched operation ("cell mcf/optimized").
 	Op string
@@ -253,7 +253,7 @@ func (r *Runner) storeWrite(ctx context.Context, k store.Key, v any) bool {
 	return r.storeIO(ctx, func() error { return st.Put(k, v) }) == nil
 }
 
-// protect wraps a singleflight leader body so a panic anywhere under
+// protect wraps a cache leader body so a panic anywhere under
 // it — pipeline invariant violations, emulator bugs, injected faults —
 // becomes a memoized *PanicError for this one cell instead of a dead
 // process. It also counts every recovered panic that surfaces through

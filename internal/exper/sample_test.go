@@ -192,18 +192,7 @@ func TestRunSampledUsesSharedInstCount(t *testing.T) {
 // memoCount returns the count memo's settled value for (bench, scale),
 // without running or waiting on anything.
 func memoCount(r *Runner, b *workloads.Benchmark, scale int) (uint64, bool) {
-	r.cmu.Lock()
-	e, ok := r.counts[countKey{bench: b.Name, scale: scale}]
-	r.cmu.Unlock()
-	if !ok {
-		return 0, false
-	}
-	select {
-	case <-e.done:
-		return e.val, e.err == nil
-	default:
-		return 0, false
-	}
+	return r.counts.peek(countKey{bench: b.Name, scale: scale})
 }
 
 // TestColdRunSampledEmulatesOnce: a cold sampled run's only emulation
@@ -247,7 +236,7 @@ func TestColdRunSampledEmulatesOnce(t *testing.T) {
 		t.Fatalf("count memo after a plan store hit = (%d, %v), want %d", n, ok, res.TotalInsts)
 	}
 
-	// With the plan cache off, the sample.Run fallback seeds it too.
+	// With the plan cache off, the uncached plan seeds it too.
 	r3 := NewRunner(2)
 	r3.SetTraceBudget(0)
 	if _, err := r3.RunSampled(ctx, pipeline.DefaultConfig(), b, 1, sample.DefaultConfig()); err != nil {

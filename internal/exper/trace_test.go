@@ -54,10 +54,7 @@ func TestSweepDecodesOnce(t *testing.T) {
 
 	// The recording doubles as the instruction count: sampling this
 	// workload must not need a counting pass.
-	r.cmu.Lock()
-	_, seeded := r.counts[countKey{bench: b.Name, scale: 1}]
-	r.cmu.Unlock()
-	if !seeded {
+	if _, seeded := r.counts.peek(countKey{bench: b.Name, scale: 1}); !seeded {
 		t.Error("trace recording did not seed the instruction-count memo")
 	}
 }

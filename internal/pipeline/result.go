@@ -1,11 +1,9 @@
 package pipeline
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/emu"
 )
 
 // Result carries the outcome of one simulation. A Result is
@@ -183,18 +181,4 @@ func pct(num, den uint64) float64 {
 // String summarizes the run.
 func (r *Result) String() string {
 	return fmt.Sprintf("%s/%s: %d insts, %d cycles, IPC %.3f", r.Program, r.Machine, r.Retired, r.Cycles, r.IPC())
-}
-
-// Run builds a session and runs prog under cfg to completion,
-// reporting an invalid config or a failed simulation as an error.
-//
-// Deprecated: Run is the pre-session API, kept for callers that need
-// neither cancellation nor telemetry. New code should use New and
-// Session.Run, which also take a context.
-func Run(cfg Config, prog *emu.Program) (*Result, error) {
-	s, err := New(cfg, prog)
-	if err != nil {
-		return nil, err
-	}
-	return s.Run(context.Background(), RunOpts{})
 }

@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/asm"
 	"repro/internal/emu"
-	"repro/internal/pipeline"
 	"repro/internal/scenario"
 	"repro/internal/workloads"
 )
@@ -110,7 +109,7 @@ func TestBuildPlanKnownCountMatches(t *testing.T) {
 }
 
 // TestStaleCountFailsLoudly: a stated count above or below the
-// program's real one is an error from BuildPlan and RunTotal, instead
+// program's real one is an error from BuildPlan, instead
 // of silently dropped windows or a schedule against the wrong total.
 func TestStaleCountFailsLoudly(t *testing.T) {
 	p := prog(t, "mcf").Program(1)
@@ -119,9 +118,6 @@ func TestStaleCountFailsLoudly(t *testing.T) {
 	for _, stale := range []uint64{total + 1, total - 1, 2 * total, total / 2} {
 		if _, err := BuildPlan(ctx, p, DefaultConfig(), stale); err == nil {
 			t.Errorf("BuildPlan accepted count %d for a %d-instruction program", stale, total)
-		}
-		if _, err := RunTotal(ctx, pipeline.DefaultConfig(), p, DefaultConfig(), stale); err == nil {
-			t.Errorf("RunTotal accepted count %d for a %d-instruction program", stale, total)
 		}
 	}
 }

@@ -419,22 +419,6 @@ func Run(ctx context.Context, cfg pipeline.Config, prog *emu.Program, sc Config)
 	return RunPlanned(ctx, cfg, prog, sc, plan)
 }
 
-// RunTotal is Run for callers that already know prog's dynamic
-// instruction count: BuildPlan checks the stated count against the one
-// its pass observes and fails on a mismatch, so a stale count is an
-// error rather than a silently wrong schedule.
-func RunTotal(ctx context.Context, cfg pipeline.Config, prog *emu.Program, sc Config, totalInsts uint64) (*Result, error) {
-	if totalInsts == 0 {
-		return nil, fmt.Errorf("sample: totalInsts must be positive")
-	}
-	sc = sc.Normalize()
-	plan, err := BuildPlan(ctx, prog, sc, totalInsts)
-	if err != nil {
-		return nil, err
-	}
-	return RunPlanned(ctx, cfg, prog, sc, plan)
-}
-
 // PlanWindow is one scheduled detailed window: an architectural
 // checkpoint at the point functional warming begins, plus the window's
 // position in the stream. The checkpoint is never consumed (sessions

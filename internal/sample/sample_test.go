@@ -280,13 +280,6 @@ func TestResultZeroSafe(t *testing.T) {
 	}
 }
 
-func TestRunTotalRejectsZeroTotal(t *testing.T) {
-	p := prog(t, "mcf").Program(1)
-	if _, err := RunTotal(context.Background(), pipeline.DefaultConfig(), p, DefaultConfig(), 0); err == nil {
-		t.Error("RunTotal accepted totalInsts 0")
-	}
-}
-
 // TestCancellation: a canceled context aborts a sampled run promptly
 // with an error wrapping ctx.Err().
 func TestCancellation(t *testing.T) {
@@ -356,24 +349,20 @@ func TestRunPlannedWorkerCountInvariant(t *testing.T) {
 	}
 }
 
-// TestPlanReuseMatchesRunTotal: running a cached plan yields the same
-// Result as the plan-building RunTotal path — the engine's plan cache
+// TestPlanReuseMatchesRun: running a cached plan yields the same
+// Result as the plan-building Run path — the engine's plan cache
 // cannot change any estimate.
-func TestPlanReuseMatchesRunTotal(t *testing.T) {
+func TestPlanReuseMatchesRun(t *testing.T) {
 	b := prog(t, "mgd")
 	p := b.Program(1)
 	cfg := pipeline.DefaultConfig()
 	sc := DefaultConfig()
 
-	pre, err := Run(context.Background(), cfg, p, sc)
+	direct, err := Run(context.Background(), cfg, p, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := RunTotal(context.Background(), cfg, p, sc, pre.TotalInsts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := BuildPlan(context.Background(), p, sc, pre.TotalInsts)
+	plan, err := BuildPlan(context.Background(), p, sc, direct.TotalInsts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,7 +374,7 @@ func TestPlanReuseMatchesRunTotal(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(direct, replayed) {
-		t.Errorf("planned run diverged from RunTotal:\ndirect   %+v\nreplayed %+v", direct, replayed)
+		t.Errorf("planned run diverged from Run:\ndirect   %+v\nreplayed %+v", direct, replayed)
 	}
 }
 

@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/emu"
@@ -22,7 +23,11 @@ func runPair(t *testing.T, name string, scale int) (base, opt *pipeline.Result) 
 // mustRun runs the pipeline and fails the test on error.
 func mustRun(t *testing.T, cfg pipeline.Config, prog *emu.Program) *pipeline.Result {
 	t.Helper()
-	res, err := pipeline.Run(cfg, prog)
+	s, err := pipeline.New(cfg, prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Run(context.Background(), pipeline.RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
