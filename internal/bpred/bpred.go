@@ -76,32 +76,29 @@ func New(cfg Config) *Predictor {
 		btbOK:  make([]bool, cfg.BTBEntries),
 		ras:    make([]uint64, cfg.RASEntries),
 	}
-	// Initialize every counter to weakly not-taken by doubling copies:
-	// the 256K-entry default table is filled at memmove speed instead
-	// of byte-at-a-time, which matters because sweeps and sampled
-	// simulation construct one predictor per session/window.
+	p.Reset()
+	return p
+}
+
+// Reset returns the predictor to exactly the state New builds: empty
+// history, BTB and return stack, every counter weakly not-taken, and
+// statistics zero. Simulation reuses one predictor per geometry this
+// way instead of allocating a fresh table per session or sampled
+// window.
+func (p *Predictor) Reset() {
+	p.history = 0
+	// Fill the counters by doubling copies: the 256K-entry default
+	// table is written at memmove speed instead of byte-at-a-time.
 	p.pht[0] = 1
 	for i := 1; i < len(p.pht); i <<= 1 {
 		copy(p.pht[i:], p.pht[:i])
 	}
-	return p
-}
-
-// Clone returns a deep copy of the predictor's tables, history, and
-// return stack, with statistics counters reset to zero. Sampled
-// simulation hands functionally warmed predictor state to each detailed
-// window this way.
-func (p *Predictor) Clone() *Predictor {
-	return &Predictor{
-		cfg:     p.cfg,
-		history: p.history,
-		pht:     append([]uint8(nil), p.pht...),
-		btbTag:  append([]uint64(nil), p.btbTag...),
-		btbTgt:  append([]uint64(nil), p.btbTgt...),
-		btbOK:   append([]bool(nil), p.btbOK...),
-		ras:     append([]uint64(nil), p.ras...),
-		rasTop:  p.rasTop,
-	}
+	clear(p.btbTag)
+	clear(p.btbTgt)
+	clear(p.btbOK)
+	clear(p.ras)
+	p.rasTop = 0
+	p.Lookups, p.DirMisses, p.TgtMisses = 0, 0, 0
 }
 
 // Prediction is the front end's guess for one branch.

@@ -1,6 +1,8 @@
 package bpred
 
 import (
+	"math/rand/v2"
+	"reflect"
 	"testing"
 
 	"repro/internal/isa"
@@ -245,5 +247,42 @@ func TestPredictDoesNotTrain(t *testing.T) {
 	}
 	if pred := p.Predict(100, isa.BNE, false); pred.Taken {
 		t.Error("Predict alone must not move counters")
+	}
+}
+
+// TestResetEqualsNew drives seeded random branch traffic through
+// predictors of several geometries — every branch kind, so the tables,
+// history, return stack and all three counters move — and requires
+// Reset to leave each exactly equal to a fresh New of the same config.
+// Simulation reuses pooled predictors through Reset, so any state it
+// missed would leak from one session into the next.
+func TestResetEqualsNew(t *testing.T) {
+	ops := []isa.Op{isa.BEQ, isa.BNE, isa.BR, isa.JSR, isa.JMP}
+	cfgs := []Config{
+		DefaultConfig(),
+		bimodal(),
+		{IndexBits: 12, HistoryBits: 8, BTBEntries: 64, RASEntries: 4, IndirectBTB: true},
+		{}, // falls back to the defaults
+	}
+	for i, cfg := range cfgs {
+		rng := rand.New(rand.NewPCG(uint64(i), 17))
+		p := New(cfg)
+		for n := 0; n < 20000; n++ {
+			pc := rng.Uint64N(4096)
+			op := ops[rng.IntN(len(ops))]
+			isReturn := op == isa.JMP && rng.IntN(2) == 0
+			pred := p.Predict(pc, op, isReturn)
+			taken := op != isa.BEQ && op != isa.BNE || rng.IntN(3) > 0
+			target := rng.Uint64N(4096)
+			p.Update(pc, op, taken, target, pred.Taken != taken || !pred.TargetKnown || pred.Target != target)
+		}
+		if p.Lookups == 0 || p.DirMisses == 0 || p.TgtMisses == 0 || p.RASDepth() == 0 {
+			t.Fatalf("config %d: traffic left state untouched (lookups %d, dir %d, tgt %d, ras %d)",
+				i, p.Lookups, p.DirMisses, p.TgtMisses, p.RASDepth())
+		}
+		p.Reset()
+		if fresh := New(cfg); !reflect.DeepEqual(p, fresh) {
+			t.Errorf("config %d (%+v): Reset differs from New", i, cfg)
+		}
 	}
 }

@@ -23,10 +23,9 @@ type Config struct {
 }
 
 // Cache is one set-associative, LRU, allocate-on-miss cache level. The
-// tag/valid/LRU state lives in flat [set*assoc+way] arrays, so cloning
-// a level (sampled simulation snapshots warmed contents per detailed
-// window) is three bulk copies rather than thousands of per-set
-// allocations.
+// tag/valid/LRU state lives in flat [set*assoc+way] arrays, so
+// resetting a level for reuse (see Reset) is three bulk writes rather
+// than thousands of per-set allocations.
 type Cache struct {
 	cfg      Config
 	sets     int
@@ -58,15 +57,26 @@ func New(cfg Config) *Cache {
 	c.tags = make([]uint64, n)
 	c.valid = make([]bool, n)
 	c.lru = make([]uint8, n)
+	c.Reset()
+	return c
+}
+
+// Reset returns the level to exactly the state New builds: every line
+// invalid, each set's LRU order by way, statistics zero. Simulation
+// reuses one level per geometry this way instead of allocating a fresh
+// one per session or sampled window.
+func (c *Cache) Reset() {
+	clear(c.tags)
+	clear(c.valid)
 	w := uint8(0)
 	for i := range c.lru {
 		c.lru[i] = w
 		w++
-		if int(w) == cfg.Assoc {
+		if int(w) == c.cfg.Assoc {
 			w = 0
 		}
 	}
-	return c
+	c.Accesses, c.Misses = 0, 0
 }
 
 // Config returns the level's configuration.
@@ -112,22 +122,6 @@ func (c *Cache) Access(addr uint64) bool {
 	c.valid[base+victim] = true
 	c.touch(base, victim)
 	return false
-}
-
-// Clone returns a deep copy of the cache's tag/valid/LRU state with
-// statistics counters reset to zero. Sampled simulation uses it to hand
-// functionally warmed contents to a detailed window while the warmer
-// keeps its own copy evolving — and the window's miss rates then report
-// only its own accesses.
-func (c *Cache) Clone() *Cache {
-	return &Cache{
-		cfg:      c.cfg,
-		sets:     c.sets,
-		lineBits: c.lineBits,
-		tags:     append([]uint64(nil), c.tags...),
-		valid:    append([]bool(nil), c.valid...),
-		lru:      append([]uint8(nil), c.lru...),
-	}
 }
 
 // Probe reports whether addr is resident without updating any state.
@@ -186,15 +180,11 @@ func NewHierarchy(cfg HierarchyConfig) *Hierarchy {
 	}
 }
 
-// Clone returns a deep copy of the hierarchy (see Cache.Clone; the
-// clone's statistics start at zero).
-func (h *Hierarchy) Clone() *Hierarchy {
-	return &Hierarchy{
-		L1I:        h.L1I.Clone(),
-		L1D:        h.L1D.Clone(),
-		L2:         h.L2.Clone(),
-		MemLatency: h.MemLatency,
-	}
+// Reset returns every level to its New state (see Cache.Reset).
+func (h *Hierarchy) Reset() {
+	h.L1I.Reset()
+	h.L1D.Reset()
+	h.L2.Reset()
 }
 
 // InstFetch returns the latency of fetching the instruction line at addr.

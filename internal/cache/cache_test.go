@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"math/rand/v2"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -174,5 +176,49 @@ func TestQuickAgainstReferenceLRU(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestResetEqualsNew drives seeded random traffic through single levels
+// and a whole hierarchy, then requires Reset to leave each exactly equal
+// to a fresh New of the same config — tags, valid bits, LRU order and
+// the statistics counters. Simulation reuses pooled caches through
+// Reset, so any state it missed would leak from one session into the
+// next.
+func TestResetEqualsNew(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	for _, cfg := range []Config{
+		{Name: "t", SizeB: 128, Assoc: 2, LineB: 16, Latency: 2},
+		{Name: "dm", SizeB: 1 << 10, Assoc: 1, LineB: 32, Latency: 1},
+		{Name: "8w", SizeB: 8 << 10, Assoc: 8, LineB: 64, Latency: 3},
+	} {
+		c := New(cfg)
+		for n := 0; n < 5000; n++ {
+			c.Access(rng.Uint64N(1 << 16))
+		}
+		if c.Misses == 0 || c.Misses == c.Accesses {
+			t.Fatalf("%s: traffic gave %d misses of %d accesses", cfg.Name, c.Misses, c.Accesses)
+		}
+		c.Reset()
+		if fresh := New(cfg); !reflect.DeepEqual(c, fresh) {
+			t.Errorf("%s: Reset differs from New", cfg.Name)
+		}
+	}
+
+	hc := DefaultHierarchyConfig()
+	h := NewHierarchy(hc)
+	for n := 0; n < 50000; n++ {
+		if rng.IntN(2) == 0 {
+			h.InstFetch(rng.Uint64N(1 << 24))
+		} else {
+			h.DataAccess(rng.Uint64N(1 << 24))
+		}
+	}
+	if h.L2.Misses == 0 {
+		t.Fatal("hierarchy traffic never reached L2")
+	}
+	h.Reset()
+	if fresh := NewHierarchy(hc); !reflect.DeepEqual(h, fresh) {
+		t.Error("hierarchy: Reset differs from NewHierarchy")
 	}
 }

@@ -2,6 +2,8 @@ package pipeline
 
 import (
 	"context"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/asm"
@@ -161,5 +163,79 @@ loop:
 	}
 	if n := len(s.lastStore); n != 0 {
 		t.Errorf("lastStore retains %d entries after the run; stores must evict at retire", n)
+	}
+}
+
+// windowBytes returns the bytes one warmed detailed window allocates
+// under cfg — warmer, hand-off, warmup plus measured run — once the
+// front-end pool is primed. GOMAXPROCS 1 keeps every take on the P
+// that held the released front-end, and a paused collector keeps the
+// pool from being drained mid-measurement.
+func windowBytes(t *testing.T, cfg Config, prog *emu.Program, ck *emu.Checkpoint) uint64 {
+	t.Helper()
+	window := func() {
+		m := emu.NewAt(prog, ck)
+		w := NewWarmer(cfg)
+		m.RunObserved(2000, w.Observe)
+		s, err := w.Seed(prog, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Run(context.Background(), RunOpts{MaxRetired: 500, WarmupRetired: 200}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	window() // prime the pool
+	const n = 8
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		window()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / n
+}
+
+// growFrontEnd returns cfg with a 4× predictor table (IndexBits 18 →
+// 20) and, separately, a 4× L2: the front-end tables a window used to
+// allocate afresh and now takes from the pool.
+func growFrontEnd(cfg Config) (bigBP, bigL2 Config) {
+	bigBP, bigL2 = cfg, cfg
+	bigBP.BPred.IndexBits, bigBP.BPred.HistoryBits = 20, 20
+	bigL2.Caches.L2.SizeB *= 4
+	return bigBP, bigL2
+}
+
+// TestWindowBytesIndependentOfFrontEndSize pins that a warmed detailed
+// window allocates nothing in proportion to the front-end tables: with
+// the pool primed, quadrupling the predictor or the L2 must not add
+// bytes per window (the slack absorbs timing-dependent map growth, far
+// below the 768 KB and 240 KB the larger tables would cost).
+func TestWindowBytesIndependentOfFrontEndSize(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts at random under -race")
+	}
+	prog, err := asm.Assemble("window-bytes", loopProg(3000, allocBody))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := emu.New(prog)
+	m.Run(1000)
+	ck := m.Snapshot()
+
+	const slack = 8 << 10
+	cfg := DefaultConfig()
+	bigBP, bigL2 := growFrontEnd(cfg)
+	base := windowBytes(t, cfg, prog, ck)
+	bp := windowBytes(t, bigBP, prog, ck)
+	l2 := windowBytes(t, bigL2, prog, ck)
+	t.Logf("bytes per window: default %d, IndexBits 20 %d, 4x L2 %d", base, bp, l2)
+	if bp > base+slack {
+		t.Errorf("IndexBits 20 allocates %d bytes per window, default %d: the predictor is not pooled", bp, base)
+	}
+	if l2 > base+slack {
+		t.Errorf("4x L2 allocates %d bytes per window, default %d: the caches are not pooled", l2, base)
 	}
 }

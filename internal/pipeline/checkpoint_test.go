@@ -165,7 +165,7 @@ func TestWarmupNotReached(t *testing.T) {
 }
 
 // TestWarmedSeedingDoesNotChangeRetirement pins that handing warmed
-// cache/predictor state to a checkpoint session affects timing only:
+// cache/predictor state and the live machine to a session affects timing only:
 // the retired instruction stream stays the oracle's.
 func TestWarmedSeedingDoesNotChangeRetirement(t *testing.T) {
 	const k = 800
@@ -179,7 +179,7 @@ func TestWarmedSeedingDoesNotChangeRetirement(t *testing.T) {
 	m.RunObserved(k, w.Observe)
 	ck := m.Snapshot()
 
-	s, err := pipeline.NewFromCheckpointWarmed(cfg, prog, ck, w.State())
+	s, err := w.Seed(prog, m)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,8 +27,14 @@
 // warmup-measurement boundary (Result.Measured) that sampled
 // simulation uses to discard detailed-window cold start.
 // NewFromCheckpoint seeds a session from an emulator snapshot instead
-// of the program entry, which is how internal/sample drops into
-// detailed simulation mid-program.
+// of the program entry, and Warmer.Seed hands a running emulator plus
+// functionally warmed caches and predictor to a session, which is how
+// internal/sample drops into detailed simulation mid-program.
+//
+// Sessions do not build their caches and branch predictor: they take
+// them, reset, from a pool per front-end geometry and return them when
+// Run ends. Run's Result is the caller's own copy and keeps nothing of
+// the session alive.
 //
 // # Identity and caching
 //

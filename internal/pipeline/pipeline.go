@@ -113,10 +113,15 @@ func (op *dynOp) completed(now uint64, ready []uint64) bool {
 // limits and interval telemetry. A Session is single-use (Run consumes
 // it) and not safe for concurrent use.
 type Session struct {
-	cfg    Config
-	src    Source
-	prf    *regfile.File
-	opt    *core.Optimizer
+	cfg Config
+	src Source
+	prf *regfile.File
+	opt *core.Optimizer
+
+	// fe is the session's pooled front-end; bp and caches alias its
+	// structures for the cycle stages. Run returns fe to the pool and
+	// clears all three.
+	fe     *frontEnd
 	bp     *bpred.Predictor
 	caches *cache.Hierarchy
 
@@ -183,7 +188,7 @@ type feedbackEv struct {
 // normalized (a zero Config means the default machine) and validated;
 // an invalid config is reported as an error rather than a panic.
 func New(cfg Config, prog *emu.Program) (*Session, error) {
-	return newSession(cfg, prog, nil, nil, WarmState{})
+	return newSession(cfg, prog, emu.New(prog), nil)
 }
 
 // NewFromCheckpoint builds a session whose oracle resumes prog at the
@@ -209,42 +214,34 @@ func NewFromCheckpoint(cfg Config, prog *emu.Program, ck *emu.Checkpoint) (*Sess
 	if ck.Halted {
 		return nil, fmt.Errorf("pipeline: checkpoint of %q is already halted", ck.Program)
 	}
-	return newSession(cfg, prog, nil, ck, WarmState{})
+	return newSession(cfg, prog, emu.NewAt(prog, ck), nil)
 }
 
-// newSession builds a session over the given dynamic-stream source. A
-// nil src means "drive a live emulator": fresh from the program entry
-// point, or resumed from ck when one is given. A non-nil src (a trace
-// replay cursor) is used as-is and ck must be nil — replay always
-// covers the whole recorded stream.
-func newSession(cfg Config, prog *emu.Program, src Source, ck *emu.Checkpoint, ws WarmState) (*Session, error) {
+// newSession builds a session over the dynamic-stream source src. A
+// live emulator may stand anywhere in its run: the session resumes it
+// there, with the rename tables seeded from its registers and
+// Result.StartInst from its instruction count. A trace replay cursor
+// always covers the whole recorded stream. fe is warmed front-end
+// state the session takes over (from Warmer.Seed); nil takes a cold
+// one from the pool. Either way Run returns it to the pool.
+func newSession(cfg Config, prog *emu.Program, src Source, fe *frontEnd) (*Session, error) {
 	cfg = cfg.Normalize()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	var initRegs *[isa.NumRegs]uint64
-	if src == nil {
-		if ck != nil {
-			src = emu.NewAt(prog, ck)
-		} else {
-			src = emu.New(prog)
-		}
-	}
-	if ck != nil {
-		// The rename tables must believe the checkpoint's register
+	var startInst uint64
+	if m, ok := src.(*emu.Machine); ok {
+		// The rename tables must believe the machine's register
 		// values, not the reset zeros, or optimizer verification
 		// (rightly) rejects the seeded state.
-		regs := ck.Regs
+		regs := m.Regs()
 		initRegs = &regs
+		startInst = m.InstCount()
 	}
 	prf := regfile.New(cfg.PRegs)
-	bp := ws.bp
-	if bp == nil {
-		bp = bpred.New(cfg.BPred)
-	}
-	caches := ws.caches
-	if caches == nil {
-		caches = cache.NewHierarchy(cfg.Caches)
+	if fe == nil {
+		fe = takeFrontEnd(&cfg)
 	}
 	// The event-wheel horizon must exceed the furthest ahead any event
 	// is ever scheduled: a completion lands at most RegReadLat plus the
@@ -264,8 +261,9 @@ func newSession(cfg Config, prog *emu.Program, src Source, ck *emu.Checkpoint, w
 		src:         src,
 		prf:         prf,
 		opt:         core.NewOptimizerAt(cfg.Opt, prf, initRegs),
-		bp:          bp,
-		caches:      caches,
+		fe:          fe,
+		bp:          fe.bp,
+		caches:      fe.caches,
 		ready:       make([]uint64, cfg.PRegs),
 		renQCap:     cfg.FetchWidth * int(cfg.totalRenameLat()+cfg.DispatchLat+2),
 		completions: newWheel[opRef](horizon),
@@ -280,8 +278,8 @@ func newSession(cfg Config, prog *emu.Program, src Source, ck *emu.Checkpoint, w
 		window: newOpRing(cfg.WindowSize),
 	}
 	s.renQ = newOpRing(s.renQCap)
-	s.lineB = uint64(caches.L1I.Config().LineB)
-	s.l1iLat = caches.L1I.Latency()
+	s.lineB = uint64(fe.caches.L1I.Config().LineB)
+	s.l1iLat = fe.caches.L1I.Latency()
 	// The arena covers every queue position an op can occupy (window
 	// ops include the scheduler entries), plus one fetch bundle of
 	// slack: in-flight ops can never exceed that, so the slab stops
@@ -292,9 +290,7 @@ func newSession(cfg Config, prog *emu.Program, src Source, ck *emu.Checkpoint, w
 	}
 	s.res.Machine = cfg.Name
 	s.res.Program = prog.Name
-	if ck != nil {
-		s.res.StartInst = ck.InstCount
-	}
+	s.res.StartInst = startInst
 	return s, nil
 }
 

@@ -33,5 +33,5 @@ func NewReplay(cfg Config, prog *emu.Program, tr *emu.Trace) (*Session, error) {
 	if tr.Program != prog.Name {
 		return nil, fmt.Errorf("pipeline: trace of %q cannot replay program %q", tr.Program, prog.Name)
 	}
-	return newSession(cfg, prog, tr.NewReader(), nil, WarmState{})
+	return newSession(cfg, prog, tr.NewReader(), nil)
 }

@@ -131,11 +131,17 @@ const noProgressLimit = 500000
 // cancellation it returns an error wrapping ctx.Err() promptly, and the
 // Session's partial machine state is abandoned. A Session is single-use:
 // a second Run returns an error.
+//
+// The Result is the caller's own copy: it holds no reference into the
+// Session, so keeping it (a memoized exact result, say) does not keep
+// the Session's tables alive. However Run ends, it returns the
+// session's front-end (caches and predictor) to the pool.
 func (s *Session) Run(ctx context.Context, opts RunOpts) (*Result, error) {
 	if s.consumed {
 		return nil, errors.New("pipeline: session already run (sessions are single-use; build a new one with New)")
 	}
 	s.consumed = true
+	defer s.releaseFrontEnd()
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -264,5 +270,13 @@ func (s *Session) Run(ctx context.Context, opts RunOpts) (*Result, error) {
 		s.feedbackQ.drain(func(ev feedbackEv) { s.prf.Release(ev.preg) })
 		s.opt.ReleaseAll()
 	}
-	return &s.res, nil
+	res := s.res
+	return &res, nil
+}
+
+// releaseFrontEnd returns the session's front-end to the pool once Run
+// has read its statistics into the Result.
+func (s *Session) releaseFrontEnd() {
+	s.fe.release()
+	s.fe, s.bp, s.caches = nil, nil, nil
 }

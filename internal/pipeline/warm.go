@@ -2,12 +2,75 @@ package pipeline
 
 import (
 	"fmt"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/bpred"
 	"repro/internal/cache"
 	"repro/internal/emu"
 	"repro/internal/isa"
 )
+
+// frontEnd is the machine's history-dependent front-end state: the
+// cache hierarchy and the branch predictor. It is the largest part of
+// a session (the default gshare table alone is 256 KB), so it is never
+// built per session. One pool per front-end geometry hands them out:
+// a Warmer takes one, trains it, and hands it to the session it seeds;
+// every other session takes a cold one itself; every session puts its
+// front-end back when Run returns. Taking resets it to exactly the
+// state a fresh build would have, so reuse never shows in any result.
+type frontEnd struct {
+	caches *cache.Hierarchy
+	bp     *bpred.Predictor
+	pool   *sync.Pool // the pool it returns to (nil: not pooled)
+}
+
+// frontKey is the geometry a front-end is built from. Front-ends with
+// equal keys are interchangeable once reset.
+type frontKey struct {
+	caches cache.HierarchyConfig
+	bp     bpred.Config
+}
+
+// frontPools maps each frontKey to its *sync.Pool of *frontEnd. The
+// pools hold only idle front-ends and the garbage collector drains
+// them, so a process that stops simulating a geometry gives its memory
+// back; what stays is one empty pool header per geometry ever used.
+var frontPools sync.Map
+
+// freshFrontEnds, when set, makes every session and warmer build its
+// own front-end and never pool it: the reference path the pooling
+// equivalence tests compare against.
+var freshFrontEnds atomic.Bool
+
+// takeFrontEnd returns a front-end for cfg (normalized) in its New
+// state: a reset one from the geometry's pool, or a fresh build when
+// the pool is empty.
+func takeFrontEnd(cfg *Config) *frontEnd {
+	var pool *sync.Pool
+	if !freshFrontEnds.Load() {
+		k := frontKey{cfg.Caches, cfg.BPred}
+		p, ok := frontPools.Load(k)
+		if !ok {
+			p, _ = frontPools.LoadOrStore(k, new(sync.Pool))
+		}
+		pool = p.(*sync.Pool)
+		if fe, _ := pool.Get().(*frontEnd); fe != nil {
+			fe.caches.Reset()
+			fe.bp.Reset()
+			return fe
+		}
+	}
+	return &frontEnd{caches: cache.NewHierarchy(cfg.Caches), bp: bpred.New(cfg.BPred), pool: pool}
+}
+
+// release returns fe to its pool. The caller must hold no reference
+// to fe or its structures afterwards.
+func (fe *frontEnd) release() {
+	if fe.pool != nil {
+		fe.pool.Put(fe)
+	}
+}
 
 // Warmer keeps the machine's history-dependent front-end structures —
 // the cache hierarchy and the branch predictor — functionally warm
@@ -17,26 +80,32 @@ import (
 // dynamic instruction: one I-cache access per new line plus the
 // next-line prefetch, a D-cache access per load/store, and a
 // predict/update pair per branch (including the return-address stack).
-// A session seeded from the warmer's state therefore starts with the
+// A session seeded from the warmer (Seed) therefore starts with the
 // cache and predictor contents a continuous detailed run would have
 // had, which is what makes short detailed warmup windows sufficient.
+//
+// The warmer's front-end comes from the pool shared with sessions and
+// passes to the session Seed builds, which returns it to the pool when
+// its Run ends. A warmer that never seeds a session just drops its
+// front-end to the garbage collector.
 //
 // A Warmer is single-goroutine, like the emulator it observes.
 type Warmer struct {
 	cfg      Config
-	caches   *cache.Hierarchy
-	bp       *bpred.Predictor
+	fe       *frontEnd
+	lineB    uint64
 	lastLine uint64
 }
 
 // NewWarmer builds a warmer for machines configured by cfg (normalized
-// like New).
+// like New), starting from cold front-end state.
 func NewWarmer(cfg Config) *Warmer {
 	cfg = cfg.Normalize()
+	fe := takeFrontEnd(&cfg)
 	return &Warmer{
 		cfg:      cfg,
-		caches:   cache.NewHierarchy(cfg.Caches),
-		bp:       bpred.New(cfg.BPred),
+		fe:       fe,
+		lineB:    uint64(fe.caches.L1I.Config().LineB),
 		lastLine: notReady,
 	}
 }
@@ -47,12 +116,12 @@ func (w *Warmer) Observe(d *emu.DynInst) {
 	// Instruction cache: one access per new line, plus the next-line
 	// prefetch, mirroring Session.fetch.
 	const instBytes = 4
-	lineB := uint64(w.caches.L1I.Config().LineB)
+	caches := w.fe.caches
 	addr := d.PC * instBytes
-	line := addr &^ (lineB - 1)
+	line := addr &^ (w.lineB - 1)
 	if line != w.lastLine {
-		w.caches.InstFetch(addr)
-		w.caches.InstFetch(addr + lineB)
+		caches.InstFetch(addr)
+		caches.InstFetch(addr + w.lineB)
 		w.lastLine = line
 	}
 
@@ -64,63 +133,36 @@ func (w *Warmer) Observe(d *emu.DynInst) {
 		// warmer mirrors that. Loads the optimizer would eliminate are
 		// still touched — the warmer cannot know the optimizer's table
 		// state — which the detailed warmup window absorbs.
-		w.caches.DataAccess(d.Addr)
+		caches.DataAccess(d.Addr)
 	case in.Op.IsBranch():
+		bp := w.fe.bp
 		isReturn := in.Op == isa.JMP && in.SrcA == isa.IntReg(26)
-		pred := w.bp.Predict(d.PC, in.Op, isReturn)
+		pred := bp.Predict(d.PC, in.Op, isReturn)
 		mis := pred.Taken != d.Taken ||
 			(d.Taken && (!pred.TargetKnown || pred.Target != d.NextPC))
-		w.bp.Update(d.PC, in.Op, d.Taken, d.NextPC, mis)
+		bp.Update(d.PC, in.Op, d.Taken, d.NextPC, mis)
 	}
 }
 
-// WarmState is warmed front-end state for NewFromCheckpointWarmed,
-// produced by Warmer.State (a self-owned copy whose statistics start
-// at zero, so the seeded session's miss and lookup counts cover only
-// its own window) or Warmer.Borrow (shared live structures whose
-// counters keep accumulating — see Borrow for the trade).
-type WarmState struct {
-	caches *cache.Hierarchy
-	bp     *bpred.Predictor
-}
-
-// State snapshots the warmer's current cache and predictor contents.
-// The warmer keeps evolving independently afterwards.
-func (w *Warmer) State() WarmState {
-	return WarmState{caches: w.caches.Clone(), bp: w.bp.Clone()}
-}
-
-// Borrow hands out the warmer's own structures without copying: a
-// session seeded with them trains them exactly as a continuous detailed
-// run would, and the warmer keeps evolving the same state afterwards.
-// This is the fast path sampled simulation uses — no per-window clone
-// of multi-hundred-KB tables — at the price of three caveats for the
-// caller: only one borrowing session may run at a time; the emulator
-// must skip re-observing the instructions the session already executed
-// (they are already trained in; observing them again would
-// double-count their history); and because the statistics counters are
-// shared and never reset, the seeded session's Result reports
-// cache/predictor statistics (BPLookups, L1D/L1I miss rates)
-// accumulated across all warming and every earlier borrowing window,
-// not its own window alone — use State when those fields matter.
-func (w *Warmer) Borrow() WarmState {
-	return WarmState{caches: w.caches, bp: w.bp}
-}
-
-// NewFromCheckpointWarmed is NewFromCheckpoint with pre-warmed front-end
-// state: the session starts from the architectural checkpoint with ws's
-// cache and predictor contents instead of cold ones. ws must come from
-// a Warmer built over the same Config (the structures must have the
-// same geometry) that observed the instructions leading up to ck.
-func NewFromCheckpointWarmed(cfg Config, prog *emu.Program, ck *emu.Checkpoint, ws WarmState) (*Session, error) {
-	if ck == nil {
-		return nil, fmt.Errorf("pipeline: nil checkpoint")
+// Seed builds a session that resumes m — the machine this warmer has
+// been observing, standing on the next instruction to simulate — with
+// the warmer's cache and predictor contents instead of cold ones. The
+// session takes both over without copying: it simulates on the live
+// machine (no memory-image snapshot) and trains the warmed structures
+// exactly as a continuous detailed run would. The warmer is spent; it
+// must not observe again.
+//
+// The front-end's statistics counters keep running, so the session's
+// Result reports cache/predictor statistics (BPLookups, L1D/L1I miss
+// rates) that include the warming accesses, not its window alone.
+func (w *Warmer) Seed(prog *emu.Program, m *emu.Machine) (*Session, error) {
+	if w.fe == nil {
+		return nil, fmt.Errorf("pipeline: warmer already seeded a session")
 	}
-	if ck.Program != prog.Name {
-		return nil, fmt.Errorf("pipeline: checkpoint of %q cannot seed program %q", ck.Program, prog.Name)
+	if m.Halted() {
+		return nil, fmt.Errorf("pipeline: machine for %q is already halted", prog.Name)
 	}
-	if ck.Halted {
-		return nil, fmt.Errorf("pipeline: checkpoint of %q is already halted", ck.Program)
-	}
-	return newSession(cfg, prog, nil, ck, ws)
+	fe := w.fe
+	w.fe = nil
+	return newSession(w.cfg, prog, m, fe)
 }

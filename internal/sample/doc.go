@@ -8,9 +8,10 @@
 // # Method
 //
 // The method is classic SMARTS-style systematic sampling: detailed
-// windows start every Period dynamic instructions; each window seeds a
-// fresh pipeline.Session from an architectural checkpoint
-// (emu.Machine.Snapshot → pipeline.NewFromCheckpoint), runs Warmup
+// windows start every Period dynamic instructions; each window resumes
+// the emulator from an architectural checkpoint, hands the machine to
+// a pipeline.Session (pipeline.Warmer.Seed, or
+// pipeline.NewFromCheckpoint under ColdStart), runs Warmup
 // instructions in full detail with statistics discarded (filling the
 // caches, branch predictor, and optimizer tables), then measures the
 // next Window instructions. Whole-run CPI is estimated as the
@@ -26,7 +27,9 @@
 //
 // While fast-forwarding, the emulator functionally warms the caches
 // and branch predictor by default (pipeline.Warmer observes every
-// skipped instruction), which is what makes a couple hundred
+// skipped instruction of a bounded stretch before each window, into a
+// pooled front-end that the window's session then takes over), which
+// is what makes a couple hundred
 // instructions of detailed warmup sufficient; Config.ColdStart
 // disables warming for regimes that prefer cheaper fast-forward and a
 // longer detailed warmup.

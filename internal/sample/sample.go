@@ -48,8 +48,8 @@ type Config struct {
 	// instructions of detailed warmup suffice.
 	ColdStart bool
 	// Workers bounds how many detailed windows run concurrently (0 =
-	// GOMAXPROCS). Windows are independent — each owns its checkpoint
-	// and warms its own cache/predictor clones from its trailing
+	// GOMAXPROCS). Windows are independent — each resumes its own
+	// checkpoint and warms cold cache/predictor state from its trailing
 	// stretch — so the estimate is identical for any worker count;
 	// Workers is therefore excluded from Key.
 	Workers int
@@ -117,7 +117,7 @@ const minSpacing = 5
 
 // warmStretchFactor bounds functional warming: each window observes
 // only the warmStretchFactor × (Warmup + Window) instructions
-// trailing its start into fresh cache/predictor clones, and everything
+// trailing its start into cold cache/predictor state, and everything
 // before that fast-forwards raw. The stretch must cover the history
 // the window-start state actually depends on (predictor history, hot
 // cache lines); because windows warm independently — nothing
@@ -598,12 +598,13 @@ func buildPlan(ctx context.Context, prog *emu.Program, sc Config, totalInsts, st
 }
 
 // runWindow executes one scheduled window under cfg, whose Config.Key()
-// is cfgKey: resume the emulator at the checkpoint, warm fresh
-// cache/predictor clones over the [WarmFrom, Start) stretch (skipped
-// under ColdStart, where the checkpoint already sits at Start), seed a
-// detailed session from the warmed state, and run warmup + measured
-// window. ok is false when the program halts before yielding a
-// measurable window.
+// is cfgKey: resume the emulator at the checkpoint, warm a pooled
+// front-end (caches and predictor, reset to cold) over the [WarmFrom,
+// Start) stretch (skipped under ColdStart, where the checkpoint
+// already sits at Start), hand the warmed machine and front-end
+// straight to a detailed session, and run warmup + measured window.
+// ok is false when the program halts before yielding a measurable
+// window.
 func runWindow(ctx context.Context, cfg pipeline.Config, cfgKey string, prog *emu.Program, sc Config, pw PlanWindow) (w Window, ok bool, err error) {
 	var s *pipeline.Session
 	if pw.WarmFrom == pw.Start {
@@ -617,9 +618,7 @@ func runWindow(ctx context.Context, cfg pipeline.Config, cfgKey string, prog *em
 		if m.Halted() {
 			return Window{}, false, nil
 		}
-		// Borrow, not clone: the warmer is private to this window, and
-		// the session is the last user of its structures.
-		s, err = pipeline.NewFromCheckpointWarmed(cfg, prog, m.Snapshot(), warmer.Borrow())
+		s, err = warmer.Seed(prog, m)
 	}
 	if err != nil {
 		return Window{}, false, err

@@ -179,11 +179,17 @@ func IsCorrupt(err error) bool {
 // envelope is the on-disk form of one entry: self-describing (format,
 // version, the full key in clear) and self-checking (payload checksum).
 type envelope struct {
-	Format   string          `json:"format"`
-	Version  int             `json:"version"`
-	Key      Key             `json:"key"`
-	Checksum string          `json:"checksum"`
-	Payload  json.RawMessage `json:"payload"`
+	envelopeHead
+	Payload json.RawMessage `json:"payload"`
+}
+
+// envelopeHead is every envelope field before the payload; Put
+// marshals it alone and appends the payload (see encodeEntry).
+type envelopeHead struct {
+	Format   string `json:"format"`
+	Version  int    `json:"version"`
+	Key      Key    `json:"key"`
+	Checksum string `json:"checksum"`
 }
 
 // Store is a content-addressed result store rooted at one directory.
@@ -287,28 +293,22 @@ func (s *Store) Put(k Key, v any) error {
 	if err := k.Validate(); err != nil {
 		return err
 	}
-	payload, err := json.Marshal(v)
-	if err != nil {
-		return fmt.Errorf("store: encoding %s: %w", k, err)
-	}
-	sum := sha256.Sum256(payload)
-	data, err := json.Marshal(envelope{
-		Format:   Format,
-		Version:  Version,
-		Key:      k,
-		Checksum: hex.EncodeToString(sum[:]),
-		Payload:  payload,
-	})
+	data, err := encodeEntry(k, v)
 	if err != nil {
 		return fmt.Errorf("store: encoding %s: %w", k, err)
 	}
 
 	path := s.path(k)
 	dir := filepath.Dir(path)
-	if err := s.fs.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("store: writing %s: %w", k, err)
-	}
 	tmp, err := s.fs.CreateTemp(dir, ".tmp-*")
+	if errors.Is(err, fs.ErrNotExist) {
+		// The first entry of its fan-out directory: create the
+		// directory and try once more.
+		if err := s.fs.MkdirAll(dir, 0o755); err != nil {
+			return fmt.Errorf("store: writing %s: %w", k, err)
+		}
+		tmp, err = s.fs.CreateTemp(dir, ".tmp-*")
+	}
 	if err != nil {
 		return fmt.Errorf("store: writing %s: %w", k, err)
 	}
@@ -328,6 +328,35 @@ func (s *Store) Put(k Key, v any) error {
 		return fmt.Errorf("store: writing %s: %w", k, err)
 	}
 	return nil
+}
+
+// encodeEntry renders the entry file for v under k: exactly the bytes
+// json.Marshal gives for the whole envelope. The head is marshaled on
+// its own and v's JSON appended as the payload. Marshaling the
+// envelope with the payload as a json.RawMessage would validate and
+// compact it a second time, although json.Marshal already made it
+// compact — a second full scan, costly for large plans.
+func encodeEntry(k Key, v any) ([]byte, error) {
+	payload, err := json.Marshal(v)
+	if err != nil {
+		return nil, err
+	}
+	sum := sha256.Sum256(payload)
+	head, err := json.Marshal(envelopeHead{
+		Format:   Format,
+		Version:  Version,
+		Key:      k,
+		Checksum: hex.EncodeToString(sum[:]),
+	})
+	if err != nil {
+		return nil, err
+	}
+	const field = `,"payload":`
+	data := make([]byte, 0, len(head)+len(field)+len(payload))
+	data = append(data, head[:len(head)-1]...) // drop the closing brace
+	data = append(data, field...)
+	data = append(data, payload...)
+	return append(data, '}'), nil
 }
 
 // Count is the KindCount payload: a benchmark's dynamic instruction
