@@ -10,7 +10,11 @@
 // perfect history checkpoint recovery.
 package bpred
 
-import "repro/internal/isa"
+import (
+	"encoding/binary"
+
+	"repro/internal/isa"
+)
 
 // Config sizes the predictor structures.
 type Config struct {
@@ -99,6 +103,86 @@ func (p *Predictor) Reset() {
 	clear(p.ras)
 	p.rasTop = 0
 	p.Lookups, p.DirMisses, p.TgtMisses = 0, 0, 0
+}
+
+// Delta is a predictor's state as a sparse difference from its reset
+// state: the pattern-table counters and BTB entries that differ, the
+// return stack, the global history and the statistics counters. Apply
+// on a reset predictor of the same geometry reproduces the recorded
+// state exactly; functional warming trains a few hundred counters of a
+// 256K-entry table, so a Delta is a small fraction of the predictor.
+type Delta struct {
+	History   uint64
+	PHTIndex  []uint32
+	PHT       []uint8
+	BTBIndex  []uint32
+	BTBTag    []uint64
+	BTBTgt    []uint64
+	RAS       []uint64
+	RASTop    int
+	Lookups   uint64
+	DirMisses uint64
+	TgtMisses uint64
+}
+
+// weakNotTaken is eight reset counters, for comparing the table eight
+// entries at a time.
+const weakNotTaken = 0x0101010101010101
+
+// Delta records the predictor as a difference from its reset state.
+func (p *Predictor) Delta() Delta {
+	d := Delta{
+		History:   p.history,
+		RAS:       append([]uint64(nil), p.ras...),
+		RASTop:    p.rasTop,
+		Lookups:   p.Lookups,
+		DirMisses: p.DirMisses,
+		TgtMisses: p.TgtMisses,
+	}
+	i := 0
+	for ; i+8 <= len(p.pht); i += 8 {
+		if binary.LittleEndian.Uint64(p.pht[i:]) == weakNotTaken {
+			continue
+		}
+		for j := i; j < i+8; j++ {
+			if p.pht[j] != 1 {
+				d.PHTIndex = append(d.PHTIndex, uint32(j))
+				d.PHT = append(d.PHT, p.pht[j])
+			}
+		}
+	}
+	for ; i < len(p.pht); i++ {
+		if p.pht[i] != 1 {
+			d.PHTIndex = append(d.PHTIndex, uint32(i))
+			d.PHT = append(d.PHT, p.pht[i])
+		}
+	}
+	// Update writes an entry's tag, target and valid bit together, so
+	// an entry differs from reset exactly when it is valid.
+	for i, ok := range p.btbOK {
+		if ok {
+			d.BTBIndex = append(d.BTBIndex, uint32(i))
+			d.BTBTag = append(d.BTBTag, p.btbTag[i])
+			d.BTBTgt = append(d.BTBTgt, p.btbTgt[i])
+		}
+	}
+	return d
+}
+
+// Apply installs d on a reset predictor of the geometry it was recorded
+// from, leaving it in exactly the recorded state.
+func (p *Predictor) Apply(d *Delta) {
+	p.history = d.History
+	for k, i := range d.PHTIndex {
+		p.pht[i] = d.PHT[k]
+	}
+	for k, i := range d.BTBIndex {
+		p.btbTag[i], p.btbTgt[i] = d.BTBTag[k], d.BTBTgt[k]
+		p.btbOK[i] = true
+	}
+	copy(p.ras, d.RAS)
+	p.rasTop = d.RASTop
+	p.Lookups, p.DirMisses, p.TgtMisses = d.Lookups, d.DirMisses, d.TgtMisses
 }
 
 // Prediction is the front end's guess for one branch.

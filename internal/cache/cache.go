@@ -79,6 +79,55 @@ func (c *Cache) Reset() {
 	c.Accesses, c.Misses = 0, 0
 }
 
+// Delta is a level's state as a sparse difference from its reset
+// state: the sets that differ, each with its tag, valid and LRU bytes
+// (Assoc entries per set, in Sets order), plus the statistics counters.
+// A functionally warmed level touches a small share of its sets, so a
+// Delta is much smaller than the level; Apply on a reset level of the
+// same geometry reproduces the recorded state exactly.
+type Delta struct {
+	Sets     []int32
+	Tags     []uint64
+	Valid    []bool
+	LRU      []uint8
+	Accesses uint64
+	Misses   uint64
+}
+
+// Delta records the level as a difference from its reset state.
+func (c *Cache) Delta() Delta {
+	d := Delta{Accesses: c.Accesses, Misses: c.Misses}
+	a := c.cfg.Assoc
+	for set := 0; set < c.sets; set++ {
+		base := set * a
+		diff := false
+		for w := 0; w < a && !diff; w++ {
+			diff = c.valid[base+w] || c.tags[base+w] != 0 || int(c.lru[base+w]) != w
+		}
+		if !diff {
+			continue
+		}
+		d.Sets = append(d.Sets, int32(set))
+		d.Tags = append(d.Tags, c.tags[base:base+a]...)
+		d.Valid = append(d.Valid, c.valid[base:base+a]...)
+		d.LRU = append(d.LRU, c.lru[base:base+a]...)
+	}
+	return d
+}
+
+// Apply installs d on a reset level of the geometry d was recorded
+// from, leaving it in exactly the recorded state.
+func (c *Cache) Apply(d *Delta) {
+	a := c.cfg.Assoc
+	for i, set := range d.Sets {
+		base := int(set) * a
+		copy(c.tags[base:base+a], d.Tags[i*a:])
+		copy(c.valid[base:base+a], d.Valid[i*a:])
+		copy(c.lru[base:base+a], d.LRU[i*a:])
+	}
+	c.Accesses, c.Misses = d.Accesses, d.Misses
+}
+
 // Config returns the level's configuration.
 func (c *Cache) Config() Config { return c.cfg }
 
@@ -185,6 +234,24 @@ func (h *Hierarchy) Reset() {
 	h.L1I.Reset()
 	h.L1D.Reset()
 	h.L2.Reset()
+}
+
+// HierarchyDelta is a hierarchy's state as per-level Deltas.
+type HierarchyDelta struct {
+	L1I, L1D, L2 Delta
+}
+
+// Delta records every level as a difference from its reset state.
+func (h *Hierarchy) Delta() HierarchyDelta {
+	return HierarchyDelta{L1I: h.L1I.Delta(), L1D: h.L1D.Delta(), L2: h.L2.Delta()}
+}
+
+// Apply installs d on a reset hierarchy of the geometry it was recorded
+// from (see Cache.Apply).
+func (h *Hierarchy) Apply(d *HierarchyDelta) {
+	h.L1I.Apply(&d.L1I)
+	h.L1D.Apply(&d.L1D)
+	h.L2.Apply(&d.L2)
 }
 
 // InstFetch returns the latency of fetching the instruction line at addr.

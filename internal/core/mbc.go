@@ -46,10 +46,20 @@ type mbc struct {
 }
 
 func newMBC(entries int, prf *regfile.File) *mbc {
+	m := new(mbc)
+	m.reset(entries, prf)
+	return m
+}
+
+// reset returns the table to exactly the state newMBC builds, reusing
+// its storage when large enough.
+func (m *mbc) reset(entries int, prf *regfile.File) {
 	if entries <= 0 {
 		entries = 128
 	}
-	return &mbc{entries: make([]mbcEntry, entries), prf: prf, bases: make([]uint32, prf.Size())}
+	m.entries = regfile.Resize(m.entries, entries)
+	m.prf = prf
+	m.bases = regfile.Resize(m.bases, prf.Size())
 }
 
 func (m *mbc) index(addr uint64) int {

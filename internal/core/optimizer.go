@@ -120,17 +120,36 @@ func NewOptimizer(cfg Config, prf *regfile.File) *Optimizer {
 // through the pipeline, so their values are as known to the hardware as
 // the reset zeros are. nil regs means reset state.
 func NewOptimizerAt(cfg Config, prf *regfile.File, regs *[isa.NumRegs]uint64) *Optimizer {
-	o := &Optimizer{
-		cfg:      cfg,
-		prf:      prf,
-		vals:     make([]uint64, prf.Size()),
-		consumed: make([]bool, prf.Size()),
-		tracked:  make([]bool, prf.Size()),
-		ratBases: make([]uint32, prf.Size()),
-		bundle:   1,
-	}
+	o := &Optimizer{prf: prf}
+	o.ResetAt(cfg, regs)
+	return o
+}
+
+// ResetAt returns the optimizer to exactly the state
+// NewOptimizerAt(cfg, prf, regs) builds over its register file, which
+// the caller must have reset (regfile.File.Reset) to the size the
+// session needs. Its tables, the MBC included, are reused when large
+// enough, so simulation can pool optimizers across sessions of any
+// shape.
+func (o *Optimizer) ResetAt(cfg Config, regs *[isa.NumRegs]uint64) {
+	prf := o.prf
+	n := prf.Size()
+	o.cfg = cfg
+	o.rat = [isa.NumRegs]ratEntry{}
+	o.vals = regfile.Resize(o.vals, n)
+	o.stats = Stats{}
+	o.consumed = regfile.Resize(o.consumed, n)
+	o.tracked = regfile.Resize(o.tracked, n)
+	o.ratBases = regfile.Resize(o.ratBases, n)
+	o.bundle, o.bundleChains = 1, 0
 	if cfg.Mode == ModeFull {
-		o.mbc = newMBC(cfg.MBCEntries, prf)
+		if o.mbc == nil {
+			o.mbc = newMBC(cfg.MBCEntries, prf)
+		} else {
+			o.mbc.reset(cfg.MBCEntries, prf)
+		}
+	} else {
+		o.mbc = nil
 	}
 	for r := 0; r < isa.NumRegs; r++ {
 		reg := isa.Reg(r)
@@ -161,7 +180,6 @@ func NewOptimizerAt(cfg Config, prf *regfile.File, regs *[isa.NumRegs]uint64) *O
 			o.symRef(p)
 		}
 	}
-	return o
 }
 
 // symRef takes a RAT symbolic-base reference on p, keeping the base

@@ -7,6 +7,7 @@ package emu_test
 // from it (the shared-memory-image aliasing trap).
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/emu"
@@ -177,4 +178,28 @@ func TestRunObservedMatchesStep(t *testing.T) {
 	fast.RunObserved(0, func(d *emu.DynInst) { got = append(got, *d) })
 	sameTrace(t, "RunObserved", want, got)
 	sameArchState(t, "RunObserved end-state", slow, fast)
+}
+
+// TestSnapshotIsImmutable: a checkpoint shares its memory pages with the
+// machine it was taken from and with every machine resumed from it, yet
+// no store by any of them changes it.
+func TestSnapshotIsImmutable(t *testing.T) {
+	prog := program(t, "mcf", 1)
+	m := emu.New(prog)
+	m.Run(2000)
+	ck := m.Snapshot()
+	img := ck.Mem.Export()
+	regs := ck.Regs
+
+	m.Run(0) // the source machine runs on, storing
+	r := emu.NewAt(prog, ck)
+	r.Run(0) // so does a machine resumed from the checkpoint
+	m.Restore(ck)
+	m.Mem.Store64(0x20000, 0xDEAD)
+	if got := ck.Mem.Export(); !reflect.DeepEqual(got, img) || ck.Regs != regs {
+		t.Error("stores after a sharing Snapshot changed the checkpoint")
+	}
+	if m.Mem.Load64(0x20000) != 0xDEAD {
+		t.Error("a store to a restored machine was lost")
+	}
 }

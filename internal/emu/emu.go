@@ -232,10 +232,13 @@ func BranchTaken(op isa.Op, a uint64) bool {
 // subsystem fast-forwards between: internal/sample captures one at each
 // detailed-window start and seeds a fresh pipeline.Session from it.
 //
-// A Checkpoint owns its memory image: Snapshot and Restore both deep-
-// copy, so neither later execution of the source machine nor execution
-// of a machine restored from the checkpoint can mutate it. A single
-// checkpoint may therefore seed any number of machines.
+// A checkpoint's memory image is immutable: Snapshot, Restore and NewAt
+// share its pages copy-on-write (mem.Memory.Share), so neither later
+// execution of the source machine nor execution of a machine restored
+// from the checkpoint can mutate it, and none of them copies a page it
+// does not write. A single checkpoint may therefore seed any number of
+// machines, concurrently. Consecutive checkpoints of one run share every
+// page the run did not write between them.
 type Checkpoint struct {
 	// Program is the name of the program the snapshot was taken from;
 	// Restore and NewAt reject a checkpoint of a different program.
@@ -249,13 +252,14 @@ type Checkpoint struct {
 	Halted bool
 	// Regs is the architectural register file (floats as IEEE bits).
 	Regs [isa.NumRegs]uint64
-	// Mem is the checkpoint's private memory image.
+	// Mem is the checkpoint's memory image; it must not be written.
 	Mem *mem.Memory
 }
 
-// Snapshot captures the machine's architectural state as a self-owned
-// checkpoint. The memory image is deep-copied, so the machine may keep
-// running (and storing) without disturbing the snapshot.
+// Snapshot captures the machine's architectural state as a checkpoint.
+// The memory image is shared copy-on-write, so the snapshot copies no
+// page, and the machine may keep running (and storing) without
+// disturbing it: the first store to each page copies that page.
 func (m *Machine) Snapshot() *Checkpoint {
 	return &Checkpoint{
 		Program:   m.prog.Name,
@@ -263,21 +267,21 @@ func (m *Machine) Snapshot() *Checkpoint {
 		InstCount: m.seq,
 		Halted:    m.halt,
 		Regs:      m.Regs(),
-		Mem:       m.Mem.Clone(),
+		Mem:       m.Mem.Share(),
 	}
 }
 
 // Restore replaces the machine's architectural state with the
-// checkpoint's. The checkpoint's memory image is deep-copied in, so the
-// checkpoint stays reusable after the restored machine resumes (and
-// stores). Restore panics when the checkpoint belongs to a different
+// checkpoint's. The checkpoint's memory image is shared copy-on-write,
+// so the checkpoint stays reusable after the restored machine resumes
+// (and stores). Restore panics when the checkpoint belongs to a different
 // program — resuming another program's state is a programming error.
 func (m *Machine) Restore(c *Checkpoint) {
 	if c.Program != m.prog.Name {
 		panic(fmt.Sprintf("emu: restoring %q checkpoint into %q machine", c.Program, m.prog.Name))
 	}
 	m.setRegs(&c.Regs)
-	m.Mem = c.Mem.Clone()
+	m.Mem = c.Mem.Share()
 	m.PC = c.PC
 	m.seq = c.InstCount
 	m.halt = c.Halted
@@ -288,14 +292,15 @@ func (m *Machine) Restore(c *Checkpoint) {
 // then seed as many fresh machines (or pipeline sessions) as needed
 // from the same architectural instant. Unlike New followed by Restore,
 // NewAt never materializes the program's initial data image — the
-// checkpoint's image fully replaces it, and sampled simulation builds
-// one machine per detailed window.
+// checkpoint's image fully replaces it, shared copy-on-write, so a
+// resumed machine costs only the pages it writes; sampled simulation
+// builds one machine per detailed window.
 func NewAt(p *Program, c *Checkpoint) *Machine {
 	if c.Program != p.Name {
 		panic(fmt.Sprintf("emu: resuming %q checkpoint on program %q", c.Program, p.Name))
 	}
 	m := &Machine{
-		Mem:  c.Mem.Clone(),
+		Mem:  c.Mem.Share(),
 		PC:   c.PC,
 		prog: p,
 		code: p.decoded(),

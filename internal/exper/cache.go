@@ -124,6 +124,23 @@ func (c *cache[K, V]) seed(k K, v V) bool {
 	return true
 }
 
+// recharge re-sizes k's resident value, whose size may have changed
+// since it was admitted, and evicts down to the budget. It does nothing
+// when k is not resident in the lru.
+func (c *cache[K, V]) recharge(k K) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e, ok := c.m[k]
+	if !ok || e.elem == nil {
+		return
+	}
+	it := e.elem.Value.(*lruItem)
+	n := c.size(e.val)
+	c.lru.resident += n - it.bytes
+	it.bytes = n
+	c.lru.evict()
+}
+
 // peek returns k's settled, successful value without waiting or
 // computing anything.
 func (c *cache[K, V]) peek(k K) (V, bool) {

@@ -34,15 +34,18 @@ const emuChunk = 1 << 20
 type Runner struct {
 	sem chan struct{}
 
-	// The memo layer (see cache.go): exact results, sampled estimates
-	// and instruction counts are retained for the Runner's lifetime;
-	// traces and plans (see trace.go) share the byte budget of traceLRU.
-	sims     *cache[simKey, *pipeline.Result]
-	sampled  *cache[sampleKey, *sample.Result]
-	counts   *cache[countKey, uint64]
-	traces   *cache[countKey, *emu.Trace]
-	plans    *cache[planKey, *sample.Plan]
-	traceLRU *lru
+	// The memo layer (see cache.go): exact results and sampled
+	// estimates share the byte budget of resultLRU (the store, when
+	// attached, is their durable tier); instruction counts are retained
+	// for the Runner's lifetime; traces and plans (see trace.go) share
+	// the byte budget of traceLRU.
+	sims      *cache[simKey, *pipeline.Result]
+	sampled   *cache[sampleKey, *sample.Result]
+	counts    *cache[countKey, uint64]
+	traces    *cache[countKey, *emu.Trace]
+	plans     *cache[planKey, *sample.Plan]
+	resultLRU *lru
+	traceLRU  *lru
 
 	omu           sync.Mutex
 	observers     []func(Progress)
@@ -106,20 +109,34 @@ type countKey struct {
 	scale int
 }
 
+// DefaultResultBudget caps the resident bytes of memoized exact and
+// sampled results (8 MiB). A result is small — about 0.4 KB exact and
+// 2–5 KB sampled (its windows), plus 0.4 KB for its memo slot — so the
+// budget holds a couple of thousand sampled estimates. That is over twenty times the hot set of
+// a service that keeps re-requesting a reference column plus a handful
+// of hot machines over a workload suite (8 benchmarks × 7 machines ×
+// exact and sampled ≈ 0.3 MB), while a stream of new cells can no
+// longer grow the heap without bound: the least recently used results
+// leave memory, and the attached store (the durable tier) answers for
+// them if they are asked for again.
+const DefaultResultBudget = 8 << 20
+
 // NewRunner builds an engine whose worker pool admits at most
 // parallelism concurrent simulations (0 = GOMAXPROCS).
 func NewRunner(parallelism int) *Runner {
 	if parallelism <= 0 {
 		parallelism = runtime.GOMAXPROCS(0)
 	}
+	resultLRU := &lru{budget: DefaultResultBudget}
 	traceLRU := &lru{budget: DefaultTraceBudget}
 	return &Runner{
 		sem:           make(chan struct{}, parallelism),
-		sims:          newCache[simKey, *pipeline.Result](nil, nil),
-		sampled:       newCache[sampleKey, *sample.Result](nil, nil),
+		sims:          newCache[simKey](resultLRU, resultBytes[*pipeline.Result]),
+		sampled:       newCache[sampleKey](resultLRU, resultBytes[*sample.Result]),
 		counts:        newCache[countKey, uint64](nil, nil),
 		traces:        newCache[countKey](traceLRU, traceBytes),
 		plans:         newCache[planKey](traceLRU, planBytes),
+		resultLRU:     resultLRU,
 		traceLRU:      traceLRU,
 		wkeys:         map[countKey]string{},
 		progressEvery: DefaultProgressInterval,
@@ -152,6 +169,16 @@ func (r *Runner) SetStore(st *store.Store) {
 	r.degraded.Store(false)
 }
 
+// resultBytes is what a memoized result charges the result budget: the
+// result's own bytes plus slotBytes.
+func resultBytes[R interface{ Bytes() uint64 }](r R) int64 { return int64(r.Bytes()) + slotBytes }
+
+// slotBytes approximates what a memo slot costs beside its value: the
+// map cell and the key's config-hash string, the entry with its done
+// channel, and the lru element, item and drop closure — about 0.4 KB,
+// as much again as an exact result.
+const slotBytes = 400
+
 // Stats reports cache effectiveness. Simulations is the number of
 // simulations the engine started executing (including any later
 // abandoned by cancellation) — the misses that cost real work. MemHits
@@ -174,7 +201,18 @@ func (r *Runner) SetStore(st *store.Store) {
 // (SetTraceBudget(0)) sampled runs build uncached plans that none of
 // these counters see. TraceBytes is the bytes the trace and plan
 // caches hold right now under their shared budget; it never exceeds
-// SetTraceBudget, and is 0 with the layer disabled.
+// SetTraceBudget, and is 0 with the layer disabled; a plan's bytes
+// include the shared functional warming its runs recorded in it.
+// ResultBytes is the same for memoized results under
+// DefaultResultBudget.
+//
+// The reuse counters are process-wide (every Runner in the process
+// shares them): WarmBuilds counts sampled windows that ran their own
+// functional warming and recorded it, WarmHits windows that resumed
+// another machine's recorded warming instead; BackEndBuilds and
+// BackEndReuses count detailed sessions whose back-end (register file,
+// optimizer tables, queues, arena) was built afresh or taken from the
+// pool.
 // Stats marshals to JSON with stable snake_case field names, so
 // services can expose a snapshot directly (e.g. a /metrics endpoint),
 // and String renders the CLI's "-v" stat lines — one formatter for
@@ -191,6 +229,12 @@ type Stats struct {
 	PlanStoreHits   uint64 `json:"plan_store_hits"`
 	PlanStoreWrites uint64 `json:"plan_store_writes"`
 	TraceBytes      uint64 `json:"trace_bytes"`
+	ResultBytes     uint64 `json:"result_bytes"`
+
+	WarmBuilds    uint64 `json:"warm_builds"`
+	WarmHits      uint64 `json:"warm_hits"`
+	BackEndBuilds uint64 `json:"backend_builds"`
+	BackEndReuses uint64 `json:"backend_reuses"`
 
 	// The resilience counters (see resilience.go): PanicsRecovered is
 	// cells/jobs whose panic was contained; StoreRetries transient store
@@ -205,22 +249,25 @@ type Stats struct {
 	WatchdogKills   uint64 `json:"watchdog_kills"`
 }
 
-// String renders the snapshot as the two human-readable stat lines the
+// String renders the snapshot as the human-readable stat lines the
 // CLI prints under -v (no trailing newline). Keeping the formatter on
 // the type means the CLI and the serve /metrics log lines cannot drift
 // apart field-by-field.
 func (s Stats) String() string {
-	return fmt.Sprintf("engine: %d simulations, %d memory hits, %d store hits\n"+
+	return fmt.Sprintf("engine: %d simulations, %d memory hits, %d store hits; %.1f MiB results resident\n"+
 		"engine: decode-once: %d traces recorded, %d replayed; %d plans built, %d reused (%d store hits, %d store writes); %.1f MiB resident\n"+
+		"engine: reuse: %d windows warmed, %d resumed shared warming; %d back-ends built, %d reused\n"+
 		"engine: resilience: %d panics recovered, %d store retries, %d store degradations, %d watchdog stalls, %d watchdog kills",
-		s.Simulations, s.MemHits, s.StoreHits,
+		s.Simulations, s.MemHits, s.StoreHits, float64(s.ResultBytes)/(1<<20),
 		s.TraceRecords, s.TraceHits, s.PlanBuilds, s.PlanHits,
 		s.PlanStoreHits, s.PlanStoreWrites, float64(s.TraceBytes)/(1<<20),
+		s.WarmBuilds, s.WarmHits, s.BackEndBuilds, s.BackEndReuses,
 		s.PanicsRecovered, s.StoreRetries, s.StoreDegraded, s.WatchdogStalls, s.WatchdogKills)
 }
 
 // Stats returns a snapshot of the runner's counters.
 func (r *Runner) Stats() Stats {
+	warm, pool := sample.Warming(), pipeline.Reuse()
 	return Stats{
 		Simulations:     r.runs.Load(),
 		MemHits:         r.memHits.Load(),
@@ -232,6 +279,11 @@ func (r *Runner) Stats() Stats {
 		PlanStoreHits:   r.planStoreHits.Load(),
 		PlanStoreWrites: r.planStoreWrites.Load(),
 		TraceBytes:      uint64(r.traceLRU.bytes()),
+		ResultBytes:     uint64(r.resultLRU.bytes()),
+		WarmBuilds:      warm.Builds,
+		WarmHits:        warm.Hits,
+		BackEndBuilds:   pool.BackEndBuilds,
+		BackEndReuses:   pool.BackEndReuses,
 		PanicsRecovered: r.panicsRecovered.Load(),
 		StoreRetries:    r.storeRetries.Load(),
 		StoreDegraded:   r.storeDegrades.Load(),
@@ -499,7 +551,13 @@ func (r *Runner) RunSampled(ctx context.Context, cfg pipeline.Config, bench *wor
 		if err != nil {
 			return nil, watchdogErr(wctx, err)
 		}
+		warmed := plan.Warmed()
 		sr, err := sample.RunPlanned(wctx, cfg, bench.Program(scale), sc, plan)
+		if plan.Warmed() != warmed {
+			// The run recorded shared warming in the plan: charge the
+			// plan's new size to the trace budget.
+			r.plans.recharge(planKey{bench: bench.Name, scale: scale, sampling: sc.Key()})
+		}
 		if err != nil {
 			return nil, watchdogErr(wctx, err)
 		}

@@ -158,19 +158,23 @@ loop:
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Inspect the map as the run ends, before the back-end (and the
+	// map with it) returns to the pool.
+	s.onRelease = func() {
+		if n := len(s.lastStore); n != 0 {
+			t.Errorf("lastStore retains %d entries after the run; stores must evict at retire", n)
+		}
+	}
 	if _, err := s.Run(context.Background(), RunOpts{}); err != nil {
 		t.Fatal(err)
-	}
-	if n := len(s.lastStore); n != 0 {
-		t.Errorf("lastStore retains %d entries after the run; stores must evict at retire", n)
 	}
 }
 
 // windowBytes returns the bytes one warmed detailed window allocates
 // under cfg — warmer, hand-off, warmup plus measured run — once the
-// front-end pool is primed. GOMAXPROCS 1 keeps every take on the P
-// that held the released front-end, and a paused collector keeps the
-// pool from being drained mid-measurement.
+// pools are primed. GOMAXPROCS 1 keeps every take on the P that held
+// the released front-end and back-end, and a paused collector keeps
+// the pools from being drained mid-measurement.
 func windowBytes(t *testing.T, cfg Config, prog *emu.Program, ck *emu.Checkpoint) uint64 {
 	t.Helper()
 	window := func() {
@@ -209,10 +213,13 @@ func growFrontEnd(cfg Config) (bigBP, bigL2 Config) {
 }
 
 // TestWindowBytesIndependentOfFrontEndSize pins that a warmed detailed
-// window allocates nothing in proportion to the front-end tables: with
-// the pool primed, quadrupling the predictor or the L2 must not add
-// bytes per window (the slack absorbs timing-dependent map growth, far
-// below the 768 KB and 240 KB the larger tables would cost).
+// window allocates at most 24 KB — front-end and back-end both come
+// from their pools, and the machine resumes its checkpoint without
+// copying the image — and nothing in proportion to the front-end
+// tables: with the pools primed, quadrupling the predictor or the L2
+// must not add bytes per window (the slack absorbs timing-dependent map
+// growth, far below the 768 KB and 240 KB the larger tables would
+// cost).
 func TestWindowBytesIndependentOfFrontEndSize(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts at random under -race")
@@ -237,5 +244,9 @@ func TestWindowBytesIndependentOfFrontEndSize(t *testing.T) {
 	}
 	if l2 > base+slack {
 		t.Errorf("4x L2 allocates %d bytes per window, default %d: the caches are not pooled", l2, base)
+	}
+	const maxBytes = 24 << 10
+	if base > maxBytes {
+		t.Errorf("a window allocates %d bytes, over the %d-byte bound: part of the session is not pooled", base, maxBytes)
 	}
 }

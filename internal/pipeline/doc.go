@@ -31,10 +31,17 @@
 // functionally warmed caches and predictor to a session, which is how
 // internal/sample drops into detailed simulation mid-program.
 //
-// Sessions do not build their caches and branch predictor: they take
-// them, reset, from a pool per front-end geometry and return them when
-// Run ends. Run's Result is the caller's own copy and keeps nothing of
-// the session alive.
+// Sessions build almost nothing. The caches and branch predictor (the
+// front-end) come reset from a pool per front-end geometry; everything
+// else — register file, optimizer tables with the MBC, wheels, rings,
+// schedulers, op arena (the back-end) — comes from one pool that
+// resizes each structure to the session's shape. Reset always means
+// exactly the state a fresh build would have, and Run returns both to
+// their pools when it ends. A warmer can record its warmed front-end as
+// a sparse WarmDelta and NewWarmerFrom rebuilds that exact state, which
+// is how internal/sample warms each window once per geometry. Run's
+// Result is the caller's own copy and keeps nothing of the session
+// alive.
 //
 // # Identity and caching
 //

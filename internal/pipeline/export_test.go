@@ -1,6 +1,7 @@
 package pipeline
 
-// SetFreshFrontEnds switches every session and warmer to building its
-// own unpooled front-end (on) or back to the shared pool (off): the
-// reference path the pooling equivalence test compares against.
-func SetFreshFrontEnds(on bool) { freshFrontEnds.Store(on) }
+// SetPooling switches every session and warmer between the shared
+// front-end and back-end pools (on, the default) and building its own
+// unpooled structures (off): the reference path the pooling
+// equivalence tests compare against.
+func SetPooling(on bool) { noPools.Store(!on) }

@@ -115,8 +115,13 @@ func (op *dynOp) completed(now uint64, ready []uint64) bool {
 type Session struct {
 	cfg Config
 	src Source
-	prf *regfile.File
-	opt *core.Optimizer
+
+	// backEnd holds the pooled structures the cycle stages work on —
+	// register file, optimizer, queues, wheels, arena — embedded by
+	// value so the stages reach them directly. be is the pool box it
+	// was taken from; Run copies it back and returns it to the pool.
+	backEnd
+	be *backEnd
 
 	// fe is the session's pooled front-end; bp and caches alias its
 	// structures for the cycle stages. Run returns fe to the pool and
@@ -125,38 +130,12 @@ type Session struct {
 	bp     *bpred.Predictor
 	caches *cache.Hierarchy
 
-	cycle  uint64
-	fetchQ opRing
-	renQ   opRing
-	window opRing
-	scheds [numScheds][]opRef
-	ready  []uint64
+	cycle uint64
 
 	// renQCap bounds renQ (it must cover the rename+dispatch latency
 	// at full width or it throttles throughput below the machine
 	// width); precomputed so rename does no arithmetic per cycle.
 	renQCap int
-
-	// completions and feedbackQ are fixed-horizon event wheels indexed
-	// by cycle & mask; the horizon is sized in newSession from the
-	// worst-case execution latency (cache-miss chain, long dividers)
-	// plus the feedback delay, so in practice nothing ever spills.
-	completions wheel[opRef]
-	feedbackQ   wheel[feedbackEv]
-
-	// ops and opFree implement the dynOp arena: all in-flight ops live
-	// in the ops slab (presized to the pipeline's total queue capacity,
-	// so it stops growing once the machine fills), retire pushes
-	// recycled slots onto opFree, and fetch pops them.
-	ops    []dynOp
-	opFree []opRef
-
-	// lastStore tracks the youngest in-flight renamed store per address
-	// for store-to-load dependence timing. Entries are evicted when the
-	// store retires — required for arena recycling (a stale entry would
-	// alias a recycled op) and to keep the map bounded by the window
-	// size instead of the run's store footprint.
-	lastStore map[uint64]opRef
 
 	windowOccSum uint64
 	schedOccSum  uint64
@@ -174,9 +153,15 @@ type Session struct {
 
 	// consumed flips when Run starts; a Session is single-use.
 	consumed bool
+	// liveRegs is the live register count once Run has returned the
+	// back-end to the pool.
+	liveRegs int
 
 	// onRetire, when set, observes every retirement (testing hook).
 	onRetire func(op *dynOp, cycle uint64)
+	// onRelease, when set, runs at the end of Run, just before the
+	// back-end returns to the pool (testing hook).
+	onRelease func()
 }
 
 type feedbackEv struct {
@@ -201,9 +186,9 @@ func New(cfg Config, prog *emu.Program) (*Session, error) {
 // RunOpts.WarmupRetired discards the cold-start prefix from the
 // measured statistics). Result.StartInst records the offset.
 //
-// The checkpoint is not consumed: its memory image is copied, so one
-// checkpoint can seed any number of sessions (e.g. the same window on
-// several machine configurations).
+// The checkpoint is not consumed: its memory image is shared
+// copy-on-write, so one checkpoint can seed any number of sessions (e.g.
+// the same window on several machine configurations).
 func NewFromCheckpoint(cfg Config, prog *emu.Program, ck *emu.Checkpoint) (*Session, error) {
 	if ck == nil {
 		return nil, fmt.Errorf("pipeline: nil checkpoint")
@@ -239,7 +224,6 @@ func newSession(cfg Config, prog *emu.Program, src Source, fe *frontEnd) (*Sessi
 		initRegs = &regs
 		startInst = m.InstCount()
 	}
-	prf := regfile.New(cfg.PRegs)
 	if fe == nil {
 		fe = takeFrontEnd(&cfg)
 	}
@@ -254,40 +238,26 @@ func newSession(cfg Config, prog *emu.Program, src Source, fe *frontEnd) (*Sessi
 	if maxExec < 20 {
 		maxExec = 20
 	}
-	horizon := int(cfg.RegReadLat+maxExec+cfg.FeedbackDelay) + 2
-	fetchCap := cfg.FetchWidth * int(cfg.FrontLat+2)
+	be := takeBackEnd()
 	s := &Session{
-		cfg:         cfg,
-		src:         src,
-		prf:         prf,
-		opt:         core.NewOptimizerAt(cfg.Opt, prf, initRegs),
-		fe:          fe,
-		bp:          fe.bp,
-		caches:      fe.caches,
-		ready:       make([]uint64, cfg.PRegs),
-		renQCap:     cfg.FetchWidth * int(cfg.totalRenameLat()+cfg.DispatchLat+2),
-		completions: newWheel[opRef](horizon),
-		feedbackQ:   newWheel[feedbackEv](horizon),
-		lastStore:   make(map[uint64]opRef),
-		stalling:    noOp,
-		lastLine:    notReady,
-		// Pre-size the pipeline queues to their steady-state bounds so
-		// sessions skip the initial ring-growth ramp — noticeable when
-		// sampled simulation builds one short session per window.
-		fetchQ: newOpRing(fetchCap),
-		window: newOpRing(cfg.WindowSize),
+		cfg:      cfg,
+		src:      src,
+		be:       be,
+		fe:       fe,
+		bp:       fe.bp,
+		caches:   fe.caches,
+		renQCap:  cfg.FetchWidth * int(cfg.totalRenameLat()+cfg.DispatchLat+2),
+		stalling: noOp,
+		lastLine: notReady,
 	}
-	s.renQ = newOpRing(s.renQCap)
+	be.reset(&cfg, initRegs, backEndShape{
+		fetchCap: cfg.FetchWidth * int(cfg.FrontLat+2),
+		renQCap:  s.renQCap,
+		horizon:  int(cfg.RegReadLat+maxExec+cfg.FeedbackDelay) + 2,
+	})
+	s.backEnd = *be
 	s.lineB = uint64(fe.caches.L1I.Config().LineB)
 	s.l1iLat = fe.caches.L1I.Latency()
-	// The arena covers every queue position an op can occupy (window
-	// ops include the scheduler entries), plus one fetch bundle of
-	// slack: in-flight ops can never exceed that, so the slab stops
-	// growing — and op indices stay stable — once the machine fills.
-	s.ops = make([]dynOp, 0, fetchCap+s.renQCap+cfg.WindowSize+cfg.FetchWidth+1)
-	for c := schedInt; c < numScheds; c++ {
-		s.scheds[c] = make([]opRef, 0, cfg.SchedEntries)
-	}
 	s.res.Machine = cfg.Name
 	s.res.Program = prog.Name
 	s.res.StartInst = startInst
@@ -295,8 +265,14 @@ func newSession(cfg Config, prog *emu.Program, src Source, fe *frontEnd) (*Sessi
 }
 
 // LiveRegs returns the number of live physical registers (leak checks;
-// call after Run).
-func (s *Session) LiveRegs() int { return s.prf.LiveCount() }
+// call after Run, which records the count before it returns the
+// register file to the pool).
+func (s *Session) LiveRegs() int {
+	if s.be == nil {
+		return s.liveRegs
+	}
+	return s.prf.LiveCount()
+}
 
 // op resolves an opRef to its arena slot. The pointer is valid until
 // the next newOp call (which may grow the slab); the cycle stages hold

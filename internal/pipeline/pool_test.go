@@ -84,25 +84,67 @@ func sampleAll(t *testing.T, progs []*emu.Program, plans []*sample.Plan, sc samp
 	return out
 }
 
+// exactAll runs every (program, config) pair as one whole-program
+// session, all pairs concurrently, and returns each Result's JSON.
+func exactAll(t *testing.T, progs []*emu.Program) [][]byte {
+	t.Helper()
+	cfgs := poolConfigs()
+	out := make([][]byte, len(progs)*len(cfgs))
+	errs := make([]error, len(out))
+	var wg sync.WaitGroup
+	for i := range out {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s, err := pipeline.New(cfgs[i%len(cfgs)], progs[i/len(cfgs)])
+			if err == nil {
+				var r *pipeline.Result
+				if r, err = s.Run(context.Background(), pipeline.RunOpts{}); err == nil {
+					out[i], err = json.Marshal(r)
+				}
+			}
+			errs[i] = err
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("%s on %s: %v", progs[i/len(cfgs)].Name, cfgs[i%len(cfgs)].Name, err)
+		}
+	}
+	return out
+}
+
 // TestPooledFrontEndsMatchFresh is the pooling equivalence gate: every
 // built-in and scenario family, sampled on three machines at once (two
-// sharing a front-end pool), must give byte-identical Results whether
-// each window and session builds its own front-end or takes a reset
-// one from the pool. Run under -race it also checks that no pooled
-// front-end is ever shared by two running sessions.
+// sharing a front-end geometry), must give byte-identical Results
+// whether each window and session builds its own front-end and
+// back-end or takes reset ones from the pools; whole-program sessions
+// of a few programs must match too. Each pass gets plans of its own,
+// so the pooled pass records its shared warming on pooled front-ends
+// rather than resuming what the fresh pass recorded (internal/sample
+// checks shared warming against private warming). Run under -race it
+// also checks that no pooled front-end or back-end is ever shared by
+// two running sessions.
 func TestPooledFrontEndsMatchFresh(t *testing.T) {
 	progs := poolPrograms(t)
 	// Short windows and a small target keep every program sampled (no
 	// exact fallback) and the test fast under -race.
 	sc := sample.Config{Warmup: 50, Window: 100, TargetWindows: 6, Workers: 2}
-	plans := make([]*sample.Plan, len(progs))
-	sampled := 0
-	for i, p := range progs {
-		plan, err := sample.BuildPlan(context.Background(), p, sc, 0)
-		if err != nil {
-			t.Fatal(err)
+	build := func() []*sample.Plan {
+		plans := make([]*sample.Plan, len(progs))
+		for i, p := range progs {
+			plan, err := sample.BuildPlan(context.Background(), p, sc, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			plans[i] = plan
 		}
-		plans[i] = plan
+		return plans
+	}
+	plans := build()
+	sampled := 0
+	for _, plan := range plans {
 		if len(plan.Windows) > 0 {
 			sampled++
 		}
@@ -111,16 +153,28 @@ func TestPooledFrontEndsMatchFresh(t *testing.T) {
 		t.Fatalf("only %d of %d programs get sampled windows; the test would not exercise warmers", sampled, len(progs))
 	}
 
-	pipeline.SetFreshFrontEnds(true)
+	exactProgs := progs[:4]
+	pipeline.SetPooling(false)
 	fresh := sampleAll(t, progs, plans, sc)
-	pipeline.SetFreshFrontEnds(false)
+	freshExact := exactAll(t, exactProgs)
+	pipeline.SetPooling(true)
+	plans = build()
 	pooled := sampleAll(t, progs, plans, sc)
-	// A second pooled round takes only front-ends the first one dirtied.
+	pooledExact := exactAll(t, exactProgs)
+	// A second pooled round takes only front-ends and back-ends the
+	// first one dirtied, and resumes the warming it recorded.
 	again := sampleAll(t, progs, plans, sc)
+	againExact := exactAll(t, exactProgs)
+	fresh = append(fresh, freshExact...)
+	pooled = append(pooled, pooledExact...)
+	again = append(again, againExact...)
 
 	cfgs := poolConfigs()
 	for i := range fresh {
-		label := fmt.Sprintf("%s on %s", progs[i/len(cfgs)].Name, cfgs[i%len(cfgs)].Name)
+		label := fmt.Sprintf("%s on %s", progs[i/len(cfgs)%len(progs)].Name, cfgs[i%len(cfgs)].Name)
+		if i >= len(progs)*len(cfgs) {
+			label += " (whole program)"
+		}
 		for round, got := range [][]byte{pooled[i], again[i]} {
 			if d := firstDiff(got, fresh[i]); d >= 0 {
 				lo := max(d-40, 0)

@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"fmt"
+	"unsafe"
 
 	"repro/internal/core"
 )
@@ -86,6 +87,18 @@ type Result struct {
 	// whole-run totals above still cover warmup + measured; Measured is
 	// what sampled simulation aggregates.
 	Measured *MeasuredWindow
+}
+
+// Bytes returns the approximate resident size of the Result — the
+// struct, its strings, its interval series and measured window — for
+// memory budgets.
+func (r *Result) Bytes() uint64 {
+	n := uint64(unsafe.Sizeof(*r)) + uint64(len(r.Machine)+len(r.Program)+len(r.ConfigKey)+len(r.Truncated))
+	n += uint64(cap(r.Intervals)) * uint64(unsafe.Sizeof(IntervalStats{}))
+	if r.Measured != nil {
+		n += uint64(unsafe.Sizeof(*r.Measured))
+	}
+	return n
 }
 
 // MeasuredWindow is the measured region of a warmup+measure run: every

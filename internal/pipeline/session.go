@@ -135,13 +135,14 @@ const noProgressLimit = 500000
 // The Result is the caller's own copy: it holds no reference into the
 // Session, so keeping it (a memoized exact result, say) does not keep
 // the Session's tables alive. However Run ends, it returns the
-// session's front-end (caches and predictor) to the pool.
+// session's front-end (caches and predictor) and back-end (register
+// file, optimizer, queues, wheels, arena) to their pools.
 func (s *Session) Run(ctx context.Context, opts RunOpts) (*Result, error) {
 	if s.consumed {
 		return nil, errors.New("pipeline: session already run (sessions are single-use; build a new one with New)")
 	}
 	s.consumed = true
-	defer s.releaseFrontEnd()
+	defer s.release()
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -274,9 +275,18 @@ func (s *Session) Run(ctx context.Context, opts RunOpts) (*Result, error) {
 	return &res, nil
 }
 
-// releaseFrontEnd returns the session's front-end to the pool once Run
-// has read its statistics into the Result.
-func (s *Session) releaseFrontEnd() {
+// release returns the session's front-end and back-end to their pools
+// once Run has read their statistics into the Result. The session keeps
+// only its live register count (LiveRegs).
+func (s *Session) release() {
+	s.liveRegs = s.prf.LiveCount()
+	if s.onRelease != nil {
+		s.onRelease()
+	}
 	s.fe.release()
 	s.fe, s.bp, s.caches = nil, nil, nil
+	*s.be = s.backEnd // keep whatever grew during the run
+	s.backEnd = backEnd{}
+	s.be.release()
+	s.be = nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/bpred"
 	"repro/internal/cache"
@@ -25,31 +26,39 @@ type frontEnd struct {
 	pool   *sync.Pool // the pool it returns to (nil: not pooled)
 }
 
-// frontKey is the geometry a front-end is built from. Front-ends with
-// equal keys are interchangeable once reset.
-type frontKey struct {
+// FrontKey is the geometry a front-end is built from (Config.Caches
+// and Config.BPred). Front-ends with equal keys are interchangeable
+// once reset, and functional warming of one stretch of a program gives
+// the same state on every machine with the same key.
+type FrontKey struct {
 	caches cache.HierarchyConfig
 	bp     bpred.Config
 }
 
-// frontPools maps each frontKey to its *sync.Pool of *frontEnd. The
+// FrontKey returns the front-end geometry of c, normalized.
+func (c Config) FrontKey() FrontKey {
+	c = c.Normalize()
+	return FrontKey{c.Caches, c.BPred}
+}
+
+// frontPools maps each FrontKey to its *sync.Pool of *frontEnd. The
 // pools hold only idle front-ends and the garbage collector drains
 // them, so a process that stops simulating a geometry gives its memory
 // back; what stays is one empty pool header per geometry ever used.
 var frontPools sync.Map
 
-// freshFrontEnds, when set, makes every session and warmer build its
-// own front-end and never pool it: the reference path the pooling
-// equivalence tests compare against.
-var freshFrontEnds atomic.Bool
+// noPools, when set, makes every session and warmer build its own
+// front-end and back-end and never pool them: the reference path the
+// pooling equivalence tests compare against.
+var noPools atomic.Bool
 
 // takeFrontEnd returns a front-end for cfg (normalized) in its New
 // state: a reset one from the geometry's pool, or a fresh build when
 // the pool is empty.
 func takeFrontEnd(cfg *Config) *frontEnd {
 	var pool *sync.Pool
-	if !freshFrontEnds.Load() {
-		k := frontKey{cfg.Caches, cfg.BPred}
+	if !noPools.Load() {
+		k := FrontKey{cfg.Caches, cfg.BPred}
 		p, ok := frontPools.Load(k)
 		if !ok {
 			p, _ = frontPools.LoadOrStore(k, new(sync.Pool))
@@ -165,4 +174,55 @@ func (w *Warmer) Seed(prog *emu.Program, m *emu.Machine) (*Session, error) {
 	fe := w.fe
 	w.fe = nil
 	return newSession(w.cfg, prog, m, fe)
+}
+
+// WarmDelta is a warmed front-end recorded as a sparse difference from
+// its reset state (Warmer.Delta): the cache sets, predictor counters,
+// BTB entries, return stack and history the warming touched, every
+// statistics counter, and the last instruction line fetched. A few
+// kilobytes stand for a front-end of hundreds; NewWarmerFrom turns it
+// back into the exact warmed state. A WarmDelta is immutable and may
+// seed any number of warmers concurrently.
+type WarmDelta struct {
+	key      FrontKey
+	caches   cache.HierarchyDelta
+	bp       bpred.Delta
+	lastLine uint64
+}
+
+// Delta records the warmer's current front-end state. The warmer is
+// unchanged and may go on observing or seed a session.
+func (w *Warmer) Delta() *WarmDelta {
+	return &WarmDelta{
+		key:      FrontKey{w.cfg.Caches, w.cfg.BPred},
+		caches:   w.fe.caches.Delta(),
+		bp:       w.fe.bp.Delta(),
+		lastLine: w.lastLine,
+	}
+}
+
+// Bytes returns the approximate resident size of d, for memory budgets.
+func (d *WarmDelta) Bytes() uint64 {
+	n := uint64(unsafe.Sizeof(*d))
+	for _, c := range []*cache.Delta{&d.caches.L1I, &d.caches.L1D, &d.caches.L2} {
+		n += uint64(4*cap(c.Sets) + 8*cap(c.Tags) + cap(c.Valid) + cap(c.LRU))
+	}
+	b := &d.bp
+	n += uint64(4*cap(b.PHTIndex) + cap(b.PHT) + 4*cap(b.BTBIndex) + 8*(cap(b.BTBTag)+cap(b.BTBTgt)+cap(b.RAS)))
+	return n
+}
+
+// NewWarmerFrom builds a warmer for machines configured by cfg whose
+// front-end is in exactly the state d records — as if it had observed
+// the stretch d was recorded over itself. cfg must have the front-end
+// geometry d was recorded under.
+func NewWarmerFrom(cfg Config, d *WarmDelta) (*Warmer, error) {
+	w := NewWarmer(cfg)
+	if k := (FrontKey{w.cfg.Caches, w.cfg.BPred}); k != d.key {
+		return nil, fmt.Errorf("pipeline: warm state of another front-end geometry cannot seed %q", w.cfg.Name)
+	}
+	w.fe.caches.Apply(&d.caches)
+	w.fe.bp.Apply(&d.bp)
+	w.lastLine = d.lastLine
+	return w, nil
 }

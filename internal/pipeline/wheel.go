@@ -33,8 +33,26 @@ type wheel[T any] struct {
 }
 
 func newWheel[T any](horizon int) wheel[T] {
+	var w wheel[T]
+	w.reset(horizon)
+	return w
+}
+
+// reset empties the wheel and resizes it to horizon, behaving from then
+// on exactly like newWheel(horizon): the slot ring is reused when large
+// enough, and each slot keeps the capacity it grew to.
+func (w *wheel[T]) reset(horizon int) {
 	h := nextPow2(horizon)
-	return wheel[T]{slots: make([][]T, h), mask: uint64(h - 1)}
+	if cap(w.slots) < h {
+		w.slots = make([][]T, h)
+	}
+	w.slots = w.slots[:h]
+	for i := range w.slots {
+		w.slots[i] = w.slots[i][:0]
+	}
+	w.mask = uint64(h - 1)
+	w.spill = nil
+	w.spilled = 0
 }
 
 // schedule adds an event firing at cycle at; now is the current cycle
@@ -117,7 +135,21 @@ type opRing struct {
 }
 
 func newOpRing(capacity int) opRing {
-	return opRing{buf: make([]opRef, nextPow2(capacity))}
+	var r opRing
+	r.reset(capacity)
+	return r
+}
+
+// reset empties the ring and sizes it for capacity, behaving from then
+// on exactly like newOpRing(capacity); the buffer is reused when large
+// enough.
+func (r *opRing) reset(capacity int) {
+	n := nextPow2(capacity)
+	if cap(r.buf) < n {
+		r.buf = make([]opRef, n)
+	}
+	r.buf = r.buf[:n]
+	r.head, r.n = 0, 0
 }
 
 func (r *opRing) len() int { return r.n }

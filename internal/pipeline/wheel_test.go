@@ -145,12 +145,16 @@ func TestSessionWheelsNeverSpill(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// Inspect the wheels as the run ends, before the back-end
+		// returns to the pool.
+		s.onRelease = func() {
+			if s.completions.spill != nil || s.feedbackQ.spill != nil {
+				t.Errorf("%s: wheel spilled (completions=%v feedback=%v); horizon undersized",
+					cfg.Name, s.completions.spill != nil, s.feedbackQ.spill != nil)
+			}
+		}
 		if _, err := s.Run(context.Background(), RunOpts{}); err != nil {
 			t.Fatal(err)
-		}
-		if s.completions.spill != nil || s.feedbackQ.spill != nil {
-			t.Errorf("%s: wheel spilled (completions=%v feedback=%v); horizon undersized",
-				cfg.Name, s.completions.spill != nil, s.feedbackQ.spill != nil)
 		}
 	}
 }

@@ -44,19 +44,42 @@ type File struct {
 
 // New builds a file with n physical registers, all free.
 func New(n int) *File {
+	f := new(File)
+	f.Reset(n)
+	return f
+}
+
+// Reset returns the file to exactly the state New(n) builds — n
+// registers, all free, statistics zero — reusing its storage when it is
+// large enough, so simulation can pool register files across sessions
+// of any size.
+func (f *File) Reset(n int) {
 	if n <= 0 || n > int(NoPReg) {
 		panic(fmt.Sprintf("regfile: bad size %d", n))
 	}
-	f := &File{
-		vals:  make([]uint64, n),
-		ready: make([]bool, n),
-		refs:  make([]int32, n),
-		free:  make([]PReg, 0, n),
+	f.vals = Resize(f.vals, n)
+	f.ready = Resize(f.ready, n)
+	f.refs = Resize(f.refs, n)
+	if cap(f.free) < n {
+		f.free = make([]PReg, 0, n)
 	}
+	f.free = f.free[:0]
 	for i := n - 1; i >= 0; i-- {
 		f.free = append(f.free, PReg(i))
 	}
-	return f
+	f.Allocs, f.Frees, f.StallsFull = 0, 0, 0
+}
+
+// Resize returns s with length n and every element zero, reusing its
+// backing array when it is large enough: how the register file, and the
+// optimizer and pipeline tables sized by it, reset for reuse.
+func Resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // Size returns the total number of physical registers.

@@ -134,6 +134,10 @@ func (p *Plan) UnmarshalJSON(data []byte) error {
 		TotalInsts: in.TotalInsts,
 		Period:     in.Period,
 	}
+	// Each window's image is decoded over its predecessor's, so the
+	// pages consecutive checkpoints have in common stay shared, as they
+	// were in the plan that was encoded.
+	var prev *mem.Memory
 	for i, jw := range in.Windows {
 		w := PlanWindow{Index: jw.Index, Start: jw.Start, WarmFrom: jw.WarmFrom}
 		if jw.Ck != nil {
@@ -141,10 +145,11 @@ func (p *Plan) UnmarshalJSON(data []byte) error {
 			if err != nil {
 				return fmt.Errorf("sample: plan window %d: %w", i, err)
 			}
-			m, err := mem.FromPages(jw.Ck.Mem)
+			m, err := mem.FromPagesOver(jw.Ck.Mem, prev)
 			if err != nil {
 				return fmt.Errorf("sample: plan window %d: %w", i, err)
 			}
+			prev = m
 			w.Ck = &emu.Checkpoint{
 				Program:   jw.Ck.Program,
 				PC:        jw.Ck.PC,

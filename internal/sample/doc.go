@@ -25,6 +25,11 @@
 // observed count and re-forwards each window's starting state from the
 // nearest grid checkpoint.
 //
+// Consecutive checkpoints share every memory page the program did not
+// write between them (emu snapshots are copy-on-write), in a built plan
+// and in one decoded from the store alike, and Plan.Bytes counts a
+// shared page once.
+//
 // While fast-forwarding, the emulator functionally warms the caches
 // and branch predictor by default (pipeline.Warmer observes every
 // skipped instruction of a bounded stretch before each window, into a
@@ -33,6 +38,16 @@
 // instructions of detailed warmup sufficient; Config.ColdStart
 // disables warming for regimes that prefer cheaper fast-forward and a
 // longer detailed warmup.
+//
+// Warming depends only on the plan window and the front-end geometry
+// (pipeline.FrontKey), so it runs once per (window, geometry): the
+// first machine records the warmed front-end as a sparse delta plus a
+// checkpoint at the window start, and every other machine of that
+// geometry resumes the record instead of warming (warm.go). The reuse
+// is exact — results are byte-identical to private warming — and
+// Warming reports how often it happened. The records die with their
+// plan and count in Plan.Bytes; Plan.Warmed tells a cache when to
+// re-size a plan it holds.
 //
 // # Determinism and caching
 //

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/emu"
@@ -264,6 +265,13 @@ type Result struct {
 	ExactFallback bool
 }
 
+// Bytes returns the approximate resident size of the Result — the
+// struct, its strings and its windows — for memory budgets.
+func (r *Result) Bytes() uint64 {
+	n := uint64(unsafe.Sizeof(*r)) + uint64(len(r.Machine)+len(r.Program)+len(r.ConfigKey))
+	return n + uint64(cap(r.Windows))*uint64(unsafe.Sizeof(Window{}))
+}
+
 // EstIPC returns the estimated whole-run IPC.
 func (r *Result) EstIPC() float64 {
 	if r.MeasuredCycles == 0 {
@@ -422,8 +430,8 @@ func Run(ctx context.Context, cfg pipeline.Config, prog *emu.Program, sc Config)
 // PlanWindow is one scheduled detailed window: an architectural
 // checkpoint at the point functional warming begins, plus the window's
 // position in the stream. The checkpoint is never consumed (sessions
-// copy its memory image), so one plan serves any number of machine
-// configurations, and any number of workers concurrently.
+// share its memory image copy-on-write), so one plan serves any number
+// of machine configurations, and any number of workers concurrently.
 type PlanWindow struct {
 	// Index is the window's position in the schedule, from 0.
 	Index int
@@ -445,7 +453,8 @@ type PlanWindow struct {
 // fast-forward across the program — the dominant cost of a sampled run
 // — so the experiment engine caches plans and replays them across every
 // machine configuration of a sweep. A Plan is read-only after BuildPlan
-// and safe for concurrent use.
+// and safe for concurrent use; the shared warming runs record for it
+// lives beside it (warm.go), not in its fields.
 //
 // A Plan with Period == 0 schedules no windows: the program is too
 // short to sample and RunPlanned falls back to one exact detailed run.
@@ -464,17 +473,29 @@ type Plan struct {
 
 // Bytes returns the approximate resident size of the plan — the
 // checkpoints' memory images dominate — for cache budget accounting.
+// Consecutive checkpoints share the pages the program did not write
+// between them, and a shared page counts once. The shared warming that
+// runs record in the plan (see Warmed) counts too, so Bytes grows as
+// new front-end geometries run it.
 func (p *Plan) Bytes() uint64 {
-	const ckOverhead = 1 << 10 // registers + headers, per window
-	var n uint64
+	mems := make([]*mem.Memory, 0, len(p.Windows))
 	for _, w := range p.Windows {
-		n += ckOverhead
-		if w.Ck != nil && w.Ck.Mem != nil {
-			n += uint64(w.Ck.Mem.PageCount()) * mem.PageSize
+		if w.Ck != nil {
+			mems = append(mems, w.Ck.Mem)
 		}
 	}
-	return n
+	n := uint64(len(p.Windows)) * ckOverhead
+	if pm := memoOf(p); pm != nil {
+		var warm uint64
+		warm, mems = pm.footprint(mems)
+		n += warm
+	}
+	return n + mem.ResidentBytes(mems...)
 }
+
+// ckOverhead approximates a checkpoint's registers and headers, for
+// Plan.Bytes.
+const ckOverhead = 1 << 10
 
 // maxCheckpoints bounds the checkpoint grid BuildPlan keeps while its
 // pass runs to HALT; gridSpacing is the grid's starting spacing in
@@ -598,24 +619,24 @@ func buildPlan(ctx context.Context, prog *emu.Program, sc Config, totalInsts, st
 }
 
 // runWindow executes one scheduled window under cfg, whose Config.Key()
-// is cfgKey: resume the emulator at the checkpoint, warm a pooled
-// front-end (caches and predictor, reset to cold) over the [WarmFrom,
-// Start) stretch (skipped under ColdStart, where the checkpoint
-// already sits at Start), hand the warmed machine and front-end
-// straight to a detailed session, and run warmup + measured window.
-// ok is false when the program halts before yielding a measurable
-// window.
-func runWindow(ctx context.Context, cfg pipeline.Config, cfgKey string, prog *emu.Program, sc Config, pw PlanWindow) (w Window, ok bool, err error) {
+// is cfgKey: warm a pooled front-end over the [WarmFrom, Start)
+// stretch — or resume the warming another machine of the same
+// front-end geometry recorded in memo (see warm.go) — hand the warmed
+// machine and front-end straight to a detailed session, and run warmup
+// + measured window. Under ColdStart the checkpoint already sits at
+// Start and nothing warms. ok is false when the program halts before
+// yielding a measurable window.
+func runWindow(ctx context.Context, cfg pipeline.Config, cfgKey string, prog *emu.Program, sc Config, pw PlanWindow, idx int, memo *planWarm) (w Window, ok bool, err error) {
 	var s *pipeline.Session
 	if pw.WarmFrom == pw.Start {
 		s, err = pipeline.NewFromCheckpoint(cfg, prog, pw.Ck)
 	} else {
-		m := emu.NewAt(prog, pw.Ck)
-		warmer := pipeline.NewWarmer(cfg)
-		if err := forward(ctx, m, pw.Start, warmer); err != nil {
+		var warmer *pipeline.Warmer
+		var m *emu.Machine
+		if warmer, m, err = memo.warm(ctx, cfg, prog, pw, idx); err != nil {
 			return Window{}, false, err
 		}
-		if m.Halted() {
+		if m == nil {
 			return Window{}, false, nil
 		}
 		s, err = warmer.Seed(prog, m)
@@ -641,17 +662,18 @@ func runWindow(ctx context.Context, cfg pipeline.Config, cfgKey string, prog *em
 // process or its sibling workers down. idx names the window in the
 // schedule; the fault key "program#idx" lets clauses target one window
 // of one workload.
-func runWindowSafe(ctx context.Context, cfg pipeline.Config, cfgKey string, prog *emu.Program, sc Config, pw PlanWindow, idx int) (w Window, ok bool, err error) {
+func runWindowSafe(ctx context.Context, cfg pipeline.Config, cfgKey string, prog *emu.Program, sc Config, pw PlanWindow, idx int, memo *planWarm) (w Window, ok bool, err error) {
 	defer fault.CatchPanic(&err, fmt.Sprintf("sample: window %d of %s", idx, prog.Name))
 	if err := fault.InjectCtx(ctx, "sample.window", fmt.Sprintf("%s#%d", prog.Name, idx)); err != nil {
 		return Window{}, false, err
 	}
-	return runWindow(ctx, cfg, cfgKey, prog, sc, pw)
+	return runWindow(ctx, cfg, cfgKey, prog, sc, pw, idx, memo)
 }
 
 // RunPlanned executes plan's detailed windows under cfg and returns
-// the whole-run estimate. Windows are independent (each owns its
-// checkpoint and warms its own structures), so they are dispatched to
+// the whole-run estimate. Windows are independent (each resumes its own
+// checkpoint and warms — or resumes warming recorded for its front-end
+// geometry — from that alone), so they are dispatched to
 // a pool of sc.Workers goroutines (0 = GOMAXPROCS) and merged
 // deterministically by schedule index — the Result is identical for
 // any worker count, byte for byte. The first window error cancels the
@@ -694,6 +716,7 @@ func RunPlanned(ctx context.Context, cfg pipeline.Config, prog *emu.Program, sc 
 		return res, nil
 	}
 	res.Period = plan.Period
+	memo := warmMemo(plan)
 
 	type slot struct {
 		w  Window
@@ -710,7 +733,7 @@ func RunPlanned(ctx context.Context, cfg pipeline.Config, prog *emu.Program, sc 
 	}
 	if workers <= 1 {
 		for i, pw := range plan.Windows {
-			w, ok, err := runWindowSafe(ctx, cfg, res.ConfigKey, prog, sc, pw, i)
+			w, ok, err := runWindowSafe(ctx, cfg, res.ConfigKey, prog, sc, pw, i, memo)
 			if err != nil {
 				return nil, err
 			}
@@ -735,7 +758,7 @@ func RunPlanned(ctx context.Context, cfg pipeline.Config, prog *emu.Program, sc 
 					if i >= int64(len(plan.Windows)) {
 						return
 					}
-					w, ok, err := runWindowSafe(wctx, cfg, res.ConfigKey, prog, sc, plan.Windows[i], int(i))
+					w, ok, err := runWindowSafe(wctx, cfg, res.ConfigKey, prog, sc, plan.Windows[i], int(i), memo)
 					if err != nil {
 						// Keep the earliest-indexed error so the
 						// reported failure does not depend on worker

@@ -149,6 +149,10 @@ type Job struct {
 	events   []Event // durable history, replayable
 	subs     map[chan Event]bool
 	terminal bool
+
+	// onFinish, when set, runs once the job reaches a terminal state,
+	// after mu is released (the server's history bound).
+	onFinish func(*Job)
 }
 
 // newJob builds a queued job for an already-resolved spec.
@@ -313,44 +317,40 @@ func (j *Job) cellDone(benchmark, machine string) {
 // the terminal done event with the result payload.
 func (j *Job) finishDone(res *JobResult) {
 	raw, _ := json.Marshal(res)
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.terminalLocked() {
-		return
-	}
-	j.state = StateDone
-	j.finished = time.Now()
-	j.result = res
-	j.emitLocked(eventDone, raw, true)
+	j.finish(StateDone, "", res, eventDone, raw)
 }
 
 // finishFailed marks the job failed with err's message.
 func (j *Job) finishFailed(err error) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.terminalLocked() {
-		return
-	}
-	j.state = StateFailed
-	j.finished = time.Now()
-	j.errMsg = err.Error()
-	raw, _ := json.Marshal(map[string]any{"error": j.errMsg})
-	j.emitLocked(eventError, raw, true)
+	raw, _ := json.Marshal(map[string]any{"error": err.Error()})
+	j.finish(StateFailed, err.Error(), nil, eventError, raw)
 }
 
 // finishCanceled marks the job canceled (client DELETE, drain, or a
 // canceled run context), with a human-readable reason.
 func (j *Job) finishCanceled(reason string) {
+	raw, _ := json.Marshal(map[string]any{"reason": reason})
+	j.finish(StateCanceled, reason, nil, eventCanceled, raw)
+}
+
+// finish moves the job to its terminal state and emits the terminal
+// event, unless it is already terminal; then it runs onFinish.
+func (j *Job) finish(state State, errMsg string, res *JobResult, typ string, raw json.RawMessage) {
 	j.mu.Lock()
-	defer j.mu.Unlock()
 	if j.terminalLocked() {
+		j.mu.Unlock()
 		return
 	}
-	j.state = StateCanceled
+	j.state = state
 	j.finished = time.Now()
-	j.errMsg = reason
-	raw, _ := json.Marshal(map[string]any{"reason": reason})
-	j.emitLocked(eventCanceled, raw, true)
+	j.errMsg = errMsg
+	j.result = res
+	j.emitLocked(typ, raw, true)
+	hook := j.onFinish
+	j.mu.Unlock()
+	if hook != nil {
+		hook(j)
+	}
 }
 
 // terminalLocked reports whether the job already reached a terminal

@@ -54,6 +54,19 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
+// jobHistory is how many finished (done, failed or canceled) jobs the
+// server keeps per tenant; past it the tenant's oldest finished job is
+// dropped, and a GET or an event subscription on it answers 404. A
+// finished job of a few benchmarks and machines keeps about 7 KB (its
+// events, table and cells), so the bound holds a tenant's history to
+// about 56 MB where it used to grow with every job ever run. A client
+// that reads its jobs back after a batch must read within the last
+// jobHistory of them: perfbench's traced serve-mixed pass, which reads
+// back every job of its run, plans 30 per second of -seconds plus 20
+// per client (one tenant each), so it stays inside the bound up to
+// -seconds 272.
+const jobHistory = 8192
+
 // watchKey routes engine progress telemetry to the jobs running that
 // cell: the config content hash plus the benchmark name.
 type watchKey struct {
@@ -81,7 +94,9 @@ type Server struct {
 
 	mu       sync.Mutex
 	jobs     map[string]*Job
-	order    []string // job IDs in submission order
+	order    []string            // job IDs in submission order (may name dropped jobs)
+	finished map[string][]string // per tenant: finished job IDs, oldest first
+	history  int                 // finished jobs kept per tenant (jobHistory)
 	watch    map[watchKey]map[*Job]bool
 	draining bool
 
@@ -112,6 +127,8 @@ func New(engine *exper.Runner, cfg Config) *Server {
 		baseCtx:    ctx,
 		baseCancel: cancel,
 		jobs:       map[string]*Job{},
+		finished:   map[string][]string{},
+		history:    jobHistory,
 		watch:      map[watchKey]map[*Job]bool{},
 		start:      time.Now(),
 	}
@@ -445,6 +462,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	id := fmt.Sprintf("j%06d", s.nextID.Add(1))
 	j := newJob(id, tenant, class, spec, sc, benches, cfgs)
+	j.onFinish = s.jobFinished
 
 	// Register before admission so the scheduler can dispatch the job
 	// the instant it is admitted; a rejected submission is unregistered
@@ -480,6 +498,34 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Location", "/v1/jobs/"+id)
 	writeJSON(w, http.StatusAccepted, j.View())
+}
+
+// jobFinished records j as its tenant's newest finished job and drops
+// the tenant's oldest finished jobs past the history bound.
+func (s *Server) jobFinished(j *Job) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.jobs[j.ID] != j {
+		return // never registered, or its submission was rejected
+	}
+	q := append(s.finished[j.Tenant], j.ID)
+	for len(q) > s.history {
+		delete(s.jobs, q[0])
+		q = q[1:]
+	}
+	s.finished[j.Tenant] = q
+	// order keeps dropped IDs until they outnumber the live ones; then
+	// it is compacted, so its length stays within twice the registry's.
+	if len(s.order) > 2*len(s.jobs) {
+		live := s.order[:0]
+		for _, id := range s.order {
+			if s.jobs[id] != nil {
+				live = append(live, id)
+			}
+		}
+		clear(s.order[len(live):])
+		s.order = live
+	}
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
