@@ -248,7 +248,7 @@ func BenchmarkPipelineOptimized(b *testing.B) {
 	benchPipeline(b, pipeline.DefaultConfig())
 }
 
-// --- Sweep-level benchmarks of the decode-once engine ---
+// --- Sweep-level benchmarks of the exper engine ---
 
 // sweepBenchConfigs builds n distinct machine configurations — a
 // Figure 8-style config axis over one benchmark, the shape of a sweep
@@ -263,14 +263,11 @@ func sweepBenchConfigs(n int) []pipeline.Config {
 	return cfgs
 }
 
-// benchSweepExact times a 30-config exact sweep cell over mcf. With
-// the default budget the engine records the architectural stream once
-// and replays it into all 30 timing passes; with budget 0 every
-// configuration drives its own live emulator (the pre-decode-once
-// engine). The runner is rebuilt each iteration so every iteration
-// pays the full cold-cell cost.
-func benchSweepExact(b *testing.B, budget int64) {
-	b.Helper()
+// BenchmarkSweepExactLive times a 30-config exact sweep cell over mcf:
+// every configuration drives its own live emulator. The runner is
+// rebuilt each iteration so every iteration pays the full cold-cell
+// cost.
+func BenchmarkSweepExactLive(b *testing.B) {
 	bench, _ := workloads.ByName("mcf")
 	cfgs := sweepBenchConfigs(30)
 	b.ResetTimer()
@@ -278,7 +275,6 @@ func benchSweepExact(b *testing.B, budget int64) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		r := exper.NewRunner(0)
-		r.SetTraceBudget(budget)
 		b.StartTimer()
 		retired = 0
 		for _, cfg := range cfgs {
@@ -292,9 +288,6 @@ func benchSweepExact(b *testing.B, budget int64) {
 	b.ReportMetric(float64(retired)*float64(b.N)/b.Elapsed().Seconds(), "insts/s")
 }
 
-func BenchmarkSweepExactReplay(b *testing.B) { benchSweepExact(b, exper.DefaultTraceBudget) }
-func BenchmarkSweepExactLive(b *testing.B)   { benchSweepExact(b, 0) }
-
 // sweepSampledScale sizes the sampled sweep workload (mgd) to ~4.5M
 // dynamic instructions, where the whole-program fast-forward dominates
 // per-configuration sampled-run cost — the regime sampled simulation
@@ -305,8 +298,7 @@ const sweepSampledScale = 64
 // benchSweepSampled times a 30-config sampled sweep cell over mgd.
 // With the default budget the fast-forward and per-window checkpoints
 // are built once and shared by all 30 configurations; with budget 0
-// every configuration fast-forwards the whole program itself (the
-// pre-decode-once engine). insts/s counts architecturally represented
+// every configuration fast-forwards the whole program itself. insts/s counts architecturally represented
 // instructions — the throughput sampled simulation is buying.
 func benchSweepSampled(b *testing.B, budget int64) {
 	b.Helper()

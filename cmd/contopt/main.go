@@ -66,13 +66,12 @@
 // simulations only — sampled detailed windows are far shorter than one
 // telemetry interval.
 //
-// Decode-once replay: the engine records each workload's dynamic
-// instruction stream once and replays it for every machine
-// configuration (and caches each sampled run's window plan the same
-// way), so an N-config sweep cell pays for one architectural pass
-// instead of N — with byte-identical results. -trace-cache bounds the
-// resident bytes of these caches in MiB (LRU eviction; 0 disables
-// replay entirely); -v reports records, replays and resident bytes.
+// Plan sharing: the engine builds each sampled run's window plan once
+// per (benchmark, scale, regime) and shares it across every machine
+// configuration, so an N-config sampled sweep cell pays for one
+// architectural fast-forward instead of N — with byte-identical
+// results. Exact cells run live. -v reports plans built, reused and
+// resident bytes.
 //
 // Persistent store: -store DIR (or the CONTOPT_STORE environment
 // variable) backs the engine with the on-disk result store
@@ -116,7 +115,6 @@
 //	-timeout D        abort the whole command after duration D (0 = none)
 //	-progress         stream per-interval simulation progress to stderr
 //	-v                verbose: engine cache statistics; instruction counts on list
-//	-trace-cache MB   decode-once trace/plan cache budget (0 = disable replay)
 //	-window-workers N concurrent detailed windows per sampled run (0 = GOMAXPROCS)
 //	-sample           estimate via sampled simulation instead of exact runs
 //	-sample-period N  instructions between detailed-window starts
@@ -186,7 +184,6 @@ func run(ctx context.Context, args []string) error {
 	timeout := fs.Duration("timeout", 0, "abort the whole command after this duration (0 = none)")
 	progress := fs.Bool("progress", false, "stream per-interval simulation progress to stderr")
 	verbose := fs.Bool("v", false, "verbose: engine cache statistics; instruction counts on list")
-	traceCache := fs.Int("trace-cache", exper.DefaultTraceBudget>>20, "decode-once trace/plan cache budget in MiB (0 = disable replay)")
 	windowWorkers := fs.Int("window-workers", 0, "concurrent detailed windows per sampled run (0 = GOMAXPROCS)")
 	shard := fs.String("shard", "", "sweep: simulate only this process's share of the cells, in the form i/n (requires -store)")
 	merge := fs.Bool("merge", false, "sweep: assemble the table from the store without simulating (requires -store)")
@@ -294,7 +291,6 @@ func run(ctx context.Context, args []string) error {
 	// resimulated, and everything computed here is persisted for later
 	// ones.
 	engine := exper.NewRunner(*parallel)
-	engine.SetTraceBudget(int64(*traceCache) << 20)
 	// Resilience diagnostics (store degradation, recovered panics,
 	// watchdog events) go to stderr: rare, and exactly what an operator
 	// needs when a run misbehaves.
@@ -735,7 +731,7 @@ commands:
   all         run every experiment (shared result cache across artifacts)
 
 flags: -scale N, -parallel N, -store DIR, -timeout D, -progress, -v,
-       -shard i/n and -merge (sweep), -trace-cache MB, -window-workers N,
+       -shard i/n and -merge (sweep), -window-workers N,
        -sample, -sample-period N, -sample-warmup N, -sample-window N,
        -tolerance PCT and -check-ipc (sample-check),
        -faults SPEC, -watchdog-soft D, -watchdog-hard D,

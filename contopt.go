@@ -199,8 +199,8 @@ func OpenStore(dir string) (*Store, error) { return store.Open(dir) }
 
 // EngineStats reports an engine's cache effectiveness: simulations
 // executed (misses), in-memory cache hits, persistent-store hits, and
-// the decode-once counters (traces recorded vs replayed, sampled-run
-// plans built vs reused, resident cache bytes).
+// the plan counters (sampled-run plans built vs reused, resident plan
+// bytes).
 type EngineStats = exper.Stats
 
 // SweepServer is the multi-tenant sweep service: POST sweep specs to
@@ -281,30 +281,6 @@ func NewSession(cfg Config, prog *Program) (*Session, error) {
 // machine — PC, registers, a private memory image, and the dynamic
 // instruction count. Take one with Emulate(...).Snapshot().
 type Checkpoint = emu.Checkpoint
-
-// Trace is an immutable recording of a program's dynamic instruction
-// stream — the decode-once artifact: record it once with RecordTrace,
-// then time it under any number of machine configurations with
-// NewReplaySession, each session byte-for-byte identical to a live
-// one. Safe for concurrent replay.
-type Trace = emu.Trace
-
-// RecordTrace executes prog architecturally to completion, capturing
-// its dynamic instruction stream. maxInsts caps the recording (0 =
-// unlimited; exceeding a non-zero cap is an error). Engine users don't
-// call this directly — the engine records and caches traces itself
-// (see Engine.SetTraceBudget and EngineStats).
-func RecordTrace(ctx context.Context, prog *Program, maxInsts uint64) (*Trace, error) {
-	return emu.Record(ctx, prog, maxInsts)
-}
-
-// NewReplaySession builds a session that times prog's recorded stream
-// tr instead of driving a live emulator. Timing-identical to
-// NewSession over the same program; any number of replay sessions may
-// share one trace concurrently.
-func NewReplaySession(cfg Config, prog *Program, tr *Trace) (*Session, error) {
-	return pipeline.NewReplay(cfg, prog, tr)
-}
 
 // NewSessionFromCheckpoint builds a session whose oracle resumes prog
 // at the architectural checkpoint ck instead of the entry point: the

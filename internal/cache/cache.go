@@ -39,21 +39,43 @@ type Cache struct {
 	Misses   uint64
 }
 
-// New builds a cache level. It panics on non-power-of-two geometry, which
-// indicates a configuration bug rather than a runtime condition.
+// MaxLines bounds a level's lines (SizeB / LineB), so its tag, valid
+// and LRU arrays stay within about 10 MiB whatever a config asks for.
+const MaxLines = 1 << 20
+
+// Validate reports a geometry New cannot build: a non-positive size,
+// associativity or line size, a line size or set count that is not a
+// power of two, more than MaxLines lines, or more ways than the
+// byte-wide LRU ranks can order (256). The message starts with the
+// offending field's name.
+func (c Config) Validate() error {
+	switch {
+	case c.SizeB <= 0 || c.Assoc <= 0 || c.LineB <= 0:
+		return fmt.Errorf("SizeB %d, Assoc %d and LineB %d must be positive", c.SizeB, c.Assoc, c.LineB)
+	case c.LineB&(c.LineB-1) != 0:
+		return fmt.Errorf("LineB %d is not a power of two", c.LineB)
+	case c.SizeB/c.LineB > MaxLines:
+		return fmt.Errorf("SizeB %d holds %d lines of %d bytes; at most %d are allowed", c.SizeB, c.SizeB/c.LineB, c.LineB, MaxLines)
+	case c.Assoc > 256 || c.Assoc > c.SizeB/c.LineB:
+		return fmt.Errorf("Assoc %d exceeds 256 ways or the level's %d lines", c.Assoc, c.SizeB/c.LineB)
+	}
+	if sets := c.SizeB / (c.Assoc * c.LineB); sets&(sets-1) != 0 {
+		return fmt.Errorf("SizeB %d gives %d sets of %d ways × %d bytes, not a power of two", c.SizeB, sets, c.Assoc, c.LineB)
+	}
+	return nil
+}
+
+// New builds a cache level. It panics on a geometry Validate rejects,
+// which indicates a configuration bug rather than a runtime condition.
 func New(cfg Config) *Cache {
-	if cfg.SizeB <= 0 || cfg.Assoc <= 0 || cfg.LineB <= 0 {
-		panic(fmt.Sprintf("cache %s: bad geometry %+v", cfg.Name, cfg))
+	if err := cfg.Validate(); err != nil {
+		panic(fmt.Sprintf("cache %s: %v", cfg.Name, err))
 	}
-	sets := cfg.SizeB / (cfg.Assoc * cfg.LineB)
-	if sets <= 0 || sets&(sets-1) != 0 || cfg.LineB&(cfg.LineB-1) != 0 {
-		panic(fmt.Sprintf("cache %s: non-power-of-two geometry %+v", cfg.Name, cfg))
-	}
-	c := &Cache{cfg: cfg, sets: sets}
+	c := &Cache{cfg: cfg, sets: cfg.SizeB / (cfg.Assoc * cfg.LineB)}
 	for c.cfg.LineB>>c.lineBits > 1 {
 		c.lineBits++
 	}
-	n := sets * cfg.Assoc
+	n := c.sets * cfg.Assoc
 	c.tags = make([]uint64, n)
 	c.valid = make([]bool, n)
 	c.lru = make([]uint8, n)

@@ -8,9 +8,11 @@ package emu_test
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/emu"
+	"repro/internal/mem"
 	"repro/internal/workloads"
 )
 
@@ -202,4 +204,54 @@ func TestSnapshotIsImmutable(t *testing.T) {
 	if m.Mem.Load64(0x20000) != 0xDEAD {
 		t.Error("a store to a restored machine was lost")
 	}
+}
+
+// TestNewMemorySharesFrozenImage: every machine of a program starts
+// from one frozen data image. Two machines that store different values
+// to one address each read back their own, a third new machine still
+// sees the original image, and machines that have not stored hold no
+// page of their own.
+func TestNewMemorySharesFrozenImage(t *testing.T) {
+	p := program(t, "bzp", 1)
+	if len(p.Data) == 0 || len(p.Data[0].Bytes) < 16 {
+		t.Fatal("bzp has no data segment to store into")
+	}
+	want := mem.New()
+	for _, s := range p.Data {
+		want.WriteBlock(s.Addr, s.Bytes)
+	}
+	addr := (p.Data[0].Addr + 7) &^ 7
+	orig := want.Load64(addr)
+
+	a, b := emu.New(p), emu.New(p)
+	if one, both := mem.ResidentBytes(a.Mem), mem.ResidentBytes(a.Mem, b.Mem); one != both {
+		t.Errorf("two new machines hold %d bytes, one holds %d: the image is not shared", both, one)
+	}
+	a.Mem.Store64(addr, orig+1)
+	b.Mem.Store64(addr, orig+2)
+	if got := a.Mem.Load64(addr); got != orig+1 {
+		t.Errorf("machine a reads %#x, stored %#x", got, orig+1)
+	}
+	if got := b.Mem.Load64(addr); got != orig+2 {
+		t.Errorf("machine b reads %#x, stored %#x", got, orig+2)
+	}
+	if c := emu.New(p); !c.Mem.Equal(want) {
+		t.Error("a third machine does not see the original image after two machines stored to it")
+	}
+
+	// Machines of one program start and store concurrently (exact
+	// cells of a sweep do): each still reads back only its own store.
+	var wg sync.WaitGroup
+	for g := uint64(0); g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			m := emu.New(p)
+			m.Mem.Store64(addr, orig+10+g)
+			if got := m.Mem.Load64(addr); got != orig+10+g {
+				t.Errorf("concurrent machine %d reads %#x, stored %#x", g, got, orig+10+g)
+			}
+		}()
+	}
+	wg.Wait()
 }

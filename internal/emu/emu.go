@@ -17,9 +17,10 @@ import (
 )
 
 // Program is an executable CO64 image: code plus an initial data segment.
-// Code must not change once the program has executed: the interpreter
-// decodes it once, on first execution, and runs every machine of the
-// program from that table.
+// Code and Data must not change once the program has executed: the
+// interpreter decodes Code once, on first execution, and runs every
+// machine of the program from that table, and NewMemory builds the
+// data image once and shares it.
 type Program struct {
 	// Name identifies the program in stats output.
 	Name string
@@ -36,6 +37,8 @@ type Program struct {
 
 	decodeOnce sync.Once
 	table      []decoded
+	imageOnce  sync.Once
+	image      *mem.Memory // frozen: owns no pages, shared by every NewMemory
 }
 
 // Symbol looks up a label defined in the program source.
@@ -50,14 +53,21 @@ type Segment struct {
 	Bytes []byte
 }
 
-// NewMemory builds a fresh memory image holding the program's data
-// segments.
+// NewMemory returns a fresh memory image holding the program's data
+// segments. The image is built once per program, on first use, and
+// frozen; each call hands out a copy-on-write view of it (mem.Share),
+// so a new machine copies only the pages it stores to, and stores
+// through one view are never seen by another. Like Code, Data must not
+// change once the program has run.
 func (p *Program) NewMemory() *mem.Memory {
-	m := mem.New()
-	for _, s := range p.Data {
-		m.WriteBlock(s.Addr, s.Bytes)
-	}
-	return m
+	p.imageOnce.Do(func() {
+		m := mem.New()
+		for _, s := range p.Data {
+			m.WriteBlock(s.Addr, s.Bytes)
+		}
+		p.image = m.Share() // a frozen view: owns no pages
+	})
+	return p.image.Share()
 }
 
 // DynInst is one dynamic (executed) instruction, as observed by the

@@ -13,7 +13,9 @@ import (
 // machine configurations by replaying the buffer through
 // pipeline.NewReplay, which is byte-for-byte timing-identical to
 // fetching from a live emulator (the timing model consumes nothing but
-// the DynInst stream).
+// the DynInst stream). The experiment engine no longer records traces
+// (its exact cells run live); Record and Trace remain for the perfbench
+// module, whose traced sweep-exact pass times them.
 //
 // A Trace is safe for concurrent use: the buffer is append-only during
 // Record and read-only afterwards, each replayer owns its own
@@ -27,9 +29,8 @@ type Trace struct {
 	Insts []DynInst
 }
 
-// DynInstBytes is the in-memory footprint of one trace record, used for
-// cache budget accounting (a budget of B bytes admits B / DynInstBytes
-// recorded instructions).
+// DynInstBytes is the in-memory footprint of one trace record: a trace
+// of n instructions holds about n × DynInstBytes bytes.
 const DynInstBytes = uint64(unsafe.Sizeof(DynInst{}))
 
 // Len returns the number of recorded dynamic instructions (the
@@ -74,10 +75,9 @@ const recordChunk = 1 << 16
 // Record executes p architecturally from its entry point to HALT,
 // capturing every dynamic instruction into a Trace. maxInsts caps the
 // recording (0 = unlimited): a program still running past the cap
-// returns an error rather than an unbounded buffer, which is how the
-// experiment engine keeps a runaway workload from blowing through its
-// trace-cache memory budget. Canceling ctx aborts with an error
-// wrapping ctx.Err().
+// returns an error rather than an unbounded buffer, so a caller with a
+// memory budget cannot be blown through by a runaway workload.
+// Canceling ctx aborts with an error wrapping ctx.Err().
 func Record(ctx context.Context, p *Program, maxInsts uint64) (*Trace, error) {
 	if ctx == nil {
 		ctx = context.Background()

@@ -37,15 +37,14 @@ type Runner struct {
 	// The memo layer (see cache.go): exact results and sampled
 	// estimates share the byte budget of resultLRU (the store, when
 	// attached, is their durable tier); instruction counts are retained
-	// for the Runner's lifetime; traces and plans (see trace.go) share
-	// the byte budget of traceLRU.
+	// for the Runner's lifetime; sampled-run plans (see plan.go) have
+	// the byte budget of planLRU.
 	sims      *cache[simKey, *pipeline.Result]
 	sampled   *cache[sampleKey, *sample.Result]
 	counts    *cache[countKey, uint64]
-	traces    *cache[countKey, *emu.Trace]
 	plans     *cache[planKey, *sample.Plan]
 	resultLRU *lru
-	traceLRU  *lru
+	planLRU   *lru
 
 	omu           sync.Mutex
 	observers     []func(Progress)
@@ -59,8 +58,6 @@ type Runner struct {
 	memHits         atomic.Uint64
 	storeHits       atomic.Uint64
 	runs            atomic.Uint64
-	traceHits       atomic.Uint64
-	traceRecords    atomic.Uint64
 	planHits        atomic.Uint64
 	planBuilds      atomic.Uint64
 	planStoreHits   atomic.Uint64
@@ -128,16 +125,15 @@ func NewRunner(parallelism int) *Runner {
 		parallelism = runtime.GOMAXPROCS(0)
 	}
 	resultLRU := &lru{budget: DefaultResultBudget}
-	traceLRU := &lru{budget: DefaultTraceBudget}
+	planLRU := &lru{budget: DefaultTraceBudget}
 	return &Runner{
 		sem:           make(chan struct{}, parallelism),
 		sims:          newCache[simKey](resultLRU, resultBytes[*pipeline.Result]),
 		sampled:       newCache[sampleKey](resultLRU, resultBytes[*sample.Result]),
 		counts:        newCache[countKey, uint64](nil, nil),
-		traces:        newCache[countKey](traceLRU, traceBytes),
-		plans:         newCache[planKey](traceLRU, planBytes),
+		plans:         newCache[planKey](planLRU, planBytes),
 		resultLRU:     resultLRU,
-		traceLRU:      traceLRU,
+		planLRU:       planLRU,
 		wkeys:         map[countKey]string{},
 		progressEvery: DefaultProgressInterval,
 		retryAttempts: defaultRetryAttempts,
@@ -188,23 +184,21 @@ const slotBytes = 400
 // simulating (always 0 without SetStore). A warm resumed sweep is the
 // pattern {Simulations: 0, StoreHits: n}.
 //
-// The decode-once counters measure the trace/plan layer: TraceRecords
-// and PlanBuilds are the architectural passes actually paid
-// (recording a dynamic stream; building a sampled window plan), and
-// TraceHits/PlanHits the simulations that reused one — a 30-config
-// sweep cell at full effectiveness is {TraceRecords: 1, TraceHits:
-// 29}. PlanStoreHits counts plan-cache misses answered by the
-// persistent store instead of a build, and PlanStoreWrites plans
-// persisted after a build (both always 0 without SetStore): a sampled
-// sweep sharded across processes is the pattern {PlanBuilds: 1 in one
-// process, PlanStoreHits > 0 everywhere else}. With the layer disabled
-// (SetTraceBudget(0)) sampled runs build uncached plans that none of
-// these counters see. TraceBytes is the bytes the trace and plan
-// caches hold right now under their shared budget; it never exceeds
-// SetTraceBudget, and is 0 with the layer disabled; a plan's bytes
-// include the shared functional warming its runs recorded in it.
-// ResultBytes is the same for memoized results under
-// DefaultResultBudget.
+// The plan counters measure the plan layer (see plan.go): PlanBuilds
+// is the sampled-run fast-forwards actually paid and PlanHits the
+// sampled runs that reused a plan — a 30-config sampled sweep cell at
+// full effectiveness is {PlanBuilds: 1, PlanHits: 29}. PlanStoreHits
+// counts plan-cache misses answered by the persistent store instead of
+// a build, and PlanStoreWrites plans persisted after a build (both
+// always 0 without SetStore): a sampled sweep sharded across processes
+// is the pattern {PlanBuilds: 1 in one process, PlanStoreHits > 0
+// everywhere else}. With plan caching disabled (SetTraceBudget(0))
+// sampled runs build uncached plans that none of these counters see.
+// TraceBytes is the bytes resident plans hold right now under the plan
+// budget, including the shared functional warming their runs recorded
+// in them; it never exceeds SetTraceBudget. TraceRecords is always 0:
+// exact cells run live and record nothing. ResultBytes is the same for
+// memoized results under DefaultResultBudget.
 //
 // The reuse counters are process-wide (every Runner in the process
 // shares them): WarmBuilds counts sampled windows that ran their own
@@ -223,7 +217,6 @@ type Stats struct {
 	StoreHits   uint64 `json:"store_hits"`
 
 	TraceRecords    uint64 `json:"trace_records"`
-	TraceHits       uint64 `json:"trace_hits"`
 	PlanBuilds      uint64 `json:"plan_builds"`
 	PlanHits        uint64 `json:"plan_hits"`
 	PlanStoreHits   uint64 `json:"plan_store_hits"`
@@ -255,11 +248,11 @@ type Stats struct {
 // apart field-by-field.
 func (s Stats) String() string {
 	return fmt.Sprintf("engine: %d simulations, %d memory hits, %d store hits; %.1f MiB results resident\n"+
-		"engine: decode-once: %d traces recorded, %d replayed; %d plans built, %d reused (%d store hits, %d store writes); %.1f MiB resident\n"+
+		"engine: %d plans built, %d reused (%d store hits, %d store writes); %.1f MiB resident\n"+
 		"engine: reuse: %d windows warmed, %d resumed shared warming; %d back-ends built, %d reused\n"+
 		"engine: resilience: %d panics recovered, %d store retries, %d store degradations, %d watchdog stalls, %d watchdog kills",
 		s.Simulations, s.MemHits, s.StoreHits, float64(s.ResultBytes)/(1<<20),
-		s.TraceRecords, s.TraceHits, s.PlanBuilds, s.PlanHits,
+		s.PlanBuilds, s.PlanHits,
 		s.PlanStoreHits, s.PlanStoreWrites, float64(s.TraceBytes)/(1<<20),
 		s.WarmBuilds, s.WarmHits, s.BackEndBuilds, s.BackEndReuses,
 		s.PanicsRecovered, s.StoreRetries, s.StoreDegraded, s.WatchdogStalls, s.WatchdogKills)
@@ -272,13 +265,11 @@ func (r *Runner) Stats() Stats {
 		Simulations:     r.runs.Load(),
 		MemHits:         r.memHits.Load(),
 		StoreHits:       r.storeHits.Load(),
-		TraceRecords:    r.traceRecords.Load(),
-		TraceHits:       r.traceHits.Load(),
 		PlanBuilds:      r.planBuilds.Load(),
 		PlanHits:        r.planHits.Load(),
 		PlanStoreHits:   r.planStoreHits.Load(),
 		PlanStoreWrites: r.planStoreWrites.Load(),
-		TraceBytes:      uint64(r.traceLRU.bytes()),
+		TraceBytes:      uint64(r.planLRU.bytes()),
 		ResultBytes:     uint64(r.resultLRU.bytes()),
 		WarmBuilds:      warm.Builds,
 		WarmHits:        warm.Hits,
@@ -461,11 +452,10 @@ func (r *Runner) Run(ctx context.Context, cfg pipeline.Config, bench *workloads.
 }
 
 // simulate runs one simulation of cfg (whose Config.Key() is cfgKey)
-// under the worker pool. The timing session replays the workload's
-// cached trace when the decode-once layer has (or can record) one —
-// byte-for-byte identical results, minus the per-config live emulation
-// — and falls back to a live emulator when the trace layer is disabled
-// or the program exceeds the budget.
+// under the worker pool, on a live emulator. A cell that ran the
+// program to HALT retired exactly its dynamic instruction count, so it
+// seeds the count memo: sampled runs and InstCount of the workload
+// need no counting pass.
 func (r *Runner) simulate(ctx context.Context, cfg pipeline.Config, cfgKey string, bench *workloads.Benchmark, scale int) (*pipeline.Result, error) {
 	select {
 	case r.sem <- struct{}{}:
@@ -480,17 +470,7 @@ func (r *Runner) simulate(ctx context.Context, cfg pipeline.Config, cfgKey strin
 	if err := fault.InjectCtx(wctx, "exper.cell", bench.Name+"/"+cfg.Name); err != nil {
 		return nil, watchdogErr(wctx, err)
 	}
-	prog := bench.Program(scale)
-	tr, err := r.traceFor(wctx, bench, scale)
-	if err != nil {
-		return nil, watchdogErr(wctx, err)
-	}
-	var s *pipeline.Session
-	if tr != nil {
-		s, err = pipeline.NewReplay(cfg, prog, tr)
-	} else {
-		s, err = pipeline.New(cfg, prog)
-	}
+	s, err := pipeline.New(cfg, bench.Program(scale))
 	if err != nil {
 		return nil, err
 	}
@@ -499,6 +479,9 @@ func (r *Runner) simulate(ctx context.Context, cfg pipeline.Config, cfgKey strin
 		return nil, watchdogErr(wctx, err)
 	}
 	res.Scale = scale
+	if cfg.MaxInsts == 0 && res.Truncated == pipeline.TruncNone {
+		r.seedCount(bench, scale, res.Retired)
+	}
 	return res, nil
 }
 
@@ -555,7 +538,7 @@ func (r *Runner) RunSampled(ctx context.Context, cfg pipeline.Config, bench *wor
 		sr, err := sample.RunPlanned(wctx, cfg, bench.Program(scale), sc, plan)
 		if plan.Warmed() != warmed {
 			// The run recorded shared warming in the plan: charge the
-			// plan's new size to the trace budget.
+			// plan's new size to the plan budget.
 			r.plans.recharge(planKey{bench: bench.Name, scale: scale, sampling: sc.Key()})
 		}
 		if err != nil {
@@ -577,8 +560,8 @@ func (r *Runner) RunSampled(ctx context.Context, cfg pipeline.Config, bench *wor
 // InstCount returns bench's dynamic instruction count at scale from the
 // architectural emulator, memoized by (benchmark, scale) and persisted
 // in the attached store (KindCount entries), so warm processes skip
-// even the counting emulation. A trace recording or a sample plan of
-// the workload seeds the memo too, so sampled and exact runs never
+// even the counting emulation. A finished exact cell or a sample plan
+// of the workload seeds the memo too, so sampled and exact runs never
 // emulate just to count. Emulation runs under the same worker
 // pool as simulations and honors ctx with the same leader-handoff
 // semantics as Run.

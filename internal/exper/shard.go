@@ -70,8 +70,8 @@ func (sh Shard) String() string { return fmt.Sprintf("%d/%d", sh.Index, sh.Count
 // owns reports whether this shard owns cell idx. Cells are enumerated
 // benchmark-major (idx = benchIdx*len(configs) + configIdx), and the
 // modulo assignment interleaves configs across shards — each shard
-// touches every benchmark, so the decode-once artifacts (trace, plan)
-// each shard builds are ones it reuses itself.
+// touches every benchmark, so the sampled-run plans each shard builds
+// are ones it reuses itself.
 func (sh Shard) owns(idx int) bool { return idx%sh.Count == sh.Index }
 
 // ShardReport summarizes one shard invocation.

@@ -194,6 +194,31 @@ func (m *Memory) Share() *Memory {
 	return &Memory{base: m.base}
 }
 
+// Flatten returns m's image as one flat frozen layer — the pages
+// FromPagesOver(m.Export(), prev) would decode, without copying any: a
+// page whose contents equal prev's page at the same address is prev's,
+// every other page is m's own, and all-zero pages are dropped. Pages of
+// the layers m stacks on that m's newer pages shadow are no longer
+// referenced through the result, so a run of checkpoints flattened each
+// over its predecessor holds what its decoded form holds. m's owned
+// pages are frozen first (see Share); a nil prev shares nothing.
+func (m *Memory) Flatten(prev *Memory) *Memory {
+	m.freeze()
+	pages := m.visible()
+	for k, p := range pages {
+		if prev != nil {
+			if q := prev.peek(k); q != nil && (q == p || *q == *p) {
+				pages[k] = q
+				continue
+			}
+		}
+		if *p == [PageSize]byte{} {
+			delete(pages, k)
+		}
+	}
+	return &Memory{base: &layer{pages: pages}}
+}
+
 // visible returns the page each key resolves to, across every layer.
 func (m *Memory) visible() map[uint64]*[PageSize]byte {
 	out := make(map[uint64]*[PageSize]byte, len(m.pages))

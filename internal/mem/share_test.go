@@ -90,3 +90,32 @@ func TestFromPagesOverSharesEqualPages(t *testing.T) {
 		t.Errorf("two images resident in %d pages, want 8 (6 shared + 1 changed + 1 new)", got/PageSize)
 	}
 }
+
+// TestFlattenMatchesDecoding: flattening a layered image over a
+// predecessor keeps its contents, drops the shadowed and all-zero
+// pages, shares the predecessor's equal pages, and holds exactly what
+// decoding its export over the same predecessor holds.
+func TestFlattenMatchesDecoding(t *testing.T) {
+	m := New()
+	for a := uint64(0); a < 8*PageSize; a += PageSize {
+		m.Store64(a, a+1)
+	}
+	prev := m.Share().Flatten(nil)
+	m.Store64(3*PageSize, 99)           // shadows a page of the frozen layer
+	m.Store64(20*PageSize, 0)           // an all-zero page
+	m.Store64(5*PageSize, 5*PageSize+1) // rewrites the same value
+	got := m.Share().Flatten(prev)
+	if !got.Equal(m) {
+		t.Fatal("flattened image differs from the original")
+	}
+	want, err := FromPagesOver(m.Export(), prev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g, w := ResidentBytes(prev, got), ResidentBytes(prev, want); g != w {
+		t.Errorf("flattened over its predecessor holds %d bytes, decoded %d", g, w)
+	}
+	if got.PageCount() != 8 {
+		t.Errorf("flattened image has %d pages, want 8 (no zero page, no shadowed page)", got.PageCount())
+	}
+}

@@ -24,9 +24,9 @@ type backEnd struct {
 	ready []uint64
 
 	// completions and feedbackQ are fixed-horizon event wheels indexed
-	// by cycle & mask; the horizon is sized in newSession from the
-	// worst-case execution latency (cache-miss chain, long dividers)
-	// plus the feedback delay, so in practice nothing ever spills.
+	// by cycle & mask; the horizon (Config.shape) covers the worst-case
+	// execution latency (cache-miss chain, long dividers) plus the
+	// feedback delay, so every event fits.
 	completions wheel[opRef]
 	feedbackQ   wheel[feedbackEv]
 
@@ -48,14 +48,6 @@ type backEnd struct {
 	// alias a recycled op) and to keep the map bounded by the window
 	// size instead of the run's store footprint.
 	lastStore map[uint64]opRef
-}
-
-// backEndShape is what sizes a back-end beyond the Config fields it
-// reads directly.
-type backEndShape struct {
-	fetchCap int // fetch queue capacity
-	renQCap  int // rename queue capacity
-	horizon  int // event-wheel horizon in cycles
 }
 
 // backEnds is the back-end pool; the garbage collector drains it like
@@ -115,12 +107,11 @@ func (be *backEnd) reset(cfg *Config, regs *[isa.NumRegs]uint64, shape backEndSh
 		}
 		be.scheds[c] = be.scheds[c][:0]
 	}
-	// The arena covers every queue position an op can occupy (window
-	// ops include the scheduler entries), plus one fetch bundle of
-	// slack: in-flight ops can never exceed that, so the slab stops
-	// growing — and op indices stay stable — once the machine fills.
-	if n := shape.fetchCap + shape.renQCap + cfg.WindowSize + cfg.FetchWidth + 1; cap(be.ops) < n {
-		be.ops = make([]dynOp, 0, n)
+	// In-flight ops can never exceed the arena's shape, so the slab
+	// stops growing — and op indices stay stable — once the machine
+	// fills.
+	if cap(be.ops) < shape.ops {
+		be.ops = make([]dynOp, 0, shape.ops)
 	}
 	be.ops = be.ops[:0]
 	be.opFree = be.opFree[:0]

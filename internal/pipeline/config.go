@@ -8,6 +8,7 @@ import (
 	"repro/internal/bpred"
 	"repro/internal/cache"
 	"repro/internal/core"
+	"repro/internal/regfile"
 )
 
 // Config describes one simulated machine. Use DefaultConfig and mutate.
@@ -145,10 +146,64 @@ func (c *Config) MinBranchLoop() uint64 {
 		c.RegReadLat + 1 + c.RedirectLat
 }
 
+// Allocation caps. A session sizes its event wheels from the config's
+// latencies, its queues and op arena from its widths and stage depths,
+// and its tables from the register, cache and predictor sizes, so
+// Validate bounds every field that feeds a size: whatever a config (or
+// a served sweep spec) asks for, one session allocates at most a few
+// tens of MiB. The paper's machines sit far inside every cap.
+const (
+	// MaxLatency bounds every latency and stage depth, in cycles. It
+	// keeps the event-wheel horizon (see shape) within 2^15 slots.
+	MaxLatency = 4096
+	// MaxInFlight bounds the ops a session's queues can hold — the op
+	// arena it presizes (about 200 bytes an op).
+	MaxInFlight = 1 << 16
+	// MaxPredEntries bounds the BTB and the return-address stack.
+	MaxPredEntries = 1 << 20
+)
+
 // Validate reports configuration errors that would make the machine
-// model meaningless or deadlock-prone. New panics on an invalid config;
-// callers building custom configurations can check explicitly.
+// model meaningless or deadlock-prone, or make a session allocate
+// beyond the caps above. The error names the offending field by its
+// sweep-spec path (e.g. "Caches.MemLatency"). New rejects an invalid
+// config; callers building custom configurations can check explicitly.
 func (c *Config) Validate() error {
+	lats := [...]struct {
+		name string
+		v    uint64
+	}{
+		{"FrontLat", c.FrontLat}, {"RenameLat", c.RenameLat}, {"OptStages", c.OptStages},
+		{"DispatchLat", c.DispatchLat}, {"SchedMinLat", c.SchedMinLat}, {"RegReadLat", c.RegReadLat},
+		{"RedirectLat", c.RedirectLat}, {"FeedbackDelay", c.FeedbackDelay},
+		{"Caches.L1I.Latency", c.Caches.L1I.Latency}, {"Caches.L1D.Latency", c.Caches.L1D.Latency},
+		{"Caches.L2.Latency", c.Caches.L2.Latency}, {"Caches.MemLatency", c.Caches.MemLatency},
+	}
+	for _, l := range lats {
+		if l.v > MaxLatency {
+			return fmt.Errorf("pipeline: %s %d exceeds the %d-cycle latency cap", l.name, l.v, MaxLatency)
+		}
+	}
+	for _, lv := range [...]struct {
+		name string
+		cfg  cache.Config
+	}{{"L1I", c.Caches.L1I}, {"L1D", c.Caches.L1D}, {"L2", c.Caches.L2}} {
+		if err := lv.cfg.Validate(); err != nil {
+			return fmt.Errorf("pipeline: Caches.%s.%v", lv.name, err)
+		}
+	}
+	switch {
+	case c.PRegs > regfile.MaxRegs:
+		return fmt.Errorf("pipeline: PRegs %d exceeds the register file's %d-register limit", c.PRegs, regfile.MaxRegs)
+	case c.WindowSize > regfile.MaxRegs:
+		return fmt.Errorf("pipeline: WindowSize %d exceeds %d", c.WindowSize, regfile.MaxRegs)
+	case c.Opt.MBCEntries < 0 || c.Opt.MBCEntries > regfile.MaxRegs:
+		return fmt.Errorf("pipeline: Opt.MBCEntries %d outside [0, %d]", c.Opt.MBCEntries, regfile.MaxRegs)
+	case c.BPred.BTBEntries > MaxPredEntries:
+		return fmt.Errorf("pipeline: BPred.BTBEntries %d exceeds %d", c.BPred.BTBEntries, MaxPredEntries)
+	case c.BPred.RASEntries > MaxPredEntries:
+		return fmt.Errorf("pipeline: BPred.RASEntries %d exceeds %d", c.BPred.RASEntries, MaxPredEntries)
+	}
 	switch {
 	case c.FetchWidth <= 0:
 		return fmt.Errorf("pipeline: FetchWidth %d must be positive", c.FetchWidth)
@@ -158,6 +213,8 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("pipeline: WindowSize %d smaller than FetchWidth %d", c.WindowSize, c.FetchWidth)
 	case c.SchedEntries <= 0:
 		return fmt.Errorf("pipeline: SchedEntries %d must be positive", c.SchedEntries)
+	case c.SchedEntries > c.WindowSize:
+		return fmt.Errorf("pipeline: SchedEntries %d exceeds WindowSize %d", c.SchedEntries, c.WindowSize)
 	case c.NumSimpleALU <= 0 || c.NumAgen <= 0 || c.DCachePorts <= 0:
 		return fmt.Errorf("pipeline: execution units must be positive (simple=%d agen=%d ports=%d)",
 			c.NumSimpleALU, c.NumAgen, c.DCachePorts)
@@ -175,5 +232,42 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("pipeline: PRegs %d too small; need >= %d for a %d-entry window and %d-entry MBC",
 			c.PRegs, need, c.WindowSize, c.Opt.MBCEntries)
 	}
+	if ops := c.shape().ops; ops > MaxInFlight {
+		return fmt.Errorf("pipeline: FetchWidth %d over the front-end depth (FrontLat, RenameLat, OptStages, DispatchLat) holds %d in-flight ops; at most %d are allowed",
+			c.FetchWidth, ops, MaxInFlight)
+	}
 	return nil
+}
+
+// backEndShape is what sizes a session's back-end beyond the Config
+// fields it reads directly.
+type backEndShape struct {
+	fetchCap int // fetch queue capacity
+	renQCap  int // rename queue capacity
+	horizon  int // event-wheel horizon in cycles
+	ops      int // op arena capacity: every op the queues can hold
+}
+
+// shape derives the back-end sizes of a session of c. The fetch and
+// rename queues hold FetchWidth ops per cycle of their stages plus two
+// cycles of slack. The arena covers every queue position an op can
+// occupy (window ops include the scheduler entries) plus one fetch
+// bundle. The event-wheel horizon must exceed the furthest ahead any
+// event is ever scheduled: a completion lands at most RegReadLat plus
+// the worst-case execution latency ahead (a load missing every cache
+// level plus address generation, or the 20-cycle dividers), and a
+// feedback event FeedbackDelay beyond that. Call on a config whose
+// latencies, widths and window Validate has bounded.
+func (c *Config) shape() backEndShape {
+	maxExec := c.Caches.L1D.Latency + c.Caches.L2.Latency + c.Caches.MemLatency + 1
+	if maxExec < 20 {
+		maxExec = 20
+	}
+	sh := backEndShape{
+		fetchCap: c.FetchWidth * int(c.FrontLat+2),
+		renQCap:  c.FetchWidth * int(c.totalRenameLat()+c.DispatchLat+2),
+		horizon:  int(c.RegReadLat+maxExec+c.FeedbackDelay) + 2,
+	}
+	sh.ops = sh.fetchCap + sh.renQCap + c.WindowSize + c.FetchWidth + 1
+	return sh
 }

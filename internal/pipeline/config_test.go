@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/asm"
 	"repro/internal/core"
+	"repro/internal/regfile"
 )
 
 func TestDefaultConfigValid(t *testing.T) {
@@ -47,6 +48,59 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 				t.Errorf("error %q does not mention %q", err, m.want)
 			}
 		})
+	}
+}
+
+// TestValidateBoundsAllocation: every field a session sizes something
+// from is capped, and the error names the field by its sweep-spec path.
+// Each value below once parsed and resolved, and would have had one
+// session allocate gigabytes or more.
+func TestValidateBoundsAllocation(t *testing.T) {
+	const huge = 1 << 40
+	mutate := []struct {
+		name string
+		fn   func(*Config)
+		want string
+	}{
+		{"memory latency", func(c *Config) { c.Caches.MemLatency = huge }, "Caches.MemLatency"},
+		{"feedback delay", func(c *Config) { c.FeedbackDelay = huge }, "FeedbackDelay"},
+		{"L2 latency", func(c *Config) { c.Caches.L2.Latency = MaxLatency + 1 }, "Caches.L2.Latency"},
+		{"front-end depth", func(c *Config) { c.FrontLat = MaxLatency + 1 }, "FrontLat"},
+		{"register read", func(c *Config) { c.RegReadLat = huge }, "RegReadLat"},
+		{"redirect", func(c *Config) { c.RedirectLat = huge }, "RedirectLat"},
+		{"register file", func(c *Config) { c.PRegs = regfile.MaxRegs + 1 }, "PRegs"},
+		{"window", func(c *Config) { c.WindowSize = huge }, "WindowSize"},
+		{"schedulers", func(c *Config) { c.SchedEntries = huge }, "SchedEntries"},
+		{"schedulers past window", func(c *Config) { c.SchedEntries = c.WindowSize + 1 }, "SchedEntries"},
+		{"negative MBC", func(c *Config) { c.Opt.MBCEntries = -huge }, "Opt.MBCEntries"},
+		{"in-flight ops", func(c *Config) { c.FetchWidth, c.FrontLat = 64, MaxLatency }, "FetchWidth"},
+		{"L2 size", func(c *Config) { c.Caches.L2.SizeB = huge }, "Caches.L2.SizeB"},
+		{"L1D ways", func(c *Config) { c.Caches.L1D.Assoc = huge }, "Caches.L1D.Assoc"},
+		{"L1I geometry", func(c *Config) { c.Caches.L1I.SizeB = 3 << 10 }, "Caches.L1I.SizeB"},
+		{"BTB", func(c *Config) { c.BPred.BTBEntries = huge }, "BPred.BTBEntries"},
+		{"RAS", func(c *Config) { c.BPred.RASEntries = huge }, "BPred.RASEntries"},
+	}
+	for _, m := range mutate {
+		t.Run(m.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			m.fn(&cfg)
+			err := cfg.Validate()
+			if err == nil {
+				t.Fatal("expected validation error")
+			}
+			if !strings.Contains(err.Error(), m.want) {
+				t.Errorf("error %q does not name %q", err, m.want)
+			}
+		})
+	}
+	// Every cap is inclusive: a machine at each one is valid.
+	cfg := DefaultConfig()
+	cfg.RegReadLat, cfg.FeedbackDelay, cfg.RedirectLat = MaxLatency, MaxLatency, MaxLatency
+	cfg.Caches.MemLatency = MaxLatency
+	cfg.PRegs = regfile.MaxRegs
+	cfg.SchedEntries = cfg.WindowSize
+	if err := cfg.Validate(); err != nil {
+		t.Errorf("a machine at the caps is rejected: %v", err)
 	}
 }
 

@@ -227,17 +227,7 @@ func newSession(cfg Config, prog *emu.Program, src Source, fe *frontEnd) (*Sessi
 	if fe == nil {
 		fe = takeFrontEnd(&cfg)
 	}
-	// The event-wheel horizon must exceed the furthest ahead any event
-	// is ever scheduled: a completion lands at most RegReadLat plus the
-	// worst-case execution latency ahead (a load missing every cache
-	// level plus address generation, or the 20-cycle dividers), and a
-	// feedback event FeedbackDelay beyond that. Anything larger (a
-	// hand-built config with extreme latencies) spills into the wheel's
-	// overflow map instead of breaking the model.
-	maxExec := cfg.Caches.L1D.Latency + cfg.Caches.L2.Latency + cfg.Caches.MemLatency + 1
-	if maxExec < 20 {
-		maxExec = 20
-	}
+	shape := cfg.shape()
 	be := takeBackEnd()
 	s := &Session{
 		cfg:      cfg,
@@ -246,15 +236,11 @@ func newSession(cfg Config, prog *emu.Program, src Source, fe *frontEnd) (*Sessi
 		fe:       fe,
 		bp:       fe.bp,
 		caches:   fe.caches,
-		renQCap:  cfg.FetchWidth * int(cfg.totalRenameLat()+cfg.DispatchLat+2),
+		renQCap:  shape.renQCap,
 		stalling: noOp,
 		lastLine: notReady,
 	}
-	be.reset(&cfg, initRegs, backEndShape{
-		fetchCap: cfg.FetchWidth * int(cfg.FrontLat+2),
-		renQCap:  s.renQCap,
-		horizon:  int(cfg.RegReadLat+maxExec+cfg.FeedbackDelay) + 2,
-	})
+	be.reset(&cfg, initRegs, shape)
 	s.backEnd = *be
 	s.lineB = uint64(fe.caches.L1I.Config().LineB)
 	s.l1iLat = fe.caches.L1I.Latency()

@@ -20,12 +20,14 @@ type Source interface {
 }
 
 // NewReplay builds a session that times prog's recorded dynamic stream
-// tr instead of driving a live emulator — the decode-once path: record
-// the architectural stream once (emu.Record), then time it under any
-// number of machine configurations, each session replaying the shared
-// read-only buffer through its own cursor. Replay is timing-identical
-// to New over the same program; concurrent replay sessions over one
-// Trace are safe (the trace is never written after recording).
+// tr instead of driving a live emulator: record the architectural
+// stream once (emu.Record), then time it under any number of machine
+// configurations, each session replaying the shared read-only buffer
+// through its own cursor. Replay is timing-identical to New over the
+// same program; concurrent replay sessions over one Trace are safe (the
+// trace is never written after recording). The experiment engine runs
+// exact cells live; NewReplay remains for the perfbench module, whose
+// traced sweep-exact pass times it.
 func NewReplay(cfg Config, prog *emu.Program, tr *emu.Trace) (*Session, error) {
 	if tr == nil {
 		return nil, fmt.Errorf("pipeline: nil trace")

@@ -22,14 +22,14 @@ func gccProgram(t *testing.T) *emu.Program {
 }
 
 // driveWheel schedules a seeded random event stream (latencies up to
-// twice the slot count, so some spill) and returns every take, in order.
+// the slot count) and returns every take, in order.
 func driveWheel(w *wheel[int], seed int64) [][]int {
 	rng := rand.New(rand.NewSource(seed))
 	var out [][]int
 	next := 0
 	for cycle := uint64(0); cycle < 300; cycle++ {
 		for k := rng.Intn(4); k > 0; k-- {
-			w.schedule(cycle, cycle+uint64(rng.Intn(2*len(w.slots))), next)
+			w.schedule(cycle, cycle+uint64(rng.Intn(len(w.slots))), next)
 			next++
 		}
 		out = append(out, append([]int(nil), w.take(cycle)...))
@@ -38,15 +38,15 @@ func driveWheel(w *wheel[int], seed int64) [][]int {
 }
 
 // TestWheelResetEqualsNew: a wheel used at one horizon (events left in
-// flight, spilled ones too) and reset to another behaves exactly like a
-// new wheel of that horizon.
+// flight) and reset to another behaves exactly like a new wheel of that
+// horizon.
 func TestWheelResetEqualsNew(t *testing.T) {
 	for _, h := range [][2]int{{40, 9}, {9, 40}, {17, 17}} {
 		used := newWheel[int](h[0])
 		driveWheel(&used, 1)
 		used.reset(h[1])
 		fresh := newWheel[int](h[1])
-		if len(used.slots) != len(fresh.slots) || used.mask != fresh.mask || used.pending() != 0 || used.spill != nil {
+		if len(used.slots) != len(fresh.slots) || used.mask != fresh.mask || used.pending() != 0 {
 			t.Fatalf("horizon %d→%d: reset wheel has %d slots, mask %d, %d pending; new has %d slots, mask %d",
 				h[0], h[1], len(used.slots), used.mask, used.pending(), len(fresh.slots), fresh.mask)
 		}

@@ -17,19 +17,18 @@ func nextPow2(n int) int {
 }
 
 // wheel is a fixed-horizon timing wheel: an event scheduled fewer than
-// `horizon` cycles ahead lands in the ring slot `at & mask`; anything
-// further out (a pathological latency the horizon was not sized for)
-// spills into a lazily allocated map. The horizon invariant — every
-// in-flight event's fire time is less than one horizon ahead of the
-// current cycle — guarantees each slot holds events for exactly one
-// fire cycle, so take never has to filter. Slot slices are reset to
-// length zero on take and their backing arrays reused, so a wheel
-// allocates only while slots grow toward their steady-state size.
+// `horizon` cycles ahead lands in the ring slot `at & mask`. The
+// horizon invariant — every in-flight event's fire time is less than
+// one horizon ahead of the current cycle — guarantees each slot holds
+// events for exactly one fire cycle, so take never has to filter.
+// Sessions size the horizon from every latency Config.Validate allows
+// (see Config.shape), so the invariant always holds; schedule panics if
+// it does not. Slot slices are reset to length zero on take and their
+// backing arrays reused, so a wheel allocates only while slots grow
+// toward their steady-state size.
 type wheel[T any] struct {
-	slots   [][]T
-	mask    uint64
-	spill   map[uint64][]T // nil until the first overflow
-	spilled int
+	slots [][]T
+	mask  uint64
 }
 
 func newWheel[T any](horizon int) wheel[T] {
@@ -51,52 +50,38 @@ func (w *wheel[T]) reset(horizon int) {
 		w.slots[i] = w.slots[i][:0]
 	}
 	w.mask = uint64(h - 1)
-	w.spill = nil
-	w.spilled = 0
 }
 
 // schedule adds an event firing at cycle at; now is the current cycle
-// and must satisfy now <= at.
+// and must satisfy now <= at < now + horizon.
 func (w *wheel[T]) schedule(now, at uint64, ev T) {
-	if at-now < uint64(len(w.slots)) {
-		i := at & w.mask
-		w.slots[i] = append(w.slots[i], ev)
-		return
+	if at-now >= uint64(len(w.slots)) {
+		panic("pipeline: event scheduled beyond the wheel horizon")
 	}
-	if w.spill == nil {
-		w.spill = make(map[uint64][]T)
-	}
-	w.spill[at] = append(w.spill[at], ev)
-	w.spilled++
+	i := at & w.mask
+	w.slots[i] = append(w.slots[i], ev)
 }
 
 // take removes and returns the events due at cycle now. The returned
 // slice aliases wheel-owned storage: it is valid until an event is
-// scheduled a full horizon later (impossible within the current cycle,
-// since such an event would spill), so callers must consume it before
-// advancing the cycle and must not retain it.
+// scheduled a full horizon later (impossible within the current cycle),
+// so callers must consume it before advancing the cycle and must not
+// retain it.
 func (w *wheel[T]) take(now uint64) []T {
 	i := now & w.mask
 	evs := w.slots[i]
-	if len(evs) == 0 && w.spilled == 0 {
+	if len(evs) == 0 {
 		// Fast path for the overwhelmingly common empty cycle: no
-		// slice-header store, no map probe.
+		// slice-header store.
 		return nil
 	}
 	w.slots[i] = evs[:0]
-	if w.spilled > 0 {
-		if sp, ok := w.spill[now]; ok {
-			evs = append(evs, sp...)
-			w.spilled -= len(sp)
-			delete(w.spill, now)
-		}
-	}
 	return evs
 }
 
 // pending returns the total number of scheduled, untaken events.
 func (w *wheel[T]) pending() int {
-	n := w.spilled
+	n := 0
 	for i := range w.slots {
 		n += len(w.slots[i])
 	}
@@ -113,13 +98,6 @@ func (w *wheel[T]) drain(fn func(T)) {
 		}
 		w.slots[i] = w.slots[i][:0]
 	}
-	for at, evs := range w.spill {
-		for _, ev := range evs {
-			fn(ev)
-		}
-		delete(w.spill, at)
-	}
-	w.spilled = 0
 }
 
 // opRing is a growable power-of-two circular queue of in-flight op

@@ -28,6 +28,10 @@ type PReg uint16
 // NoPReg is the absent physical register.
 const NoPReg PReg = 0xFFFF
 
+// MaxRegs is the largest register file a PReg can index: every value
+// below NoPReg names a register.
+const MaxRegs = int(NoPReg)
+
 // File is the physical register file: values, ready state, and reference
 // counts with an embedded free list.
 type File struct {
@@ -54,7 +58,7 @@ func New(n int) *File {
 // large enough, so simulation can pool register files across sessions
 // of any size.
 func (f *File) Reset(n int) {
-	if n <= 0 || n > int(NoPReg) {
+	if n <= 0 || n > MaxRegs {
 		panic(fmt.Sprintf("regfile: bad size %d", n))
 	}
 	f.vals = Resize(f.vals, n)

@@ -7,11 +7,13 @@ package sample
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"testing"
 
 	"repro/internal/asm"
 	"repro/internal/emu"
+	"repro/internal/mem"
 	"repro/internal/scenario"
 	"repro/internal/workloads"
 )
@@ -151,6 +153,38 @@ func TestScanKeepsBoundedGrid(t *testing.T) {
 			if ck.InstCount != uint64(i)*spacing {
 				t.Fatalf("start %d: checkpoint %d at instruction %d, want %d", start, i, ck.InstCount, uint64(i)*spacing)
 			}
+		}
+	}
+}
+
+// TestBuiltPlanNoLargerThanDecoded: a plan straight from BuildPlan
+// charges the budget no more than the same plan decoded from its
+// encoding (plus one page of slack). Window checkpoints taken on a
+// machine resumed from a grid checkpoint used to stack on the grid's
+// page layer and keep every grid page they shadowed resident, several
+// times the decoded size.
+func TestBuiltPlanNoLargerThanDecoded(t *testing.T) {
+	for _, name := range []string{"mcf", "gap", "bzp", "vpr"} {
+		b := prog(t, name)
+		plan, err := BuildPlan(context.Background(), b.Program(8*b.DefaultScale), DefaultConfig(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := json.Marshal(plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var decoded Plan
+		if err := json.Unmarshal(data, &decoded); err != nil {
+			t.Fatal(err)
+		}
+		built, dec := plan.Bytes(), decoded.Bytes()
+		t.Logf("%s: %d windows, built %.1f KiB, decoded %.1f KiB", name, len(plan.Windows), float64(built)/1024, float64(dec)/1024)
+		if len(plan.Windows) < 2 {
+			t.Errorf("%s: %d windows; the check needs a sampled plan", name, len(plan.Windows))
+		}
+		if built > dec+mem.PageSize {
+			t.Errorf("%s: built plan charges %d bytes, decoded %d", name, built, dec)
 		}
 	}
 }

@@ -615,6 +615,15 @@ func buildPlan(ctx context.Context, prog *emu.Program, sc Config, totalInsts, st
 			Ck:       m.Snapshot(),
 		})
 	}
+	// A window checkpoint stacks on the layers of the grid checkpoint
+	// its machine resumed from, which would keep every grid page it
+	// shadows resident after the grid is gone. Flatten each over its
+	// predecessor, as decoding the plan does.
+	var prev *mem.Memory
+	for _, w := range plan.Windows {
+		w.Ck.Mem = w.Ck.Mem.Flatten(prev)
+		prev = w.Ck.Mem
+	}
 	return plan, nil
 }
 

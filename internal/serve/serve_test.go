@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -207,6 +208,32 @@ func TestSubmitSampledSweep(t *testing.T) {
 	done := waitState(t, ts.URL, v.ID, StateDone)
 	if done.Result == nil || !strings.Contains(done.Result.Table, "tst") {
 		t.Fatalf("sampled job result missing: %+v", done.Result)
+	}
+}
+
+// TestSubmitRejectsUnboundedMachine: a spec whose machine would make a
+// cell allocate without bound — a 2^40-cycle memory latency or feedback
+// delay sizes the event wheels — is a 400 naming the field, before any
+// simulation runs.
+func TestSubmitRejectsUnboundedMachine(t *testing.T) {
+	_, ts, eng := newTestServer(t, 1, Config{})
+	for _, field := range []string{"Caches.MemLatency", "FeedbackDelay"} {
+		body := `{"spec": {"benchmarks": ["tst"], "scale": 1, "variants": [{"label": "slow", "set": {"` + field + `": 1099511627776}}]}}`
+		resp, err := http.Post(ts.URL+"/v1/sweeps", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", field, resp.StatusCode)
+		}
+		if !strings.Contains(string(msg), field) {
+			t.Errorf("%s: error %q does not name the field", field, msg)
+		}
+	}
+	if st := eng.Stats(); st.Simulations != 0 {
+		t.Errorf("%d simulations ran for rejected specs", st.Simulations)
 	}
 }
 
