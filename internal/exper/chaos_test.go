@@ -244,6 +244,37 @@ func TestChaosPanickingCellContained(t *testing.T) {
 	}
 }
 
+// TestPlanLeaderPanicDoesNotWedge: a plan leader that panics (here in
+// its store read) fails its own sampled cell with a recovered panic and
+// vacates the plan slot, so a later sampled cell of the same workload
+// on another machine builds the plan itself instead of waiting forever
+// on the dead leader.
+func TestPlanLeaderPanicDoesNotWedge(t *testing.T) {
+	defer fault.Reset()
+	r := storeRunner(openStore(t))
+	b := bench(t, "mcf")
+	sc := sample.DefaultConfig()
+	// The cell's own result read is the first store read; its plan
+	// leader's is the second.
+	if err := fault.Enable("store.read:panic:nth=2"); err != nil {
+		t.Fatal(err)
+	}
+	_, err := r.RunSampled(context.Background(), pipeline.DefaultConfig(), b, 1, sc)
+	if fault.AsPanic(err) == nil {
+		t.Fatalf("the cell whose plan leader panicked returned %v, want *PanicError", err)
+	}
+	fault.Reset()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if _, err := r.RunSampled(ctx, pipeline.DefaultConfig().Baseline(), b, 1, sc); err != nil {
+		t.Fatalf("a later sampled cell of the same workload: %v (wedged on the panicked plan leader)", err)
+	}
+	if st := r.Stats(); st.PanicsRecovered != 1 || st.PlanBuilds != 1 {
+		t.Errorf("PanicsRecovered = %d, PlanBuilds = %d; want the panic counted once and the plan built by the later cell", st.PanicsRecovered, st.PlanBuilds)
+	}
+}
+
 // TestChaosWedgedWindowKilled: a sampled window that hangs forever is
 // diagnosed by the soft watchdog and killed by the hard one, surfacing
 // a memoized *WatchdogError instead of wedging the sweep.

@@ -14,7 +14,10 @@
 // same key are collapsed singleflight-style: the first caller
 // simulates, later callers block and receive the same
 // *pipeline.Result. Because the simulator is deterministic, memoization
-// also makes sweep output independent of the pool's parallelism.
+// also makes sweep output independent of the pool's parallelism. Every
+// engine memo — exact results, sampled estimates, instruction counts
+// and sampled-run plans — is an internal/memo Cache, the one
+// leader/waiter implementation in the program.
 //
 // # Persistent store
 //
@@ -38,7 +41,8 @@
 // collapse is cancellation-safe — when the caller that is executing a
 // simulation (the leader) is canceled, the work is not poisoned:
 // waiting callers observe the abandoned slot and one of them re-runs
-// the simulation under its own context.
+// the simulation under its own context. A leader that panics vacates
+// its slot the same way.
 //
 // # Observation
 //

@@ -4,7 +4,6 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -13,6 +12,7 @@ import (
 
 	"repro/internal/emu"
 	"repro/internal/fault"
+	"repro/internal/memo"
 	"repro/internal/pipeline"
 	"repro/internal/sample"
 	"repro/internal/store"
@@ -34,17 +34,17 @@ const emuChunk = 1 << 20
 type Runner struct {
 	sem chan struct{}
 
-	// The memo layer (see cache.go): exact results and sampled
-	// estimates share the byte budget of resultLRU (the store, when
-	// attached, is their durable tier); instruction counts are retained
-	// for the Runner's lifetime; sampled-run plans (see plan.go) have
-	// the byte budget of planLRU.
-	sims      *cache[simKey, *pipeline.Result]
-	sampled   *cache[sampleKey, *sample.Result]
-	counts    *cache[countKey, uint64]
-	plans     *cache[planKey, *sample.Plan]
-	resultLRU *lru
-	planLRU   *lru
+	// The memo layer, one internal/memo Cache per kind of value: exact
+	// results and sampled estimates share the byte budget of resultLRU
+	// (the store, when attached, is their durable tier); instruction
+	// counts are retained for the Runner's lifetime; sampled-run plans
+	// (see plan.go) have the byte budget of planLRU.
+	sims      *memo.Cache[simKey, *pipeline.Result]
+	sampled   *memo.Cache[sampleKey, *sample.Result]
+	counts    *memo.Cache[countKey, uint64]
+	plans     *memo.Cache[planKey, *sample.Plan]
+	resultLRU *memo.LRU
+	planLRU   *memo.LRU
 
 	omu           sync.Mutex
 	observers     []func(Progress)
@@ -124,14 +124,14 @@ func NewRunner(parallelism int) *Runner {
 	if parallelism <= 0 {
 		parallelism = runtime.GOMAXPROCS(0)
 	}
-	resultLRU := &lru{budget: DefaultResultBudget}
-	planLRU := &lru{budget: DefaultTraceBudget}
+	resultLRU := memo.NewLRU(DefaultResultBudget)
+	planLRU := memo.NewLRU(DefaultTraceBudget)
 	return &Runner{
 		sem:           make(chan struct{}, parallelism),
-		sims:          newCache[simKey](resultLRU, resultBytes[*pipeline.Result]),
-		sampled:       newCache[sampleKey](resultLRU, resultBytes[*sample.Result]),
-		counts:        newCache[countKey, uint64](nil, nil),
-		plans:         newCache[planKey](planLRU, planBytes),
+		sims:          memo.New[simKey](resultLRU, resultBytes[*pipeline.Result]),
+		sampled:       memo.New[sampleKey](resultLRU, resultBytes[*sample.Result]),
+		counts:        memo.New[countKey, uint64](nil, nil),
+		plans:         memo.New[planKey](planLRU, planBytes),
 		resultLRU:     resultLRU,
 		planLRU:       planLRU,
 		wkeys:         map[countKey]string{},
@@ -269,8 +269,8 @@ func (r *Runner) Stats() Stats {
 		PlanHits:        r.planHits.Load(),
 		PlanStoreHits:   r.planStoreHits.Load(),
 		PlanStoreWrites: r.planStoreWrites.Load(),
-		TraceBytes:      uint64(r.planLRU.bytes()),
-		ResultBytes:     uint64(r.resultLRU.bytes()),
+		TraceBytes:      uint64(r.planLRU.Bytes()),
+		ResultBytes:     uint64(r.resultLRU.Bytes()),
 		WarmBuilds:      warm.Builds,
 		WarmHits:        warm.Hits,
 		BackEndBuilds:   pool.BackEndBuilds,
@@ -364,13 +364,6 @@ func effectiveScale(b *workloads.Benchmark, scale int) int {
 	return scale
 }
 
-// ctxErr reports whether err is the shape a canceled or expired context
-// produces — the class of cache-leader failure that a waiter can
-// recover from by re-running the work itself.
-func ctxErr(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
-
 // workloadKey returns the content hash identifying bench's generated
 // source at scale (already effective), memoized per (benchmark, scale).
 // Folding it into every store key means editing a kernel invalidates
@@ -389,25 +382,30 @@ func (r *Runner) workloadKey(bench *workloads.Benchmark, scale int) string {
 	return w
 }
 
-// storeGet consults the persistent store (when attached and not
-// degraded) for key k, decoding into out. Any failure — no store,
-// entry missing, entry corrupt, retries exhausted — reads as a miss;
-// a hit bumps the StoreHits counter.
-func (r *Runner) storeGet(ctx context.Context, k store.Key, out any) bool {
-	if !r.storeRead(ctx, k, out) {
-		return false
+// throughStore is the body every store-backed cache leader shares.
+// With a store attached it first reads key() through it (a hit counts
+// in hits and skips compute); otherwise it computes the value and
+// persists it before the leader's waiters wake (a durable write counts
+// in writes, when non-nil). Store trouble of any kind reads as a miss
+// or costs the write, never the value (see resilience.go).
+func throughStore[T any](ctx context.Context, r *Runner, key func() store.Key, hits, writes *atomic.Uint64, compute func() (*T, error)) (*T, error) {
+	var sk store.Key
+	if r.store.Load() != nil {
+		sk = key()
+		var cached T
+		if r.storeRead(ctx, sk, &cached) {
+			hits.Add(1)
+			return &cached, nil
+		}
 	}
-	r.storeHits.Add(1)
-	return true
-}
-
-// storePut persists a freshly computed value best-effort: a store that
-// cannot be written (disk full, permissions) costs durability, not
-// correctness, so failures degrade the store (after retries) without
-// failing the run. A zero key (no store was attached when the leader
-// started) is a no-op.
-func (r *Runner) storePut(ctx context.Context, k store.Key, v any) {
-	r.storeWrite(ctx, k, v)
+	v, err := compute()
+	if err != nil {
+		return nil, err
+	}
+	if r.storeWrite(ctx, sk, v) && writes != nil {
+		writes.Add(1)
+	}
+	return v, nil
 }
 
 // Run simulates bench at scale under cfg, returning the memoized result
@@ -429,21 +427,12 @@ func (r *Runner) Run(ctx context.Context, cfg pipeline.Config, bench *workloads.
 	scale = effectiveScale(bench, scale)
 	k := simKey{cfg: cfg.Key(), bench: bench.Name, scale: scale}
 
-	res, leader, err := r.sims.get(ctx, k, protect(r, "cell "+k.bench+"/"+cfg.Name, func(ctx context.Context) (*pipeline.Result, error) {
-		var sk store.Key
-		if r.store.Load() != nil {
-			sk = store.ExactKey(k.cfg, k.bench, k.scale, r.workloadKey(bench, scale))
-			var cached pipeline.Result
-			if r.storeGet(ctx, sk, &cached) {
-				return &cached, nil
-			}
-		}
-		res, err := r.simulate(ctx, cfg, k.cfg, bench, scale)
-		if err != nil {
-			return nil, err
-		}
-		r.storePut(ctx, sk, res)
-		return res, nil
+	res, leader, err := r.sims.Get(ctx, k, protect(r, "cell "+k.bench+"/"+cfg.Name, func(ctx context.Context) (*pipeline.Result, error) {
+		return throughStore(ctx, r, func() store.Key {
+			return store.ExactKey(k.cfg, k.bench, k.scale, r.workloadKey(bench, scale))
+		}, &r.storeHits, nil, func() (*pipeline.Result, error) {
+			return r.simulate(ctx, cfg, k.cfg, bench, scale)
+		})
 	}))
 	if err == nil && !leader {
 		r.memHits.Add(1)
@@ -452,37 +441,51 @@ func (r *Runner) Run(ctx context.Context, cfg pipeline.Config, bench *workloads.
 }
 
 // simulate runs one simulation of cfg (whose Config.Key() is cfgKey)
-// under the worker pool, on a live emulator. A cell that ran the
-// program to HALT retired exactly its dynamic instruction count, so it
-// seeds the count memo: sampled runs and InstCount of the workload
-// need no counting pass.
+// as a cell, on a live emulator. A cell that ran the program to HALT
+// retired exactly its dynamic instruction count, so it seeds the count
+// memo: sampled runs and InstCount of the workload need no counting
+// pass.
 func (r *Runner) simulate(ctx context.Context, cfg pipeline.Config, cfgKey string, bench *workloads.Benchmark, scale int) (*pipeline.Result, error) {
-	select {
-	case r.sem <- struct{}{}:
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-	defer func() { <-r.sem }()
-	r.runs.Add(1)
-	op := "cell " + bench.Name + "/" + cfg.Name
-	wctx, stop := r.watchCell(ctx, op)
-	defer stop()
-	if err := fault.InjectCtx(wctx, "exper.cell", bench.Name+"/"+cfg.Name); err != nil {
-		return nil, watchdogErr(wctx, err)
-	}
-	s, err := pipeline.New(cfg, bench.Program(scale))
+	var res *pipeline.Result
+	err := r.cell(ctx, "cell", bench, cfg.Name, func(ctx context.Context) error {
+		s, err := pipeline.New(cfg, bench.Program(scale))
+		if err != nil {
+			return err
+		}
+		res, err = s.Run(ctx, r.runOpts(&cfg, cfgKey, bench, scale))
+		return err
+	})
 	if err != nil {
 		return nil, err
-	}
-	res, err := s.Run(wctx, r.runOpts(&cfg, cfgKey, bench, scale))
-	if err != nil {
-		return nil, watchdogErr(wctx, err)
 	}
 	res.Scale = scale
 	if cfg.MaxInsts == 0 && res.Truncated == pipeline.TruncNone {
 		r.seedCount(bench, scale, res.Retired)
 	}
 	return res, nil
+}
+
+// cell runs one simulation cell — an exact run, or a sampled run's
+// planning and windows — under the engine's admission rules: it holds
+// a worker-pool slot, counts one simulation, arms the watchdog as op
+// "kind bench/machine", passes the exper.cell fault point (keyed
+// "bench/machine"), and turns a hard-killed cell's context error into
+// its *WatchdogError. run gets the watched context.
+func (r *Runner) cell(ctx context.Context, kind string, bench *workloads.Benchmark, machine string, run func(context.Context) error) error {
+	select {
+	case r.sem <- struct{}{}:
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+	defer func() { <-r.sem }()
+	r.runs.Add(1)
+	key := bench.Name + "/" + machine
+	wctx, stop := r.watchCell(ctx, kind+" "+key)
+	defer stop()
+	if err := fault.InjectCtx(wctx, "exper.cell", key); err != nil {
+		return watchdogErr(wctx, err)
+	}
+	return watchdogErr(wctx, run(wctx))
 }
 
 // RunSampled estimates bench at scale under cfg by sampled simulation
@@ -505,56 +508,49 @@ func (r *Runner) RunSampled(ctx context.Context, cfg pipeline.Config, bench *wor
 	scale = effectiveScale(bench, scale)
 	k := sampleKey{cfg: cfg.Key(), bench: bench.Name, scale: scale, sampling: sc.Key()}
 
-	res, leader, err := r.sampled.get(ctx, k, protect(r, "sampled cell "+k.bench+"/"+cfg.Name, func(ctx context.Context) (*sample.Result, error) {
-		var sk store.Key
-		if r.store.Load() != nil {
-			sk = store.SampledKey(k.cfg, k.bench, k.scale, k.sampling, r.workloadKey(bench, scale))
-			var cached sample.Result
-			if r.storeGet(ctx, sk, &cached) {
-				return &cached, nil
-			}
-		}
-		select {
-		case r.sem <- struct{}{}:
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-		defer func() { <-r.sem }()
-		r.runs.Add(1)
-		wctx, stop := r.watchCell(ctx, "sampled cell "+bench.Name+"/"+cfg.Name)
-		defer stop()
-		if err := fault.InjectCtx(wctx, "exper.cell", bench.Name+"/"+cfg.Name); err != nil {
-			return nil, watchdogErr(wctx, err)
-		}
-		// The window plan (one functional pass that counts the program
-		// and checkpoints its windows) is config-independent: build it
-		// once per (benchmark, scale, regime) and share it across every
-		// configuration of a sweep.
-		plan, err := r.planFor(wctx, bench, scale, sc)
-		if err != nil {
-			return nil, watchdogErr(wctx, err)
-		}
-		warmed := plan.Warmed()
-		sr, err := sample.RunPlanned(wctx, cfg, bench.Program(scale), sc, plan)
-		if plan.Warmed() != warmed {
-			// The run recorded shared warming in the plan: charge the
-			// plan's new size to the plan budget.
-			r.plans.recharge(planKey{bench: bench.Name, scale: scale, sampling: sc.Key()})
-		}
-		if err != nil {
-			return nil, watchdogErr(wctx, err)
-		}
-		// The plan's pass counted the program: seed the count memo so
-		// nothing emulates the workload again just to count it.
-		r.seedCount(bench, scale, sr.TotalInsts)
-		sr.Scale = scale
-		r.storePut(ctx, sk, sr)
-		return sr, nil
+	res, leader, err := r.sampled.Get(ctx, k, protect(r, "sampled cell "+k.bench+"/"+cfg.Name, func(ctx context.Context) (*sample.Result, error) {
+		return throughStore(ctx, r, func() store.Key {
+			return store.SampledKey(k.cfg, k.bench, k.scale, k.sampling, r.workloadKey(bench, scale))
+		}, &r.storeHits, nil, func() (*sample.Result, error) {
+			return r.sampleCell(ctx, cfg, bench, scale, sc)
+		})
 	}))
 	if err == nil && !leader {
 		r.memHits.Add(1)
 	}
 	return res, err
+}
+
+// sampleCell runs one sampled estimate of cfg as a cell: the window
+// plan (one functional pass that counts the program and checkpoints
+// its windows) is config-independent, so it comes from planFor — built
+// once per (benchmark, scale, regime) and shared across every
+// configuration of a sweep — and only the windows run per machine. sc
+// must be normalized.
+func (r *Runner) sampleCell(ctx context.Context, cfg pipeline.Config, bench *workloads.Benchmark, scale int, sc sample.Config) (*sample.Result, error) {
+	var sr *sample.Result
+	err := r.cell(ctx, "sampled cell", bench, cfg.Name, func(ctx context.Context) error {
+		plan, err := r.planFor(ctx, bench, scale, sc)
+		if err != nil {
+			return err
+		}
+		warmed := plan.Warmed()
+		sr, err = sample.RunPlanned(ctx, cfg, bench.Program(scale), sc, plan)
+		if plan.Warmed() != warmed {
+			// The run recorded shared warming in the plan: charge the
+			// plan's new size to the plan budget.
+			r.plans.Recharge(planKey{bench: bench.Name, scale: scale, sampling: sc.Key()})
+		}
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	// The plan's pass counted the program: seed the count memo so
+	// nothing emulates the workload again just to count it.
+	r.seedCount(bench, scale, sr.TotalInsts)
+	sr.Scale = scale
+	return sr, nil
 }
 
 // InstCount returns bench's dynamic instruction count at scale from the
@@ -569,21 +565,17 @@ func (r *Runner) InstCount(ctx context.Context, bench *workloads.Benchmark, scal
 	scale = effectiveScale(bench, scale)
 	k := countKey{bench: bench.Name, scale: scale}
 
-	n, _, err := r.counts.get(ctx, k, protect(r, "count "+k.bench, func(ctx context.Context) (uint64, error) {
-		var sk store.Key
-		if r.store.Load() != nil {
-			sk = store.CountKey(k.bench, k.scale, r.workloadKey(bench, scale))
-			var cached store.Count
-			if r.storeGet(ctx, sk, &cached) {
-				return cached.Insts, nil
-			}
-		}
-		n, err := r.emulate(ctx, bench, scale)
+	n, _, err := r.counts.Get(ctx, k, protect(r, "count "+k.bench, func(ctx context.Context) (uint64, error) {
+		c, err := throughStore(ctx, r, func() store.Key {
+			return store.CountKey(k.bench, k.scale, r.workloadKey(bench, scale))
+		}, &r.storeHits, nil, func() (*store.Count, error) {
+			n, err := r.emulate(ctx, bench, scale)
+			return &store.Count{Insts: n}, err
+		})
 		if err != nil {
 			return 0, err
 		}
-		r.storePut(ctx, sk, &store.Count{Insts: n})
-		return n, nil
+		return c.Insts, nil
 	}))
 	return n, err
 }

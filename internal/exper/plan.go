@@ -12,13 +12,14 @@ package exper
 // this is what turns an N-config sampled sweep cell into 1
 // architectural pass + N cheap window sets.
 //
-// Plans are the same cache type as the result caches, so they share its
-// leader/waiter collapse (one build no matter how many configurations
-// ask at once), and they are the only tenant of their byte budget (an
-// lru; see cache.go), which also charges the functional warming runs
-// record in them. Exact cells need no such layer: they run live
-// (see Runner.simulate), since emulation is a small share of a timing
-// pass and a recorded stream cost 88 bytes per dynamic instruction.
+// Plans are the same cache type as the result caches (internal/memo),
+// so they share its leader/waiter collapse (one build no matter how
+// many configurations ask at once), and they are the only tenant of
+// their byte budget (a memo.LRU), which also charges the functional
+// warming runs record in them. Exact cells need no such layer: they
+// run live (see Runner.simulate), since emulation is a small share of
+// a timing pass and a recorded stream cost 88 bytes per dynamic
+// instruction.
 
 import (
 	"context"
@@ -42,7 +43,7 @@ const DefaultTraceBudget = 256 << 20
 // Shrinking the budget evicts least-recently used plans until the
 // resident bytes fit.
 func (r *Runner) SetTraceBudget(bytes int64) {
-	r.planLRU.setBudget(bytes)
+	r.planLRU.SetBudget(bytes)
 }
 
 type planKey struct {
@@ -69,29 +70,20 @@ func planBytes(p *sample.Plan) int64 { return int64(p.Bytes()) }
 // torn mid-write, or written by a build with a different plan codec —
 // are misses: the leader rebuilds and the Put heals the entry.
 func (r *Runner) planFor(ctx context.Context, bench *workloads.Benchmark, scale int, sc sample.Config) (*sample.Plan, error) {
-	if r.planLRU.limit() <= 0 {
+	if r.planLRU.Limit() <= 0 {
 		return buildPlanSafe(ctx, bench, scale, sc)
 	}
 	k := planKey{bench: bench.Name, scale: scale, sampling: sc.Key()}
-	plan, leader, err := r.plans.get(ctx, k, func(ctx context.Context) (*sample.Plan, error) {
-		var sk store.Key
-		if r.store.Load() != nil {
-			sk = store.PlanKey(k.bench, k.scale, k.sampling, r.workloadKey(bench, scale))
-			var cached sample.Plan
-			if r.storeRead(ctx, sk, &cached) {
-				r.planStoreHits.Add(1)
-				return &cached, nil
+	plan, leader, err := r.plans.Get(ctx, k, func(ctx context.Context) (*sample.Plan, error) {
+		return throughStore(ctx, r, func() store.Key {
+			return store.PlanKey(k.bench, k.scale, k.sampling, r.workloadKey(bench, scale))
+		}, &r.planStoreHits, &r.planStoreWrites, func() (*sample.Plan, error) {
+			plan, err := buildPlanSafe(ctx, bench, scale, sc)
+			if err == nil {
+				r.planBuilds.Add(1)
 			}
-		}
-		plan, err := buildPlanSafe(ctx, bench, scale, sc)
-		if err != nil {
-			return nil, err
-		}
-		r.planBuilds.Add(1)
-		if r.storeWrite(ctx, sk, plan) {
-			r.planStoreWrites.Add(1)
-		}
-		return plan, nil
+			return plan, err
+		})
 	})
 	if err == nil && !leader {
 		r.planHits.Add(1)
@@ -105,8 +97,8 @@ func (r *Runner) planFor(ctx context.Context, bench *workloads.Benchmark, scale 
 // established it.
 func (r *Runner) seedCount(bench *workloads.Benchmark, scale int, n uint64) {
 	k := countKey{bench: bench.Name, scale: scale}
-	if r.counts.seed(k, n) && r.store.Load() != nil {
-		r.storePut(context.Background(), store.CountKey(k.bench, k.scale, r.workloadKey(bench, scale)), &store.Count{Insts: n})
+	if r.counts.Seed(k, n) && r.store.Load() != nil {
+		r.storeWrite(context.Background(), store.CountKey(k.bench, k.scale, r.workloadKey(bench, scale)), &store.Count{Insts: n})
 	}
 }
 

@@ -38,13 +38,13 @@ func TestExactCellSeedsCount(t *testing.T) {
 	cfg := pipeline.DefaultConfig()
 	cfg.MaxInsts = 1000
 	mustRun(t, cut, cfg, b, 1)
-	if n, seeded := cut.counts.peek(k); seeded {
+	if n, seeded := cut.counts.Peek(k); seeded {
 		t.Errorf("a cell cut at MaxInsts seeded the count memo with %d", n)
 	}
 
 	r := NewRunner(2)
 	res := mustRun(t, r, pipeline.DefaultConfig(), b, 1)
-	n, seeded := r.counts.peek(k)
+	n, seeded := r.counts.Peek(k)
 	if !seeded {
 		t.Fatal("a finished exact cell did not seed the instruction-count memo")
 	}

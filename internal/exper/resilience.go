@@ -7,10 +7,12 @@ package exper
 //
 // Three mechanisms, layered onto the existing seams:
 //
-//   - panic containment: every cache leader runs inside
+//   - panic containment: every result and count leader runs inside
 //     protect(), which recovers a panic into a *PanicError (operation,
 //     value, stack) that memoizes and propagates like any other
-//     deterministic cell failure;
+//     deterministic cell failure. A plan leader's panic vacates its
+//     memo slot (internal/memo) and is recovered by the sampled cell
+//     that asked for the plan;
 //   - store resilience: all store reads and writes go through
 //     storeRead/storeWrite, which classify failures (store.Classify),
 //     retry transient I/O with bounded exponential backoff + seeded
@@ -313,7 +315,7 @@ func (r *Runner) watchCell(ctx context.Context, op string) (context.Context, fun
 // context was hard-killed. Ordinary cancellations pass through
 // unchanged (and keep their leader-handoff semantics).
 func watchdogErr(wctx context.Context, err error) error {
-	if err == nil || !ctxErr(err) {
+	if !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
 		return err
 	}
 	var we *WatchdogError

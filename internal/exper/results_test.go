@@ -33,7 +33,7 @@ func TestResultBudgetBoundsMemory(t *testing.T) {
 			t.Fatal("a memoized result charges no bytes")
 		}
 		budget := 3*one + one/2 // room for three results
-		r.resultLRU.setBudget(budget)
+		r.resultLRU.SetBudget(budget)
 		for _, cfg := range cfgs[1:] {
 			if _, err := r.Run(ctx, cfg, b, 1); err != nil {
 				t.Fatal(err)

@@ -192,7 +192,7 @@ func TestRunSampledUsesSharedInstCount(t *testing.T) {
 // memoCount returns the count memo's settled value for (bench, scale),
 // without running or waiting on anything.
 func memoCount(r *Runner, b *workloads.Benchmark, scale int) (uint64, bool) {
-	return r.counts.peek(countKey{bench: b.Name, scale: scale})
+	return r.counts.Peek(countKey{bench: b.Name, scale: scale})
 }
 
 // TestColdRunSampledEmulatesOnce: a cold sampled run's only emulation

@@ -182,18 +182,21 @@ func (r *Runner) SweepMerge(spec *SweepSpec, sc *sample.Config) (*SweepResult, [
 		cells[bi] = make([]*pipeline.Result, len(cfgs))
 		for ci := range cfgs {
 			ck := cfgs[ci].Normalize().Key()
+			var hit bool
 			if sc != nil {
 				var sr sample.Result
-				if r.storeGet(context.Background(), store.SampledKey(ck, b.Name, scale, scKey, w), &sr) {
+				if hit = r.storeRead(context.Background(), store.SampledKey(ck, b.Name, scale, scKey, w), &sr); hit {
 					cells[bi][ci] = sr.Estimate()
-					continue
 				}
 			} else {
 				var res pipeline.Result
-				if r.storeGet(context.Background(), store.ExactKey(ck, b.Name, scale, w), &res) {
+				if hit = r.storeRead(context.Background(), store.ExactKey(ck, b.Name, scale, w), &res); hit {
 					cells[bi][ci] = &res
-					continue
 				}
+			}
+			if hit {
+				r.storeHits.Add(1)
+				continue
 			}
 			missing = append(missing, fmt.Sprintf("%s@%d %s", b.Name, scale, cfgs[ci].Name))
 		}

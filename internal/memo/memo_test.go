@@ -1,4 +1,4 @@
-package exper
+package memo
 
 import (
 	"context"
@@ -6,16 +6,17 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // bytesOf charges an int value its own magnitude, so tests can size
 // entries directly.
 func bytesOf(v int) int64 { return int64(v) }
 
-// settledGet is get for tests that expect success.
-func settledGet[K comparable](t *testing.T, c *cache[K, int], k K, v int) (got int, leader bool) {
+// settledGet is Get for tests that expect success.
+func settledGet[K comparable](t *testing.T, c *Cache[K, int], k K, v int) (got int, leader bool) {
 	t.Helper()
-	got, leader, err := c.get(context.Background(), k, func(context.Context) (int, error) { return v, nil })
+	got, leader, err := c.Get(context.Background(), k, func(context.Context) (int, error) { return v, nil })
 	if err != nil {
 		t.Fatalf("get(%v): %v", k, err)
 	}
@@ -26,7 +27,7 @@ func settledGet[K comparable](t *testing.T, c *cache[K, int], k K, v int) (got i
 // the slot instead of poisoning it; exactly one live waiter takes over,
 // so the key is computed once more and every waiter gets that value.
 func TestCacheCanceledLeaderHandsOff(t *testing.T) {
-	c := newCache[string, int](nil, nil)
+	c := New[string, int](nil, nil)
 	var calls atomic.Int32
 	started := make(chan struct{})
 	do := func(ctx context.Context) (int, error) {
@@ -41,7 +42,7 @@ func TestCacheCanceledLeaderHandsOff(t *testing.T) {
 	lctx, cancel := context.WithCancel(context.Background())
 	leaderErr := make(chan error, 1)
 	go func() {
-		_, _, err := c.get(lctx, "k", do)
+		_, _, err := c.Get(lctx, "k", do)
 		leaderErr <- err
 	}()
 	<-started
@@ -54,7 +55,7 @@ func TestCacheCanceledLeaderHandsOff(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			got[i], _, errs[i] = c.get(context.Background(), "k", do)
+			got[i], _, errs[i] = c.Get(context.Background(), "k", do)
 		}(i)
 	}
 	cancel()
@@ -77,12 +78,12 @@ func TestCacheCanceledLeaderHandsOff(t *testing.T) {
 // context-shaped stays in the slot; later callers get it without
 // rerunning the work.
 func TestCacheMemoizesDeterministicError(t *testing.T) {
-	c := newCache[string, int](nil, nil)
+	c := New[string, int](nil, nil)
 	boom := errors.New("boom")
 	var calls int
 	do := func(context.Context) (int, error) { calls++; return 7, boom }
 	for i := 0; i < 3; i++ {
-		v, leader, err := c.get(context.Background(), "k", do)
+		v, leader, err := c.Get(context.Background(), "k", do)
 		if !errors.Is(err, boom) || v != 0 {
 			t.Errorf("call %d: got (%d, %v), want (0, boom)", i, v, err)
 		}
@@ -93,7 +94,7 @@ func TestCacheMemoizesDeterministicError(t *testing.T) {
 	if calls != 1 {
 		t.Errorf("do ran %d times, want 1", calls)
 	}
-	if _, ok := c.peek("k"); ok {
+	if _, ok := c.Peek("k"); ok {
 		t.Error("peek reported a failed slot as settled")
 	}
 }
@@ -101,14 +102,14 @@ func TestCacheMemoizesDeterministicError(t *testing.T) {
 // TestCacheSeedAndPeek: seed never overwrites a slot, settled or in
 // flight, and peek answers at once even while a leader is running.
 func TestCacheSeedAndPeek(t *testing.T) {
-	c := newCache[string, int](nil, nil)
-	if !c.seed("a", 1) {
+	c := New[string, int](nil, nil)
+	if !c.Seed("a", 1) {
 		t.Fatal("seed of a fresh key did not install")
 	}
-	if c.seed("a", 2) {
+	if c.Seed("a", 2) {
 		t.Error("seed overwrote a settled value")
 	}
-	if v, ok := c.peek("a"); !ok || v != 1 {
+	if v, ok := c.Peek("a"); !ok || v != 1 {
 		t.Errorf("peek(a) = (%d, %v), want (1, true)", v, ok)
 	}
 	if v, leader := settledGet(t, c, "a", 99); v != 1 || leader {
@@ -118,7 +119,7 @@ func TestCacheSeedAndPeek(t *testing.T) {
 	started, release := make(chan struct{}), make(chan struct{})
 	done := make(chan int)
 	go func() {
-		v, _, _ := c.get(context.Background(), "b", func(context.Context) (int, error) {
+		v, _, _ := c.Get(context.Background(), "b", func(context.Context) (int, error) {
 			close(started)
 			<-release
 			return 3, nil
@@ -126,17 +127,17 @@ func TestCacheSeedAndPeek(t *testing.T) {
 		done <- v
 	}()
 	<-started
-	if _, ok := c.peek("b"); ok {
+	if _, ok := c.Peek("b"); ok {
 		t.Error("peek reported an in-flight slot as settled")
 	}
-	if c.seed("b", 4) {
+	if c.Seed("b", 4) {
 		t.Error("seed overwrote an in-flight slot")
 	}
 	close(release)
 	if v := <-done; v != 3 {
 		t.Errorf("leader got %d, want 3", v)
 	}
-	if v, ok := c.peek("b"); !ok || v != 3 {
+	if v, ok := c.Peek("b"); !ok || v != 3 {
 		t.Errorf("peek(b) = (%d, %v), want (3, true)", v, ok)
 	}
 }
@@ -144,9 +145,9 @@ func TestCacheSeedAndPeek(t *testing.T) {
 // TestCacheLRUAcrossCaches: two caches sharing one lru evict in one
 // recency order — a touched entry survives, the cold one goes.
 func TestCacheLRUAcrossCaches(t *testing.T) {
-	l := &lru{budget: 10}
-	a := newCache[string](l, bytesOf)
-	b := newCache[int](l, bytesOf)
+	l := &LRU{budget: 10}
+	a := New[string](l, bytesOf)
+	b := New[int](l, bytesOf)
 	settledGet(t, a, "hot", 4)
 	settledGet(t, b, 1, 4)
 	if _, leader := settledGet(t, a, "hot", 4); leader {
@@ -154,16 +155,16 @@ func TestCacheLRUAcrossCaches(t *testing.T) {
 	}
 	settledGet(t, b, 2, 4) // 12 bytes > 10: evict the least recent
 
-	if _, ok := a.peek("hot"); !ok {
+	if _, ok := a.Peek("hot"); !ok {
 		t.Error("touched entry was evicted")
 	}
-	if _, ok := b.peek(1); ok {
+	if _, ok := b.Peek(1); ok {
 		t.Error("cold entry survived eviction")
 	}
-	if _, ok := b.peek(2); !ok {
+	if _, ok := b.Peek(2); !ok {
 		t.Error("newest entry was evicted")
 	}
-	if n := l.bytes(); n != 8 {
+	if n := l.Bytes(); n != 8 {
 		t.Errorf("resident = %d bytes, want 8", n)
 	}
 }
@@ -171,19 +172,19 @@ func TestCacheLRUAcrossCaches(t *testing.T) {
 // TestCacheOverBudgetNotRetained: a value larger than the whole budget
 // is returned to its callers but never made resident.
 func TestCacheOverBudgetNotRetained(t *testing.T) {
-	l := &lru{budget: 10}
-	c := newCache[string](l, bytesOf)
+	l := &LRU{budget: 10}
+	c := New[string](l, bytesOf)
 	settledGet(t, c, "small", 5)
 	if v, _ := settledGet(t, c, "big", 11); v != 11 {
 		t.Errorf("get(big) = %d, want 11", v)
 	}
-	if _, ok := c.peek("big"); ok {
+	if _, ok := c.Peek("big"); ok {
 		t.Error("over-budget value is resident")
 	}
-	if _, ok := c.peek("small"); !ok {
+	if _, ok := c.Peek("small"); !ok {
 		t.Error("over-budget value evicted a resident one")
 	}
-	if n := l.bytes(); n != 5 {
+	if n := l.Bytes(); n != 5 {
 		t.Errorf("resident = %d bytes, want 5", n)
 	}
 	if _, leader := settledGet(t, c, "big", 11); !leader {
@@ -194,14 +195,14 @@ func TestCacheOverBudgetNotRetained(t *testing.T) {
 // TestCacheShrinkEvictsOldestFirst: lowering the budget evicts in
 // least-recently-used order, and a budget of 0 releases everything.
 func TestCacheShrinkEvictsOldestFirst(t *testing.T) {
-	l := &lru{budget: 100}
-	c := newCache[string](l, bytesOf)
+	l := &LRU{budget: 100}
+	c := New[string](l, bytesOf)
 	for _, k := range []string{"a", "b", "c"} {
 		settledGet(t, c, k, 10)
 	}
 	resident := func() (ks string) {
 		for _, k := range []string{"a", "b", "c"} {
-			if _, ok := c.peek(k); ok {
+			if _, ok := c.Peek(k); ok {
 				ks += k
 			}
 		}
@@ -211,12 +212,12 @@ func TestCacheShrinkEvictsOldestFirst(t *testing.T) {
 		budget int64
 		want   string
 	}{{20, "bc"}, {10, "c"}, {0, ""}} {
-		l.setBudget(step.budget)
+		l.SetBudget(step.budget)
 		if got := resident(); got != step.want {
 			t.Errorf("budget %d: resident %q, want %q", step.budget, got, step.want)
 		}
 	}
-	if n := l.bytes(); n != 0 {
+	if n := l.Bytes(); n != 0 {
 		t.Errorf("resident = %d bytes after budget 0, want 0", n)
 	}
 }
@@ -225,12 +226,12 @@ func TestCacheShrinkEvictsOldestFirst(t *testing.T) {
 // the budget dropped to 0 reaches its caller but is not retained or
 // charged — a disabled budget holds nothing.
 func TestCacheBudgetDropDuringLeader(t *testing.T) {
-	l := &lru{budget: 100}
-	c := newCache[string](l, bytesOf)
+	l := &LRU{budget: 100}
+	c := New[string](l, bytesOf)
 	started, release := make(chan struct{}), make(chan struct{})
 	done := make(chan int)
 	go func() {
-		v, _, _ := c.get(context.Background(), "k", func(context.Context) (int, error) {
+		v, _, _ := c.Get(context.Background(), "k", func(context.Context) (int, error) {
 			close(started)
 			<-release
 			return 50, nil
@@ -238,15 +239,82 @@ func TestCacheBudgetDropDuringLeader(t *testing.T) {
 		done <- v
 	}()
 	<-started
-	l.setBudget(0)
+	l.SetBudget(0)
 	close(release)
 	if v := <-done; v != 50 {
 		t.Errorf("leader got %d, want 50", v)
 	}
-	if _, ok := c.peek("k"); ok {
+	if _, ok := c.Peek("k"); ok {
 		t.Error("value settled after the budget dropped to 0 is resident")
 	}
-	if n := l.bytes(); n != 0 {
+	if n := l.Bytes(); n != 0 {
 		t.Errorf("resident = %d bytes, want 0", n)
+	}
+}
+
+// TestLeaderPanicVacatesSlot: a leader whose do panics vacates its slot
+// and wakes its waiters before the panic reaches its own caller; a
+// waiter takes over and succeeds, and a lone panicking leader leaves
+// no slot behind.
+func TestLeaderPanicVacatesSlot(t *testing.T) {
+	c := New[string, int](nil, nil)
+	var calls atomic.Int32
+	started, release := make(chan struct{}), make(chan struct{})
+	do := func(context.Context) (int, error) {
+		if calls.Add(1) == 1 {
+			close(started)
+			<-release
+			panic("boom")
+		}
+		return 42, nil
+	}
+
+	recovered := make(chan any, 1)
+	go func() {
+		defer func() { recovered <- recover() }()
+		c.Get(context.Background(), "k", do)
+	}()
+	<-started
+	type outcome struct {
+		v      int
+		leader bool
+		err    error
+	}
+	waiter := make(chan outcome, 1)
+	go func() {
+		v, leader, err := c.Get(context.Background(), "k", do)
+		waiter <- outcome{v, leader, err}
+	}()
+	time.Sleep(20 * time.Millisecond) // let the waiter block on the slot
+	close(release)
+
+	if p := <-recovered; p != "boom" {
+		t.Errorf("the leader's caller recovered %v, want the panic value", p)
+	}
+	select {
+	case w := <-waiter:
+		if w.err != nil || w.v != 42 || !w.leader {
+			t.Errorf("waiter got (%d, leader %v, %v), want (42, leader true, nil)", w.v, w.leader, w.err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the waiter is still blocked on the panicked leader's slot")
+	}
+	if n := calls.Load(); n != 2 {
+		t.Errorf("do ran %d times, want 2 (the panicking leader and one takeover)", n)
+	}
+
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("a lone leader's panic did not reach its caller")
+			}
+		}()
+		c.Get(context.Background(), "lone", func(context.Context) (int, error) { panic("boom") })
+	}()
+	if n := c.Len(); n != 1 {
+		t.Errorf("%d slots after a lone panicking leader, want 1 (only k's)", n)
+	}
+	if v, leader := settledGet(t, c, "lone", 5); v != 5 || !leader {
+		t.Errorf("get(lone) after the panic = (%d, leader %v), want a fresh leader computing 5", v, leader)
 	}
 }

@@ -6,21 +6,22 @@ import (
 	"runtime/debug"
 	"testing"
 
+	"repro/internal/memo"
 	"repro/internal/pipeline"
 )
 
 // windowBytes returns the bytes runWindow allocates per call on pw
-// (window idx of its plan) under cfg once the pools — and memo, when
+// (window idx of its plan) under cfg once the pools — and wm, when
 // non-nil — are primed. GOMAXPROCS 1 keeps every take on the P that
 // held the released front-end and back-end, and a paused collector
 // keeps the pools from being drained mid-measurement.
-func windowBytes(t *testing.T, cfg pipeline.Config, sc Config, b string, pw PlanWindow, idx int, memo *planWarm) uint64 {
+func windowBytes(t *testing.T, cfg pipeline.Config, sc Config, b string, pw PlanWindow, idx int, wm *warmMemo) uint64 {
 	t.Helper()
 	p := prog(t, b).Program(1)
 	cfg = cfg.Normalize()
 	key := cfg.Key()
 	window := func() {
-		if _, ok, err := runWindow(context.Background(), cfg, key, p, sc, pw, idx, memo); err != nil || !ok {
+		if _, ok, err := runWindow(context.Background(), cfg, key, p, sc, pw, idx, wm); err != nil || !ok {
 			t.Fatalf("window: ok=%v err=%v", ok, err)
 		}
 	}
@@ -80,7 +81,7 @@ func TestWindowBytesIndependentOfFrontEndSize(t *testing.T) {
 	base := windowBytes(t, cfg, sc, bench, pw, idx, nil)
 	bp := windowBytes(t, bigBP, sc, bench, pw, idx, nil)
 	l2 := windowBytes(t, bigL2, sc, bench, pw, idx, nil)
-	shared := windowBytes(t, cfg, sc, bench, pw, idx, &planWarm{slots: map[warmKey]*warmSlot{}})
+	shared := windowBytes(t, cfg, sc, bench, pw, idx, memo.New[warmKey, *warmStart](nil, nil))
 	t.Logf("bytes per window: default %d, IndexBits 20 %d, 4x L2 %d, resuming shared warming %d", base, bp, l2, shared)
 	if bp > base+slack {
 		t.Errorf("IndexBits 20 allocates %d bytes per window, default %d: the predictor is not pooled", bp, base)

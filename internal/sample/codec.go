@@ -133,6 +133,7 @@ func (p *Plan) UnmarshalJSON(data []byte) error {
 		Program:    in.Program,
 		TotalInsts: in.TotalInsts,
 		Period:     in.Period,
+		warm:       newWarmMemo(),
 	}
 	// Each window's image is decoded over its predecessor's, so the
 	// pages consecutive checkpoints have in common stay shared, as they

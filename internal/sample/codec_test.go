@@ -13,8 +13,9 @@ import (
 	"repro/internal/pipeline"
 )
 
-// fillPlan populates v recursively so every field — including fields
-// added after this test was written — holds a distinct non-zero value,
+// fillPlan populates v recursively so every exported field — including
+// fields added after this test was written — holds a distinct non-zero
+// value (unexported state, like a plan's warming memo, is not encoded),
 // mirroring the store's Result round-trip test. Memory images cannot be
 // reflected into (their pages are unexported), so *mem.Memory fields
 // are built through the public store API with values spanning several
@@ -37,7 +38,9 @@ func fillPlan(v reflect.Value, n *uint64) {
 		fillPlan(v.Elem(), n)
 	case reflect.Struct:
 		for i := 0; i < v.NumField(); i++ {
-			fillPlan(v.Field(i), n)
+			if v.Type().Field(i).IsExported() {
+				fillPlan(v.Field(i), n)
+			}
 		}
 	case reflect.Slice:
 		s := reflect.MakeSlice(v.Type(), 2, 2)

@@ -452,9 +452,10 @@ type PlanWindow struct {
 // architectural checkpoint per window. Building it costs one raw
 // fast-forward across the program — the dominant cost of a sampled run
 // — so the experiment engine caches plans and replays them across every
-// machine configuration of a sweep. A Plan is read-only after BuildPlan
-// and safe for concurrent use; the shared warming runs record for it
-// lives beside it (warm.go), not in its fields.
+// machine configuration of a sweep. A Plan's exported fields are
+// read-only after BuildPlan, and a Plan is safe for concurrent use; the
+// functional warming its runs record (warm.go) goes into an unexported
+// memo the codec ignores.
 //
 // A Plan with Period == 0 schedules no windows: the program is too
 // short to sample and RunPlanned falls back to one exact detailed run.
@@ -469,6 +470,8 @@ type Plan struct {
 	Period uint64
 	// Windows is the schedule, in stream order.
 	Windows []PlanWindow
+
+	warm *warmMemo // shared functional warming (warm.go); nil warms privately
 }
 
 // Bytes returns the approximate resident size of the plan — the
@@ -485,10 +488,13 @@ func (p *Plan) Bytes() uint64 {
 		}
 	}
 	n := uint64(len(p.Windows)) * ckOverhead
-	if pm := memoOf(p); pm != nil {
-		var warm uint64
-		warm, mems = pm.footprint(mems)
-		n += warm
+	if p.warm != nil {
+		p.warm.Range(func(_ warmKey, ws *warmStart) {
+			if ws.ck != nil {
+				n += ckOverhead + ws.delta.Bytes()
+				mems = append(mems, ws.ck.Mem)
+			}
+		})
 	}
 	return n + mem.ResidentBytes(mems...)
 }
@@ -578,7 +584,7 @@ func buildPlan(ctx context.Context, prog *emu.Program, sc Config, totalInsts, st
 	if totalInsts != 0 && totalInsts != total {
 		return nil, fmt.Errorf("sample: %q runs %d instructions, not the stated %d", prog.Name, total, totalInsts)
 	}
-	plan := &Plan{Program: prog.Name, TotalInsts: total}
+	plan := &Plan{Program: prog.Name, TotalInsts: total, warm: newWarmMemo()}
 	period := sc.periodFor(total)
 	if period == 0 {
 		return plan, nil // too short to sample: exact fallback
@@ -630,19 +636,19 @@ func buildPlan(ctx context.Context, prog *emu.Program, sc Config, totalInsts, st
 // runWindow executes one scheduled window under cfg, whose Config.Key()
 // is cfgKey: warm a pooled front-end over the [WarmFrom, Start)
 // stretch — or resume the warming another machine of the same
-// front-end geometry recorded in memo (see warm.go) — hand the warmed
+// front-end geometry recorded in wm (see warm.go) — hand the warmed
 // machine and front-end straight to a detailed session, and run warmup
 // + measured window. Under ColdStart the checkpoint already sits at
 // Start and nothing warms. ok is false when the program halts before
 // yielding a measurable window.
-func runWindow(ctx context.Context, cfg pipeline.Config, cfgKey string, prog *emu.Program, sc Config, pw PlanWindow, idx int, memo *planWarm) (w Window, ok bool, err error) {
+func runWindow(ctx context.Context, cfg pipeline.Config, cfgKey string, prog *emu.Program, sc Config, pw PlanWindow, idx int, wm *warmMemo) (w Window, ok bool, err error) {
 	var s *pipeline.Session
 	if pw.WarmFrom == pw.Start {
 		s, err = pipeline.NewFromCheckpoint(cfg, prog, pw.Ck)
 	} else {
 		var warmer *pipeline.Warmer
 		var m *emu.Machine
-		if warmer, m, err = memo.warm(ctx, cfg, prog, pw, idx); err != nil {
+		if warmer, m, err = warm(ctx, wm, cfg, prog, pw, idx); err != nil {
 			return Window{}, false, err
 		}
 		if m == nil {
@@ -671,12 +677,12 @@ func runWindow(ctx context.Context, cfg pipeline.Config, cfgKey string, prog *em
 // process or its sibling workers down. idx names the window in the
 // schedule; the fault key "program#idx" lets clauses target one window
 // of one workload.
-func runWindowSafe(ctx context.Context, cfg pipeline.Config, cfgKey string, prog *emu.Program, sc Config, pw PlanWindow, idx int, memo *planWarm) (w Window, ok bool, err error) {
+func runWindowSafe(ctx context.Context, cfg pipeline.Config, cfgKey string, prog *emu.Program, sc Config, pw PlanWindow, idx int, wm *warmMemo) (w Window, ok bool, err error) {
 	defer fault.CatchPanic(&err, fmt.Sprintf("sample: window %d of %s", idx, prog.Name))
 	if err := fault.InjectCtx(ctx, "sample.window", fmt.Sprintf("%s#%d", prog.Name, idx)); err != nil {
 		return Window{}, false, err
 	}
-	return runWindow(ctx, cfg, cfgKey, prog, sc, pw, idx, memo)
+	return runWindow(ctx, cfg, cfgKey, prog, sc, pw, idx, wm)
 }
 
 // RunPlanned executes plan's detailed windows under cfg and returns
@@ -725,7 +731,7 @@ func RunPlanned(ctx context.Context, cfg pipeline.Config, prog *emu.Program, sc 
 		return res, nil
 	}
 	res.Period = plan.Period
-	memo := warmMemo(plan)
+	wm := plan.warming()
 
 	type slot struct {
 		w  Window
@@ -740,62 +746,48 @@ func RunPlanned(ctx context.Context, cfg pipeline.Config, prog *emu.Program, sc 
 	if workers > len(plan.Windows) {
 		workers = len(plan.Windows)
 	}
-	if workers <= 1 {
-		for i, pw := range plan.Windows {
-			w, ok, err := runWindowSafe(ctx, cfg, res.ConfigKey, prog, sc, pw, i, memo)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = slot{w, ok}
-		}
-	} else {
-		wctx, cancel := context.WithCancel(ctx)
-		defer cancel()
-		var (
-			next   atomic.Int64
-			wg     sync.WaitGroup
-			errMu  sync.Mutex
-			werr   error
-			werrAt = int64(len(plan.Windows))
-		)
-		for g := 0; g < workers; g++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := next.Add(1) - 1
-					if i >= int64(len(plan.Windows)) {
-						return
-					}
-					w, ok, err := runWindowSafe(wctx, cfg, res.ConfigKey, prog, sc, plan.Windows[i], int(i), memo)
-					if err != nil {
-						// Keep the earliest-indexed error so the
-						// reported failure does not depend on worker
-						// scheduling.
-						errMu.Lock()
-						if i < werrAt {
-							werrAt, werr = i, err
-						}
-						errMu.Unlock()
-						cancel()
-						return
-					}
-					out[i] = slot{w, ok}
+	wctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	var (
+		next   atomic.Int64
+		wg     sync.WaitGroup
+		errMu  sync.Mutex
+		werr   error
+		werrAt = int64(len(plan.Windows))
+	)
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := next.Add(1) - 1
+				if i >= int64(len(plan.Windows)) {
+					return
 				}
-			}()
-		}
-		wg.Wait()
-		if werr != nil {
-			// A cancellation-induced error from a later window must not
-			// mask the caller's own context error.
-			if err := ctx.Err(); err != nil {
-				return nil, err
+				w, ok, err := runWindowSafe(wctx, cfg, res.ConfigKey, prog, sc, plan.Windows[i], int(i), wm)
+				if err != nil {
+					// Keep the earliest-indexed error so the reported
+					// failure does not depend on worker scheduling.
+					errMu.Lock()
+					if i < werrAt {
+						werrAt, werr = i, err
+					}
+					errMu.Unlock()
+					cancel()
+					return
+				}
+				out[i] = slot{w, ok}
 			}
-			return nil, werr
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
+		}()
+	}
+	wg.Wait()
+	// A cancellation-induced error from a later window must not mask
+	// the caller's own context error.
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	if werr != nil {
+		return nil, werr
 	}
 
 	for _, s := range out {

@@ -16,13 +16,10 @@ package sample
 
 import (
 	"context"
-	"runtime"
-	"sync"
 	"sync/atomic"
-	"weak"
 
 	"repro/internal/emu"
-	"repro/internal/mem"
+	"repro/internal/memo"
 	"repro/internal/pipeline"
 )
 
@@ -41,25 +38,12 @@ type warmKey struct {
 	window int
 }
 
-// warmSlot is one memo slot. The leader that created it sets ws (nil on
-// failure) and closes done; waiters block on done.
-type warmSlot struct {
-	done chan struct{}
-	ws   *warmStart
-}
+// warmMemo is a plan's shared-warming memo: the recorded warming of
+// each (geometry, window) run so far. It is a field of the plan, so it
+// lives and dies with it; the plan codec ignores it.
+type warmMemo = memo.Cache[warmKey, *warmStart]
 
-// planWarm is the warming memo of one plan.
-type planWarm struct {
-	mu       sync.Mutex
-	slots    map[warmKey]*warmSlot
-	recorded int // slots holding a recorded warming
-}
-
-// planWarms maps each live plan (weakly, so the memo never keeps a plan
-// alive) to its *planWarm. A cleanup drops the entry when the plan is
-// collected; the memo lives outside Plan so the plan stays a plain,
-// serializable value.
-var planWarms sync.Map
+func newWarmMemo() *warmMemo { return memo.New[warmKey, *warmStart](nil, nil) }
 
 // warmBuilds and warmHits count windows warmed by a pass of their own
 // and windows that reused another machine's warming.
@@ -83,29 +67,14 @@ func Warming() WarmStats {
 // equivalence test compares against.
 var privateWarming atomic.Bool
 
-// warmMemo returns plan's warming memo, creating it on first use; nil
-// (every window warms privately) under privateWarming.
-func warmMemo(plan *Plan) *planWarm {
+// warming returns the plan's warming memo; nil (every window warms
+// privately) under privateWarming or for a plan that was neither built
+// nor decoded.
+func (p *Plan) warming() *warmMemo {
 	if privateWarming.Load() {
 		return nil
 	}
-	if pm := memoOf(plan); pm != nil {
-		return pm
-	}
-	k := weak.Make(plan)
-	v, loaded := planWarms.LoadOrStore(k, &planWarm{slots: map[warmKey]*warmSlot{}})
-	if !loaded {
-		runtime.AddCleanup(plan, func(k weak.Pointer[Plan]) { planWarms.Delete(k) }, k)
-	}
-	return v.(*planWarm)
-}
-
-// memoOf returns plan's warming memo, or nil if it has none.
-func memoOf(plan *Plan) *planWarm {
-	if v, ok := planWarms.Load(weak.Make(plan)); ok {
-		return v.(*planWarm)
-	}
-	return nil
+	return p.warm
 }
 
 // Warmed returns how many window warmings plan's shared-warming memo
@@ -113,102 +82,45 @@ func memoOf(plan *Plan) *planWarm {
 // adds its delta and checkpoint to Bytes, so a cache that charged the
 // plan's size should re-size it when Warmed moves.
 func (p *Plan) Warmed() int {
-	pm := memoOf(p)
-	if pm == nil {
-		return 0
+	n := 0
+	if p.warm != nil {
+		p.warm.Range(func(warmKey, *warmStart) { n++ })
 	}
-	pm.mu.Lock()
-	defer pm.mu.Unlock()
-	return pm.recorded
-}
-
-// footprint returns the bytes of the memo's recorded deltas and
-// checkpoint headers, and appends each recorded checkpoint's memory
-// image to mems (they share most pages with the plan's own).
-func (pm *planWarm) footprint(mems []*mem.Memory) (uint64, []*mem.Memory) {
-	pm.mu.Lock()
-	defer pm.mu.Unlock()
-	var n uint64
-	for _, slot := range pm.slots {
-		if ws := slot.ws; ws != nil && ws.ck != nil {
-			n += ckOverhead + ws.delta.Bytes()
-			mems = append(mems, ws.ck.Mem)
-		}
-	}
-	return n, mems
+	return n
 }
 
 // warm returns a warmer and a machine standing at pw.Start — pw is the
-// plan's window idx — ready for
-// Warmer.Seed, or a nil machine when the program halts before the
-// window starts. The first caller for (geometry, window) warms and
-// records its state; concurrent callers wait for it, later ones resume
-// the record. A leader that fails — canceled, or panicking — vacates
-// its slot before waking the waiters, and one of them takes over, so a
+// plan's window idx — ready for Warmer.Seed, or a nil machine when the
+// program halts before the window starts. The first caller for
+// (geometry, window) warms and records its state in wm; concurrent
+// callers wait for it, later ones resume the record. A leader that is
+// canceled or panics vacates its slot, and a waiter takes over, so a
 // failure never poisons the memo. A nil memo warms privately.
-func (pm *planWarm) warm(ctx context.Context, cfg pipeline.Config, prog *emu.Program, pw PlanWindow, idx int) (*pipeline.Warmer, *emu.Machine, error) {
-	if pm == nil {
+func warm(ctx context.Context, wm *warmMemo, cfg pipeline.Config, prog *emu.Program, pw PlanWindow, idx int) (w *pipeline.Warmer, m *emu.Machine, err error) {
+	if wm == nil {
 		return warmPrivate(ctx, cfg, prog, pw)
 	}
-	key := warmKey{cfg.FrontKey(), idx}
-	for {
-		pm.mu.Lock()
-		slot, ok := pm.slots[key]
-		if !ok {
-			slot = &warmSlot{done: make(chan struct{})}
-			pm.slots[key] = slot
+	ws, leader, err := wm.Get(ctx, warmKey{cfg.FrontKey(), idx}, func(ctx context.Context) (*warmStart, error) {
+		if w, m, err = warmPrivate(ctx, cfg, prog, pw); err != nil {
+			return nil, err
 		}
-		pm.mu.Unlock()
-		if !ok {
-			return pm.lead(ctx, cfg, prog, pw, key, slot)
+		warmBuilds.Add(1)
+		if m == nil {
+			return &warmStart{}, nil
 		}
-		select {
-		case <-slot.done:
-		case <-ctx.Done():
-			return nil, nil, ctx.Err()
-		}
-		ws := slot.ws
-		if ws == nil {
-			continue // the leader failed and vacated the slot
-		}
-		warmHits.Add(1)
-		if ws.ck == nil {
-			return nil, nil, nil
-		}
-		w, err := pipeline.NewWarmerFrom(cfg, ws.delta)
-		if err != nil {
-			return nil, nil, err
-		}
-		return w, emu.NewAt(prog, ws.ck), nil
+		return &warmStart{delta: w.Delta(), ck: m.Snapshot()}, nil
+	})
+	if err != nil || leader {
+		return w, m, err
 	}
-}
-
-// lead warms the window for slot's geometry, records the result in the
-// slot and wakes the waiters — on every return path, panics included.
-func (pm *planWarm) lead(ctx context.Context, cfg pipeline.Config, prog *emu.Program, pw PlanWindow, key warmKey, slot *warmSlot) (w *pipeline.Warmer, m *emu.Machine, err error) {
-	var ws *warmStart
-	defer func() {
-		pm.mu.Lock()
-		if ws == nil {
-			delete(pm.slots, key)
-		} else {
-			pm.recorded++
-		}
-		slot.ws = ws
-		pm.mu.Unlock()
-		close(slot.done)
-	}()
-	w, m, err = warmPrivate(ctx, cfg, prog, pw)
-	if err != nil {
-		return nil, nil, err
-	}
-	warmBuilds.Add(1)
-	if m == nil {
-		ws = &warmStart{}
+	warmHits.Add(1)
+	if ws.ck == nil {
 		return nil, nil, nil
 	}
-	ws = &warmStart{delta: w.Delta(), ck: m.Snapshot()}
-	return w, m, nil
+	if w, err = pipeline.NewWarmerFrom(cfg, ws.delta); err != nil {
+		return nil, nil, err
+	}
+	return w, emu.NewAt(prog, ws.ck), nil
 }
 
 // warmPrivate resumes the emulator at pw's checkpoint and warms a

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/asm"
 	"repro/internal/emu"
+	"repro/internal/memo"
 	"repro/internal/pipeline"
 	"repro/internal/scenario"
 	"repro/internal/workloads"
@@ -164,7 +165,7 @@ func TestWarmMemoCollapsesConcurrentRequests(t *testing.T) {
 	if err != nil || rm == nil {
 		t.Fatalf("private warming: %v", err)
 	}
-	memo := &planWarm{slots: map[warmKey]*warmSlot{}}
+	wm := memo.New[warmKey, *warmStart](nil, nil)
 	before := Warming()
 	const n = 8
 	var wg sync.WaitGroup
@@ -173,7 +174,7 @@ func TestWarmMemoCollapsesConcurrentRequests(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			w, m, err := memo.warm(context.Background(), cfg, p, plan.Windows[idx], idx)
+			w, m, err := warm(context.Background(), wm, cfg, p, plan.Windows[idx], idx)
 			ok[g] = err == nil && m != nil && sameWarm(w, m, rw, rm)
 		}()
 	}
@@ -200,11 +201,11 @@ func TestWarmLeaderFailureHandsOff(t *testing.T) {
 	if err != nil || rm == nil {
 		t.Fatalf("private warming: %v", err)
 	}
-	memo := &planWarm{slots: map[warmKey]*warmSlot{}}
+	wm := memo.New[warmKey, *warmStart](nil, nil)
 
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := memo.warm(canceled, cfg, p, pw, idx); !errors.Is(err, context.Canceled) {
+	if _, _, err := warm(canceled, wm, cfg, p, pw, idx); !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled leader: err %v, want context.Canceled", err)
 	}
 	func() {
@@ -215,16 +216,16 @@ func TestWarmLeaderFailureHandsOff(t *testing.T) {
 		}()
 		broken := pw
 		broken.Ck = nil
-		memo.warm(context.Background(), cfg, p, broken, idx)
+		warm(context.Background(), wm, cfg, p, broken, idx)
 	}()
-	if n := len(memo.slots); n != 0 {
+	if n := wm.Len(); n != 0 {
 		t.Fatalf("failed leaders left %d slots behind", n)
 	}
-	w, m, err := memo.warm(context.Background(), cfg, p, pw, idx)
+	w, m, err := warm(context.Background(), wm, cfg, p, pw, idx)
 	if err != nil || m == nil || !sameWarm(w, m, rw, rm) {
 		t.Fatalf("the caller after failed leaders: err %v, state matches private warming: %v", err, m != nil && sameWarm(w, m, rw, rm))
 	}
-	w, m, err = memo.warm(context.Background(), cfg, p, pw, idx)
+	w, m, err = warm(context.Background(), wm, cfg, p, pw, idx)
 	if err != nil || m == nil || !sameWarm(w, m, rw, rm) {
 		t.Fatal("resuming the recorded warming differs from private warming")
 	}
