@@ -319,7 +319,7 @@ func run(ctx context.Context, args []string) error {
 		// the same exper.Stats snapshot.
 		defer func() { fmt.Fprintln(os.Stderr, engine.Stats()) }()
 	}
-	opts := harness.Options{Scale: *scale, Parallelism: *parallel, Engine: engine, Sample: sampleCfg}
+	opts := harness.Options{Scale: *scale, Engine: engine, Sample: sampleCfg}
 	out := os.Stdout
 
 	experiments := map[string]func(context.Context) error{

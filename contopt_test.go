@@ -4,6 +4,9 @@ import (
 	"context"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/workloads"
 )
 
 func TestAssembleAndRunRoundTrip(t *testing.T) {
@@ -48,9 +51,9 @@ func TestAssembleError(t *testing.T) {
 }
 
 func TestBenchmarkRegistryAccess(t *testing.T) {
-	all := Benchmarks()
+	all := workloads.All()
 	if len(all) != 22 {
-		t.Fatalf("Benchmarks() = %d entries, want 22", len(all))
+		t.Fatalf("workloads.All() = %d entries, want 22", len(all))
 	}
 	b, err := BenchmarkByName("untst")
 	if err != nil || b.Suite != "mediabench" {
@@ -76,11 +79,11 @@ func TestRunBenchmark(t *testing.T) {
 
 func TestConfigConstructors(t *testing.T) {
 	def := DefaultConfig()
-	if def.Opt.Mode != ModeFull {
+	if def.Opt.Mode != core.ModeFull {
 		t.Error("DefaultConfig should enable full optimization")
 	}
 	base := BaselineConfig()
-	if base.Opt.Mode != ModeBaseline {
+	if base.Opt.Mode != core.ModeBaseline {
 		t.Error("BaselineConfig should disable the optimizer")
 	}
 	if def.MinBranchLoop() != base.MinBranchLoop()+def.OptStages {

@@ -121,7 +121,7 @@ func TestMatrixCancellationReturnsAndJoins(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 		cancel()
 	}()
-	cells, err := r.Matrix(ctx, benches, cfgs, benches[0].DefaultScale)
+	cells, err := r.Matrix(ctx, benches, cfgs, benches[0].DefaultScale, nil, nil)
 	if err == nil {
 		t.Skip("matrix finished before the cancel landed")
 	}
@@ -132,7 +132,7 @@ func TestMatrixCancellationReturnsAndJoins(t *testing.T) {
 		t.Errorf("error %v should wrap context.Canceled", err)
 	}
 	// The engine must remain usable for the same cells afterwards.
-	cells, err = r.Matrix(context.Background(), benches, cfgs, 1)
+	cells, err = r.Matrix(context.Background(), benches, cfgs, 1, nil, nil)
 	if err != nil || len(cells) != len(benches) {
 		t.Fatalf("engine unusable after canceled matrix: (%v, %v)", cells, err)
 	}

@@ -27,6 +27,7 @@ import (
 	"repro/internal/pipeline"
 	"repro/internal/sample"
 	"repro/internal/store"
+	"repro/internal/workloads"
 )
 
 // TestChaosWriteBehindDegrades is the headline acceptance scenario:
@@ -241,6 +242,54 @@ func TestChaosPanickingCellContained(t *testing.T) {
 	}
 	if !strings.Contains(st.String(), "1 panics recovered") {
 		t.Errorf("stats line missing the recovered panic:\n%s", st.String())
+	}
+}
+
+// TestMatrixCallbackPanicCancelsAndJoins: Matrix's per-cell fan-out
+// is a panic boundary. A done callback that panics on one cell fails
+// the call with a *PanicError naming that cell, cancels its sibling
+// cells (here wedged in a hang that only cancellation ends), and joins
+// every cell goroutine before returning: no cell still holds a
+// worker-pool slot once Matrix is back.
+func TestMatrixCallbackPanicCancelsAndJoins(t *testing.T) {
+	defer fault.Reset()
+	if err := fault.Enable("exper.cell:hang=30s:key=mcf/"); err != nil {
+		t.Fatal(err)
+	}
+	r := NewRunner(4)
+	benches := []*workloads.Benchmark{bench(t, "untst"), bench(t, "mcf")}
+	cfgs := []pipeline.Config{pipeline.DefaultConfig().Baseline(), pipeline.DefaultConfig()}
+
+	start := time.Now()
+	cells, err := r.Matrix(context.Background(), benches, cfgs, 1, nil, func(bi, ci int) {
+		if bi != 0 || ci != 0 {
+			return
+		}
+		// Panic only once both mcf cells are wedged, so the panic has
+		// live siblings to cancel.
+		for deadline := time.Now().Add(10 * time.Second); fault.Fires("exper.cell") < 2 && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
+		panic("callback boom")
+	})
+	if cells != nil {
+		t.Error("a Matrix that failed returned cells")
+	}
+	pe := fault.AsPanic(err)
+	if pe == nil {
+		t.Fatalf("Matrix with a panicking callback returned %v, want *PanicError", err)
+	}
+	if want := "untst/" + cfgs[0].Name; !strings.Contains(pe.Op, want) || pe.Value != "callback boom" || pe.Stack == "" {
+		t.Errorf("PanicError op=%q value=%v stack=%d bytes; want the op to name cell %s", pe.Op, pe.Value, len(pe.Stack), want)
+	}
+	if n := fault.Fires("exper.cell"); n != 2 {
+		t.Errorf("%d cells hung, want both mcf cells", n)
+	}
+	if busy := len(r.sem); busy != 0 {
+		t.Errorf("%d cells still hold a worker slot after Matrix returned", busy)
+	}
+	if d := time.Since(start); d > 20*time.Second {
+		t.Errorf("Matrix took %s: the hung siblings were not canceled", d)
 	}
 }
 

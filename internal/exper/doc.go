@@ -53,16 +53,16 @@
 //
 // # Sampled simulation
 //
-// RunSampled/SampledMatrix/SweepSampled are the sampled-simulation
-// mode: cells become statistical estimates from periodic detailed
-// windows (internal/sample) instead of exact runs. Sampled results are
-// memoized in their own cache, keyed additionally by the sampling
-// regime, so an exact result and a sampled estimate of the same triple
-// can never collide — in memory or in the store. Engine-level progress
-// observers apply to exact simulations only: a sampled run's detailed
-// windows are hundreds of instructions each — orders of magnitude
-// shorter than a telemetry interval — so no interval would ever close
-// inside one.
+// RunSampled, SweepSampled and Matrix with a non-nil *sample.Config
+// are the sampled-simulation mode: cells become statistical estimates
+// from periodic detailed windows (internal/sample) instead of exact
+// runs. Sampled results are memoized in their own cache, keyed
+// additionally by the sampling regime, so an exact result and a
+// sampled estimate of the same triple can never collide — in memory or
+// in the store. Engine-level progress observers apply to exact
+// simulations only: a sampled run's detailed windows are hundreds of
+// instructions each — orders of magnitude shorter than a telemetry
+// interval — so no interval would ever close inside one.
 //
 // # Declarative sweeps
 //

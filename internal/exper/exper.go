@@ -599,64 +599,90 @@ func (r *Runner) emulate(ctx context.Context, bench *workloads.Benchmark, scale 
 	return m.InstCount(), nil
 }
 
-// Matrix simulates every benchmark under every configuration and
-// returns results indexed [benchmark][config], parallel to the inputs.
-// All cells run concurrently under the worker pool; duplicate
-// (config, benchmark, scale) cells — within this call or against the
-// runner's history — are simulated once. On error (including
-// cancellation) Matrix cancels the remaining cells, waits for every
-// worker goroutine to exit, and returns the first error observed.
-func (r *Runner) Matrix(ctx context.Context, benches []*workloads.Benchmark, cfgs []pipeline.Config, scale int) ([][]*pipeline.Result, error) {
-	return r.matrix(ctx, benches, cfgs, func(ctx context.Context, cfg pipeline.Config, b *workloads.Benchmark) (*pipeline.Result, error) {
-		return r.Run(ctx, cfg, b, scale)
-	})
-}
-
-// SampledMatrix is Matrix under sampled simulation: every cell is a
-// RunSampled estimate rendered as a whole-run pipeline.Result (Sampled
-// set, Cycles estimated, event counters extrapolated), so artifact
-// formatting over the cells is identical to the exact path.
-func (r *Runner) SampledMatrix(ctx context.Context, benches []*workloads.Benchmark, cfgs []pipeline.Config, scale int, sc sample.Config) ([][]*pipeline.Result, error) {
-	return r.matrix(ctx, benches, cfgs, func(ctx context.Context, cfg pipeline.Config, b *workloads.Benchmark) (*pipeline.Result, error) {
-		sr, err := r.RunSampled(ctx, cfg, b, scale, sc)
-		if err != nil {
-			return nil, err
+// Matrix simulates every benchmark under every configuration —
+// exactly when sc is nil, by sampled estimation under *sc otherwise —
+// and returns results indexed [benchmark][config], parallel to the
+// inputs. A sampled cell is its RunSampled estimate rendered as a
+// whole-run pipeline.Result (Sampled set, Cycles estimated, event
+// counters extrapolated), so formatting over the cells is identical on
+// both paths. All cells run concurrently under the worker pool;
+// duplicate cells — within this call or against the runner's history —
+// are simulated once. done, when non-nil, is called on the cell's
+// goroutine as each cell finishes. On error (including cancellation
+// and a panic in a cell or in done) Matrix cancels the remaining
+// cells, waits for every cell goroutine to exit, and returns the first
+// error observed.
+func (r *Runner) Matrix(ctx context.Context, benches []*workloads.Benchmark, cfgs []pipeline.Config, scale int, sc *sample.Config, done func(bi, ci int)) ([][]*pipeline.Result, error) {
+	out := make([][]*pipeline.Result, len(benches))
+	for i := range out {
+		out[i] = make([]*pipeline.Result, len(cfgs))
+	}
+	err := r.fanOut(ctx, benches, cfgs, scale, sc, nil, func(bi, ci int, res *pipeline.Result) {
+		out[bi][ci] = res
+		if done != nil {
+			done(bi, ci)
 		}
-		return sr.Estimate(), nil
 	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
-// matrix fans every (benchmark, config) cell out over the worker pool.
-func (r *Runner) matrix(ctx context.Context, benches []*workloads.Benchmark, cfgs []pipeline.Config, cell func(context.Context, pipeline.Config, *workloads.Benchmark) (*pipeline.Result, error)) ([][]*pipeline.Result, error) {
+// fanOut is the engine's one fan-out over a benchmarks × configs
+// matrix: every cell that keep admits (keep gets the benchmark-major
+// cell index; nil admits all) runs on its own goroutine, and done
+// receives each finished cell's result on that goroutine. Each cell is
+// a panic-containment boundary, so a panic in done or on the cell's own
+// path fails the call with a *fault.PanicError naming the cell instead
+// of crashing the process. The first error cancels the remaining
+// cells; fanOut returns it only after every cell goroutine has exited.
+func (r *Runner) fanOut(ctx context.Context, benches []*workloads.Benchmark, cfgs []pipeline.Config, scale int, sc *sample.Config, keep func(idx int) bool, done func(bi, ci int, res *pipeline.Result)) error {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	out := make([][]*pipeline.Result, len(benches))
 	var (
 		wg       sync.WaitGroup
 		errOnce  sync.Once
 		firstErr error
 	)
-	for i, b := range benches {
-		out[i] = make([]*pipeline.Result, len(cfgs))
-		for c := range cfgs {
+	for bi, b := range benches {
+		for ci := range cfgs {
+			if keep != nil && !keep(bi*len(cfgs)+ci) {
+				continue
+			}
 			wg.Add(1)
-			go func(i, c int, b *workloads.Benchmark) {
+			go func() {
 				defer wg.Done()
-				res, err := cell(ctx, cfgs[c], b)
+				err := func() (err error) {
+					defer fault.CatchPanic(&err, "exper: cell "+b.Name+"/"+cfgs[ci].Name)
+					res, err := r.evaluate(ctx, cfgs[ci], b, scale, sc)
+					if err == nil {
+						done(bi, ci, res)
+					}
+					return err
+				}()
 				if err != nil {
 					errOnce.Do(func() {
 						firstErr = err
 						cancel()
 					})
-					return
 				}
-				out[i][c] = res
-			}(i, c, b)
+			}()
 		}
 	}
 	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	return firstErr
+}
+
+// evaluate runs one cell: Run when sc is nil, otherwise the RunSampled
+// estimate under *sc as a whole-run Result.
+func (r *Runner) evaluate(ctx context.Context, cfg pipeline.Config, b *workloads.Benchmark, scale int, sc *sample.Config) (*pipeline.Result, error) {
+	if sc == nil {
+		return r.Run(ctx, cfg, b, scale)
 	}
-	return out, nil
+	sr, err := r.RunSampled(ctx, cfg, b, scale, *sc)
+	if err != nil {
+		return nil, err
+	}
+	return sr.Estimate(), nil
 }

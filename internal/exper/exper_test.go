@@ -129,7 +129,7 @@ func TestMatrixDedupsAcrossCells(t *testing.T) {
 	renamed.Name = "alias"
 	cfgs := []pipeline.Config{def.Baseline(), def, renamed}
 
-	cells, err := r.Matrix(context.Background(), benches, cfgs, 1)
+	cells, err := r.Matrix(context.Background(), benches, cfgs, 1, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

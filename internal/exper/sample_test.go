@@ -104,15 +104,17 @@ func TestSampledKeyIncludesRegime(t *testing.T) {
 	}
 }
 
-// TestSampledMatrixShape: SampledMatrix returns estimates shaped like
-// Matrix output, each cell tagged Sampled with the effective scale.
-func TestSampledMatrixShape(t *testing.T) {
+// TestMatrixSampledShape: Matrix under a sampling regime returns
+// estimates shaped like exact Matrix output, each cell tagged Sampled
+// with the effective scale.
+func TestMatrixSampledShape(t *testing.T) {
 	ctx := context.Background()
 	r := NewRunner(2)
 	benches := []*workloads.Benchmark{testBench(t, "untst"), testBench(t, "tst")}
 	cfgs := []pipeline.Config{pipeline.DefaultConfig().Baseline(), pipeline.DefaultConfig()}
 
-	cells, err := r.SampledMatrix(ctx, benches, cfgs, 1, sample.DefaultConfig())
+	sc := sample.DefaultConfig()
+	cells, err := r.Matrix(ctx, benches, cfgs, 1, &sc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,12 +17,10 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"sync"
 
 	"repro/internal/pipeline"
 	"repro/internal/sample"
 	"repro/internal/store"
-	"repro/internal/workloads"
 )
 
 // Shard identifies one partition of a sweep: this process owns every
@@ -102,51 +100,18 @@ func (r *Runner) SweepShard(ctx context.Context, spec *SweepSpec, sh Shard, sc *
 	if err != nil {
 		return rep, err
 	}
-	var sampled sample.Config
 	if sc != nil {
-		sampled = sc.Normalize()
-		if err := sampled.Validate(); err != nil {
+		if err := sc.Normalize().Validate(); err != nil {
 			return rep, err
 		}
 	}
-
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var (
-		wg       sync.WaitGroup
-		errOnce  sync.Once
-		firstErr error
-	)
-	for bi, b := range benches {
-		for ci := range cfgs {
-			rep.TotalCells++
-			if !sh.owns(bi*len(cfgs) + ci) {
-				continue
-			}
+	rep.TotalCells = len(benches) * len(cfgs)
+	for idx := range rep.TotalCells {
+		if sh.owns(idx) {
 			rep.OwnedCells++
-			wg.Add(1)
-			go func(ci int, b *workloads.Benchmark) {
-				defer wg.Done()
-				var err error
-				if sc != nil {
-					_, err = r.RunSampled(ctx, cfgs[ci], b, spec.Scale, sampled)
-				} else {
-					_, err = r.Run(ctx, cfgs[ci], b, spec.Scale)
-				}
-				if err != nil {
-					errOnce.Do(func() {
-						firstErr = err
-						cancel()
-					})
-				}
-			}(ci, b)
 		}
 	}
-	wg.Wait()
-	if firstErr != nil {
-		return rep, firstErr
-	}
-	return rep, nil
+	return rep, r.fanOut(ctx, benches, cfgs, spec.Scale, sc, sh.owns, func(int, int, *pipeline.Result) {})
 }
 
 // SweepMerge assembles spec's full table from the store alone — no

@@ -480,12 +480,7 @@ func (r *Runner) sweep(ctx context.Context, spec *SweepSpec, sc *sample.Config) 
 	if err != nil {
 		return nil, err
 	}
-	var cells [][]*pipeline.Result
-	if sc != nil {
-		cells, err = r.SampledMatrix(ctx, benches, cfgs, spec.Scale, *sc)
-	} else {
-		cells, err = r.Matrix(ctx, benches, cfgs, spec.Scale)
-	}
+	cells, err := r.Matrix(ctx, benches, cfgs, spec.Scale, sc, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -31,7 +31,6 @@ import (
 	"repro/internal/exper"
 	"repro/internal/pipeline"
 	"repro/internal/sample"
-	"repro/internal/store"
 	"repro/internal/workloads"
 )
 
@@ -41,9 +40,6 @@ type Options struct {
 	// Experiments at Scale 1 run in seconds; the default scales match
 	// the EXPERIMENTS.md numbers.
 	Scale int
-	// Parallelism bounds concurrent simulations (0 = GOMAXPROCS). It is
-	// ignored when Engine is set; the engine's pool governs then.
-	Parallelism int
 	// Machine is the base machine template (zero value = DefaultConfig).
 	Machine pipeline.Config
 	// Engine memoizes and deduplicates simulations. Share one engine
@@ -57,32 +53,18 @@ type Options struct {
 	// much faster at large scale, accurate to the reported confidence
 	// interval. Sampled and exact results are cached separately.
 	Sample *sample.Config
-	// Store, when non-nil, backs simulation with the persistent result
-	// store: finished cells are durable across processes, and a rerun
-	// of the same artifact — in this process or a later one — reloads
-	// them instead of resimulating, which is what makes interrupted
-	// artifact builds resumable. When Engine is set, attach the store
-	// to that engine instead (exper.Runner.SetStore); this field then
-	// has no effect, since the engine's layering governs.
-	Store *store.Store
 }
 
 func (o Options) machine() pipeline.Config {
 	return o.Machine.Normalize()
 }
 
-// engine returns the shared engine, or builds a private one bounded by
-// o.Parallelism and backed by o.Store — so even engine-less artifact
-// calls share results durably through the store.
+// engine returns the shared engine, or a private one for this call.
 func (o Options) engine() *exper.Runner {
 	if o.Engine != nil {
 		return o.Engine
 	}
-	r := exper.NewRunner(o.Parallelism)
-	if o.Store != nil {
-		r.SetStore(o.Store)
-	}
-	return r
+	return exper.NewRunner(0)
 }
 
 // suiteRun holds one benchmark's results across a set of configurations.
@@ -96,15 +78,7 @@ type suiteRun struct {
 // estimation when Options.Sample is set. Canceling ctx aborts the
 // remaining cells and surfaces the cancellation error.
 func (o Options) runMatrix(ctx context.Context, benches []*workloads.Benchmark, cfgs []pipeline.Config) ([]suiteRun, error) {
-	var (
-		cells [][]*pipeline.Result
-		err   error
-	)
-	if o.Sample != nil {
-		cells, err = o.engine().SampledMatrix(ctx, benches, cfgs, o.Scale, *o.Sample)
-	} else {
-		cells, err = o.engine().Matrix(ctx, benches, cfgs, o.Scale)
-	}
+	cells, err := o.engine().Matrix(ctx, benches, cfgs, o.Scale, o.Sample, nil)
 	if err != nil {
 		return nil, err
 	}

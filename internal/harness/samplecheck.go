@@ -91,7 +91,7 @@ func (o Options) SampleCheckData(ctx context.Context, names []string, toleranceP
 	cfgs := []pipeline.Config{o.machine().Baseline(), o.machine()}
 
 	start := time.Now()
-	exact, err := eng.Matrix(ctx, benches, cfgs, o.Scale)
+	exact, err := eng.Matrix(ctx, benches, cfgs, o.Scale, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -102,7 +102,7 @@ func (o Options) SampleCheckData(ctx context.Context, names []string, toleranceP
 	// Reuse the engine's fan-out by requesting estimates first (cells
 	// run concurrently under the pool); the per-cell RunSampled calls
 	// below are then cache hits that fetch the full sample.Result.
-	if _, err := eng.SampledMatrix(ctx, benches, cfgs, o.Scale, sc); err != nil {
+	if _, err := eng.Matrix(ctx, benches, cfgs, o.Scale, &sc, nil); err != nil {
 		return nil, err
 	}
 	for i, b := range benches {

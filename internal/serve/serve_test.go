@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"repro/internal/exper"
+	"repro/internal/sample"
 )
 
 // newTestServer wires a Server over a fresh engine behind an httptest
@@ -208,6 +209,49 @@ func TestSubmitSampledSweep(t *testing.T) {
 	done := waitState(t, ts.URL, v.ID, StateDone)
 	if done.Result == nil || !strings.Contains(done.Result.Table, "tst") {
 		t.Fatalf("sampled job result missing: %+v", done.Result)
+	}
+}
+
+// TestServedTableMatchesSweep pins serve onto the engine's shared
+// fan-out: a served exact job and a served sampled job render a table
+// byte-identical to Runner.Sweep and Runner.SweepSampled of the same
+// spec on a fresh engine, and every cell reports its completion.
+func TestServedTableMatchesSweep(t *testing.T) {
+	const spec = `{"title": "served vs direct", "benchmarks": ["mcf", "untst", "tst"], "scale": 1,
+		"per_benchmark": true, "variants": [{"label": "opt"}, {"label": "mbc32", "set": {"Opt.MBCEntries": 32}}]}`
+	_, ts, _ := newTestServer(t, 2, Config{})
+	for _, sampled := range []bool{false, true} {
+		body := fmt.Sprintf(`{"tenant": "eq", "sampled": %t, "spec": %s}`, sampled, spec)
+		v, status, _ := submit(t, ts.URL, body)
+		if status != http.StatusAccepted {
+			t.Fatalf("sampled=%t: submit status = %d", sampled, status)
+		}
+		done := waitState(t, ts.URL, v.ID, StateDone)
+		if done.Result == nil || done.Cells.Done != done.Cells.Total || done.Cells.Total != 9 {
+			t.Fatalf("sampled=%t: done job cells %+v, result %v", sampled, done.Cells, done.Result)
+		}
+
+		sp, err := exper.ParseSpec([]byte(spec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng := exper.NewRunner(2)
+		var direct *exper.SweepResult
+		if sampled {
+			direct, err = eng.SweepSampled(context.Background(), sp, sample.DefaultConfig())
+		} else {
+			direct, err = eng.Sweep(context.Background(), sp)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want strings.Builder
+		if err := direct.WriteTable(&want); err != nil {
+			t.Fatal(err)
+		}
+		if done.Result.Table != want.String() {
+			t.Errorf("sampled=%t: served table differs from the direct sweep:\n%s\nvs\n%s", sampled, done.Result.Table, want.String())
+		}
 	}
 }
 

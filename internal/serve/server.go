@@ -16,9 +16,7 @@ import (
 
 	"repro/internal/exper"
 	"repro/internal/fault"
-	"repro/internal/pipeline"
 	"repro/internal/sample"
-	"repro/internal/workloads"
 )
 
 // Defaults for Config's zero values.
@@ -104,8 +102,8 @@ type Server struct {
 	start  time.Time
 }
 
-// New builds a Server over engine. The engine should already carry its
-// store/trace configuration; the server only adds an observer for SSE
+// New builds a Server over engine. Attach the engine's store and set
+// its budgets before calling; the server only adds an observer for SSE
 // interval telemetry (unless cfg.ProgressInterval < 0).
 func New(engine *exper.Runner, cfg Config) *Server {
 	if cfg.MaxJobs <= 0 {
@@ -276,61 +274,19 @@ func (s *Server) executeSafe(ctx context.Context, j *Job) (res *exper.SweepResul
 	return s.execute(ctx, j)
 }
 
-// runSweep executes j's cells over the shared engine, emitting one cell
-// event per completion. Identical cells across concurrent jobs collapse
-// in the engine's singleflight (and read through the persistent store),
-// so this loop costs one simulation per unique cell process-wide.
+// runSweep executes j's cells over the shared engine's fan-out,
+// emitting one cell event per completion. Identical cells across
+// concurrent jobs collapse in the engine's singleflight (and read
+// through the persistent store), so a job costs one simulation per
+// unique cell process-wide.
 func (s *Server) runSweep(ctx context.Context, j *Job) (*exper.SweepResult, error) {
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	cells := make([][]*pipeline.Result, len(j.benches))
-	var (
-		wg       sync.WaitGroup
-		errOnce  sync.Once
-		firstErr error
-	)
-	for bi := range j.benches {
-		cells[bi] = make([]*pipeline.Result, len(j.cfgs))
-		for ci := range j.cfgs {
-			wg.Add(1)
-			go func(bi, ci int) {
-				defer wg.Done()
-				b := j.benches[bi]
-				res, err := s.runCell(ctx, j, b, ci)
-				if err != nil {
-					errOnce.Do(func() {
-						firstErr = err
-						cancel()
-					})
-					return
-				}
-				cells[bi][ci] = res
-				j.cellDone(b.Name, j.cfgs[ci].Name)
-			}(bi, ci)
-		}
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	cells, err := s.engine.Matrix(ctx, j.benches, j.cfgs, j.spec.Scale, j.sampled, func(bi, ci int) {
+		j.cellDone(j.benches[bi].Name, j.cfgs[ci].Name)
+	})
+	if err != nil {
+		return nil, err
 	}
 	return &exper.SweepResult{Spec: j.spec, Benches: j.benches, Cells: cells}, nil
-}
-
-// runCell executes one (benchmark, config) cell of j behind its own
-// containment boundary: a panic on this cell goroutine (the engine
-// contains leader panics, but a waiter-side Estimate or a bug in this
-// loop can still throw) fails the job through the normal first-error
-// path instead of crashing the process.
-func (s *Server) runCell(ctx context.Context, j *Job, b *workloads.Benchmark, ci int) (res *pipeline.Result, err error) {
-	defer fault.CatchPanic(&err, fmt.Sprintf("serve: job %s cell %s/%s", j.ID, b.Name, j.cfgs[ci].Name))
-	if j.sampled != nil {
-		sr, err := s.engine.RunSampled(ctx, j.cfgs[ci], b, j.spec.Scale, *j.sampled)
-		if err != nil {
-			return nil, err
-		}
-		return sr.Estimate(), nil
-	}
-	return s.engine.Run(ctx, j.cfgs[ci], b, j.spec.Scale)
 }
 
 // renderResult formats a finished sweep as its JobResult payload.
