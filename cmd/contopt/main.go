@@ -172,10 +172,6 @@ func main() {
 	}
 }
 
-// progressInterval is the telemetry granularity (cycles) behind the
-// -progress flag.
-const progressInterval = 250_000
-
 func run(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("contopt", flag.ContinueOnError)
 	scale := fs.Int("scale", 0, "benchmark iteration scale (0 = default)")
@@ -308,7 +304,6 @@ func run(ctx context.Context, args []string) error {
 		engine.SetStore(st)
 	}
 	if *progress {
-		engine.SetProgressInterval(progressInterval)
 		engine.Observe(func(p exper.Progress) {
 			fmt.Fprintf(os.Stderr, "progress: %s/%s@%d cycle=%d retired=%d ipc=%.3f\n",
 				p.Benchmark, p.Machine, p.Scale, p.Interval.EndCycle(), p.Interval.Retired, p.Interval.IPC())

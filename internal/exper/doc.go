@@ -6,13 +6,15 @@
 //
 // # Caching and deduplication
 //
-// The cache is keyed by (Config.Key(), benchmark name, effective
-// scale). Config.Key is a content hash that ignores the display Name,
-// so two experiments that describe the same machine under different
-// labels share one simulation; the cached Result carries the Machine
-// name of whichever request ran it first. Concurrent requests for the
-// same key are collapsed singleflight-style: the first caller
-// simulates, later callers block and receive the same
+// Every engine memo is keyed by the store.Key its values have on disk:
+// for a cell, (Config.Key(), benchmark name, effective scale, the
+// workload's source fingerprint and, when sampled, the regime key),
+// built once per request. Config.Key is a content hash that ignores
+// the display Name, so two experiments that describe the same machine
+// under different labels share one simulation; the cached Result
+// carries the Machine name of whichever request ran it first.
+// Concurrent requests for the same key are collapsed singleflight-style:
+// the first caller simulates, later callers block and receive the same
 // *pipeline.Result. Because the simulator is deterministic, memoization
 // also makes sweep output independent of the pool's parallelism. Every
 // engine memo — exact results, sampled estimates, instruction counts
@@ -28,11 +30,12 @@
 // process exit, a sweep interrupted by Ctrl-C or a crash resumes from
 // the cells it completed, and a fully warm rerun performs zero
 // simulations. The store uses exactly the engine's cache keys: exact
-// results, sampled estimates (keyed additionally by sampling regime)
-// and instruction counts occupy disjoint namespaces, and a corrupt or
-// unreadable entry reads as a miss and is resimulated, never surfaced
-// as an error. Stats separates Simulations (misses that cost real
-// work), MemHits and StoreHits so warm runs are observable.
+// results, sampled estimates (keyed additionally by sampling regime),
+// sampled-run plans and instruction counts (written by InstCount only)
+// occupy disjoint namespaces, and a corrupt or unreadable entry reads
+// as a miss and is resimulated, never surfaced as an error. Stats
+// separates Simulations (misses that cost real work), MemHits and
+// StoreHits so warm runs are observable.
 //
 // # Cancellation
 //

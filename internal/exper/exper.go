@@ -2,8 +2,6 @@ package exper
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"runtime"
 	"sync"
@@ -20,9 +18,10 @@ import (
 )
 
 // DefaultProgressInterval is the telemetry granularity, in machine
-// cycles, used for engine-level observers unless SetProgressInterval
+// cycles, used for engine-level observers (the CLI's -progress lines
+// and the service's SSE progress events) unless SetProgressInterval
 // overrides it.
-const DefaultProgressInterval = 100_000
+const DefaultProgressInterval = 250_000
 
 // emuChunk bounds how many instructions the architectural emulator runs
 // between context checks in InstCount.
@@ -34,15 +33,16 @@ const emuChunk = 1 << 20
 type Runner struct {
 	sem chan struct{}
 
-	// The memo layer, one internal/memo Cache per kind of value: exact
-	// results and sampled estimates share the byte budget of resultLRU
-	// (the store, when attached, is their durable tier); instruction
-	// counts are retained for the Runner's lifetime; sampled-run plans
-	// (see plan.go) have the byte budget of planLRU.
-	sims      *memo.Cache[simKey, *pipeline.Result]
-	sampled   *memo.Cache[sampleKey, *sample.Result]
-	counts    *memo.Cache[countKey, uint64]
-	plans     *memo.Cache[planKey, *sample.Plan]
+	// The memo layer, one internal/memo Cache per kind of value, each
+	// keyed by the store.Key its values have in the attached store (the
+	// durable tier below every one of them): exact results and sampled
+	// estimates share the byte budget of resultLRU; instruction counts
+	// are retained for the Runner's lifetime; sampled-run plans (see
+	// plan.go) have the byte budget of planLRU.
+	sims      *memo.Cache[store.Key, *pipeline.Result]
+	sampled   *memo.Cache[store.Key, *sample.Result]
+	counts    *memo.Cache[store.Key, uint64]
+	plans     *memo.Cache[store.Key, *sample.Plan]
 	resultLRU *memo.LRU
 	planLRU   *memo.LRU
 
@@ -51,9 +51,6 @@ type Runner struct {
 	progressEvery uint64
 
 	store atomic.Pointer[store.Store]
-
-	wmu   sync.Mutex
-	wkeys map[countKey]string
 
 	memHits         atomic.Uint64
 	storeHits       atomic.Uint64
@@ -84,28 +81,6 @@ type Runner struct {
 	watchdogKills   atomic.Uint64
 }
 
-type simKey struct {
-	cfg   string
-	bench string
-	scale int
-}
-
-// sampleKey keys sampled runs: the machine config key plus the sampling
-// regime key. Sampled estimates live in their own map, so an exact and
-// a sampled result for the same (config, benchmark, scale) can never
-// collide — they are different estimators of the same quantity.
-type sampleKey struct {
-	cfg      string
-	bench    string
-	scale    int
-	sampling string
-}
-
-type countKey struct {
-	bench string
-	scale int
-}
-
 // DefaultResultBudget caps the resident bytes of memoized exact and
 // sampled results (8 MiB). A result is small — about 0.4 KB exact and
 // 2–5 KB sampled (its windows), plus 0.4 KB for its memo slot — so the
@@ -128,13 +103,12 @@ func NewRunner(parallelism int) *Runner {
 	planLRU := memo.NewLRU(DefaultTraceBudget)
 	return &Runner{
 		sem:           make(chan struct{}, parallelism),
-		sims:          memo.New[simKey](resultLRU, resultBytes[*pipeline.Result]),
-		sampled:       memo.New[sampleKey](resultLRU, resultBytes[*sample.Result]),
-		counts:        memo.New[countKey, uint64](nil, nil),
-		plans:         memo.New[planKey](planLRU, planBytes),
+		sims:          memo.New[store.Key](resultLRU, resultBytes[*pipeline.Result]),
+		sampled:       memo.New[store.Key](resultLRU, resultBytes[*sample.Result]),
+		counts:        memo.New[store.Key, uint64](nil, nil),
+		plans:         memo.New[store.Key](planLRU, planBytes),
 		resultLRU:     resultLRU,
 		planLRU:       planLRU,
-		wkeys:         map[countKey]string{},
 		progressEvery: DefaultProgressInterval,
 		retryAttempts: defaultRetryAttempts,
 		retryBase:     defaultRetryBase,
@@ -192,8 +166,9 @@ const slotBytes = 400
 // a build, and PlanStoreWrites plans persisted after a build (both
 // always 0 without SetStore): a sampled sweep sharded across processes
 // is the pattern {PlanBuilds: 1 in one process, PlanStoreHits > 0
-// everywhere else}. With plan caching disabled (SetTraceBudget(0))
-// sampled runs build uncached plans that none of these counters see.
+// everywhere else}. With a zero plan budget (SetTraceBudget(0)) plans
+// are counted the same way but retained nowhere: a hit is then only a
+// request that joined a build still in flight.
 // TraceBytes is the bytes resident plans hold right now under the plan
 // budget, including the shared functional warming their runs recorded
 // in them; it never exceeds SetTraceBudget. TraceRecords is always 0:
@@ -364,36 +339,38 @@ func effectiveScale(b *workloads.Benchmark, scale int) int {
 	return scale
 }
 
-// workloadKey returns the content hash identifying bench's generated
-// source at scale (already effective), memoized per (benchmark, scale).
-// Folding it into every store key means editing a kernel invalidates
-// its stored results instead of silently serving stale ones — the
-// benchmark name alone does not identify the work.
-func (r *Runner) workloadKey(bench *workloads.Benchmark, scale int) string {
-	k := countKey{bench: bench.Name, scale: scale}
-	r.wmu.Lock()
-	defer r.wmu.Unlock()
-	if w, ok := r.wkeys[k]; ok {
-		return w
+// cellKey normalizes and validates *cfg, and *sc when sc is non-nil,
+// and returns the one key the cell goes by in memory and in the store:
+// its exact result's when sc is nil, its sampled estimate's under *sc
+// otherwise. The key carries the effective scale and the workload's
+// source fingerprint, so editing a kernel invalidates its stored
+// results instead of serving stale ones.
+func cellKey(cfg *pipeline.Config, bench *workloads.Benchmark, scale int, sc *sample.Config) (store.Key, error) {
+	*cfg = cfg.Normalize()
+	if err := cfg.Validate(); err != nil {
+		return store.Key{}, err
 	}
-	sum := sha256.Sum256([]byte(bench.Source(scale)))
-	w := hex.EncodeToString(sum[:8])
-	r.wkeys[k] = w
-	return w
+	scale = effectiveScale(bench, scale)
+	if sc == nil {
+		return store.ExactKey(cfg.Key(), bench.Name, scale, bench.Fingerprint(scale)), nil
+	}
+	*sc = sc.Normalize()
+	if err := sc.Validate(); err != nil {
+		return store.Key{}, err
+	}
+	return store.SampledKey(cfg.Key(), bench.Name, scale, sc.Key(), bench.Fingerprint(scale)), nil
 }
 
 // throughStore is the body every store-backed cache leader shares.
-// With a store attached it first reads key() through it (a hit counts
-// in hits and skips compute); otherwise it computes the value and
-// persists it before the leader's waiters wake (a durable write counts
-// in writes, when non-nil). Store trouble of any kind reads as a miss
-// or costs the write, never the value (see resilience.go).
-func throughStore[T any](ctx context.Context, r *Runner, key func() store.Key, hits, writes *atomic.Uint64, compute func() (*T, error)) (*T, error) {
-	var sk store.Key
+// With a store attached it first reads key through it (a hit counts in
+// hits and skips compute); otherwise it computes the value and persists
+// it before the leader's waiters wake (a durable write counts in
+// writes, when non-nil). Store trouble of any kind reads as a miss or
+// costs the write, never the value (see resilience.go).
+func throughStore[T any](ctx context.Context, r *Runner, key store.Key, hits, writes *atomic.Uint64, compute func() (*T, error)) (*T, error) {
 	if r.store.Load() != nil {
-		sk = key()
 		var cached T
-		if r.storeRead(ctx, sk, &cached) {
+		if r.storeRead(ctx, key, &cached) {
 			hits.Add(1)
 			return &cached, nil
 		}
@@ -402,10 +379,24 @@ func throughStore[T any](ctx context.Context, r *Runner, key func() store.Key, h
 	if err != nil {
 		return nil, err
 	}
-	if r.storeWrite(ctx, sk, v) && writes != nil {
+	if r.storeWrite(ctx, key, v) && writes != nil {
 		writes.Add(1)
 	}
 	return v, nil
+}
+
+// memoCell is what Run and RunSampled share: the value of cell k from
+// memory, else from the store, else from compute, which runs as k's
+// leader behind a panic-containment boundary named op. A request
+// answered without leading counts as a memory hit.
+func memoCell[V any](ctx context.Context, r *Runner, c *memo.Cache[store.Key, *V], k store.Key, op string, compute func(context.Context) (*V, error)) (*V, error) {
+	v, leader, err := c.Get(ctx, k, protect(r, op, func(ctx context.Context) (*V, error) {
+		return throughStore(ctx, r, k, &r.storeHits, nil, func() (*V, error) { return compute(ctx) })
+	}))
+	if err == nil && !leader {
+		r.memHits.Add(1)
+	}
+	return v, err
 }
 
 // Run simulates bench at scale under cfg, returning the memoized result
@@ -420,48 +411,31 @@ func throughStore[T any](ctx context.Context, r *Runner, key func() store.Key, h
 // cache slot: concurrent waiters for the same key take over execution
 // under their own contexts.
 func (r *Runner) Run(ctx context.Context, cfg pipeline.Config, bench *workloads.Benchmark, scale int) (*pipeline.Result, error) {
-	cfg = cfg.Normalize()
-	if err := cfg.Validate(); err != nil {
+	k, err := cellKey(&cfg, bench, scale, nil)
+	if err != nil {
 		return nil, err
 	}
-	scale = effectiveScale(bench, scale)
-	k := simKey{cfg: cfg.Key(), bench: bench.Name, scale: scale}
-
-	res, leader, err := r.sims.Get(ctx, k, protect(r, "cell "+k.bench+"/"+cfg.Name, func(ctx context.Context) (*pipeline.Result, error) {
-		return throughStore(ctx, r, func() store.Key {
-			return store.ExactKey(k.cfg, k.bench, k.scale, r.workloadKey(bench, scale))
-		}, &r.storeHits, nil, func() (*pipeline.Result, error) {
-			return r.simulate(ctx, cfg, k.cfg, bench, scale)
-		})
-	}))
-	if err == nil && !leader {
-		r.memHits.Add(1)
-	}
-	return res, err
+	return memoCell(ctx, r, r.sims, k, "cell "+bench.Name+"/"+cfg.Name, func(ctx context.Context) (*pipeline.Result, error) {
+		return r.simulate(ctx, cfg, k, bench)
+	})
 }
 
-// simulate runs one simulation of cfg (whose Config.Key() is cfgKey)
-// as a cell, on a live emulator. A cell that ran the program to HALT
-// retired exactly its dynamic instruction count, so it seeds the count
-// memo: sampled runs and InstCount of the workload need no counting
-// pass.
-func (r *Runner) simulate(ctx context.Context, cfg pipeline.Config, cfgKey string, bench *workloads.Benchmark, scale int) (*pipeline.Result, error) {
+// simulate runs one simulation of cfg, the exact cell k, as a cell, on
+// a live emulator.
+func (r *Runner) simulate(ctx context.Context, cfg pipeline.Config, k store.Key, bench *workloads.Benchmark) (*pipeline.Result, error) {
 	var res *pipeline.Result
 	err := r.cell(ctx, "cell", bench, cfg.Name, func(ctx context.Context) error {
-		s, err := pipeline.New(cfg, bench.Program(scale))
+		s, err := pipeline.New(cfg, bench.Program(k.Scale))
 		if err != nil {
 			return err
 		}
-		res, err = s.Run(ctx, r.runOpts(&cfg, cfgKey, bench, scale))
+		res, err = s.Run(ctx, r.runOpts(&cfg, k.ConfigKey, bench, k.Scale))
 		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	res.Scale = scale
-	if cfg.MaxInsts == 0 && res.Truncated == pipeline.TruncNone {
-		r.seedCount(bench, scale, res.Retired)
-	}
+	res.Scale = k.Scale
 	return res, nil
 }
 
@@ -497,78 +471,57 @@ func (r *Runner) cell(ctx context.Context, kind string, bench *workloads.Benchma
 // regime key. Cancellation semantics match Run: a canceled leader hands
 // the slot to a live waiter.
 func (r *Runner) RunSampled(ctx context.Context, cfg pipeline.Config, bench *workloads.Benchmark, scale int, sc sample.Config) (*sample.Result, error) {
-	cfg = cfg.Normalize()
-	if err := cfg.Validate(); err != nil {
+	k, err := cellKey(&cfg, bench, scale, &sc)
+	if err != nil {
 		return nil, err
 	}
-	sc = sc.Normalize()
-	if err := sc.Validate(); err != nil {
-		return nil, err
-	}
-	scale = effectiveScale(bench, scale)
-	k := sampleKey{cfg: cfg.Key(), bench: bench.Name, scale: scale, sampling: sc.Key()}
-
-	res, leader, err := r.sampled.Get(ctx, k, protect(r, "sampled cell "+k.bench+"/"+cfg.Name, func(ctx context.Context) (*sample.Result, error) {
-		return throughStore(ctx, r, func() store.Key {
-			return store.SampledKey(k.cfg, k.bench, k.scale, k.sampling, r.workloadKey(bench, scale))
-		}, &r.storeHits, nil, func() (*sample.Result, error) {
-			return r.sampleCell(ctx, cfg, bench, scale, sc)
-		})
-	}))
-	if err == nil && !leader {
-		r.memHits.Add(1)
-	}
-	return res, err
+	return memoCell(ctx, r, r.sampled, k, "sampled cell "+bench.Name+"/"+cfg.Name, func(ctx context.Context) (*sample.Result, error) {
+		return r.sampleCell(ctx, cfg, k, bench, sc)
+	})
 }
 
-// sampleCell runs one sampled estimate of cfg as a cell: the window
-// plan (one functional pass that counts the program and checkpoints
-// its windows) is config-independent, so it comes from planFor — built
-// once per (benchmark, scale, regime) and shared across every
-// configuration of a sweep — and only the windows run per machine. sc
-// must be normalized.
-func (r *Runner) sampleCell(ctx context.Context, cfg pipeline.Config, bench *workloads.Benchmark, scale int, sc sample.Config) (*sample.Result, error) {
+// sampleCell runs one sampled estimate of cfg, the sampled cell k, as
+// a cell: the window plan (one functional pass that counts the program
+// and checkpoints its windows) is config-independent, so it comes from
+// planFor — built once per (benchmark, scale, regime) and shared across
+// every configuration of a sweep — and only the windows run per
+// machine. sc must be normalized.
+func (r *Runner) sampleCell(ctx context.Context, cfg pipeline.Config, k store.Key, bench *workloads.Benchmark, sc sample.Config) (*sample.Result, error) {
+	pk := store.PlanKey(k.Benchmark, k.Scale, k.Sampling, k.Workload)
 	var sr *sample.Result
 	err := r.cell(ctx, "sampled cell", bench, cfg.Name, func(ctx context.Context) error {
-		plan, err := r.planFor(ctx, bench, scale, sc)
+		plan, err := r.planFor(ctx, bench, pk, sc)
 		if err != nil {
 			return err
 		}
 		warmed := plan.Warmed()
-		sr, err = sample.RunPlanned(ctx, cfg, bench.Program(scale), sc, plan)
+		sr, err = sample.RunPlanned(ctx, cfg, bench.Program(k.Scale), sc, plan)
 		if plan.Warmed() != warmed {
 			// The run recorded shared warming in the plan: charge the
 			// plan's new size to the plan budget.
-			r.plans.Recharge(planKey{bench: bench.Name, scale: scale, sampling: sc.Key()})
+			r.plans.Recharge(pk)
 		}
 		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	// The plan's pass counted the program: seed the count memo so
-	// nothing emulates the workload again just to count it.
-	r.seedCount(bench, scale, sr.TotalInsts)
-	sr.Scale = scale
+	sr.Scale = k.Scale
 	return sr, nil
 }
 
 // InstCount returns bench's dynamic instruction count at scale from the
 // architectural emulator, memoized by (benchmark, scale) and persisted
 // in the attached store (KindCount entries), so warm processes skip
-// even the counting emulation. A finished exact cell or a sample plan
-// of the workload seeds the memo too, so sampled and exact runs never
-// emulate just to count. Emulation runs under the same worker
-// pool as simulations and honors ctx with the same leader-handoff
-// semantics as Run.
+// even the counting emulation. It is the only code that reads or
+// writes counts: cells never need one. Emulation runs under the same
+// worker pool as simulations and honors ctx with the same
+// leader-handoff semantics as Run.
 func (r *Runner) InstCount(ctx context.Context, bench *workloads.Benchmark, scale int) (uint64, error) {
 	scale = effectiveScale(bench, scale)
-	k := countKey{bench: bench.Name, scale: scale}
-
-	n, _, err := r.counts.Get(ctx, k, protect(r, "count "+k.bench, func(ctx context.Context) (uint64, error) {
-		c, err := throughStore(ctx, r, func() store.Key {
-			return store.CountKey(k.bench, k.scale, r.workloadKey(bench, scale))
-		}, &r.storeHits, nil, func() (*store.Count, error) {
+	k := store.CountKey(bench.Name, scale, bench.Fingerprint(scale))
+	n, _, err := r.counts.Get(ctx, k, protect(r, "count "+bench.Name, func(ctx context.Context) (uint64, error) {
+		c, err := throughStore(ctx, r, k, &r.storeHits, nil, func() (*store.Count, error) {
 			n, err := r.emulate(ctx, bench, scale)
 			return &store.Count{Insts: n}, err
 		})

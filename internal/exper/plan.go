@@ -37,29 +37,24 @@ import (
 // growth from many scales, regimes and recorded warm geometries.
 const DefaultTraceBudget = 256 << 20
 
-// SetTraceBudget replaces the plan budget (in bytes). A budget <= 0
-// disables plan caching and releases every resident plan: sampled runs
-// then build a plan per run and retain none, with identical results.
-// Shrinking the budget evicts least-recently used plans until the
-// resident bytes fit.
+// SetTraceBudget replaces the plan budget (in bytes). Shrinking the
+// budget evicts least-recently used plans until the resident bytes fit;
+// a budget <= 0 releases every resident plan and retains none, so
+// sampled runs build a plan per run (concurrent requests still share
+// one build), with identical results.
 func (r *Runner) SetTraceBudget(bytes int64) {
 	r.planLRU.SetBudget(bytes)
-}
-
-type planKey struct {
-	bench    string
-	scale    int
-	sampling string
 }
 
 // planBytes is what a resident plan charges the budget.
 func planBytes(p *sample.Plan) int64 { return int64(p.Bytes()) }
 
-// planFor returns the sampled-run window plan for (bench, scale, sc),
-// building it on first use and collapsing concurrent requests. sc must
-// be normalized. With the cache disabled the plan is built for this
-// run alone and retained nowhere. Call with a worker-pool slot held:
-// the leader builds under the caller's slot.
+// planFor returns the sampled-run window plan k (a store.PlanKey of
+// bench) under the regime sc, building it on first use and collapsing
+// concurrent requests. sc must be normalized. A plan the budget cannot
+// hold is handed to the requests waiting on it and retained nowhere.
+// Call with a worker-pool slot held: the leader builds under the
+// caller's slot.
 //
 // When a store is attached the in-memory plan cache layers over it
 // exactly like the result caches: the leader consults the store before
@@ -69,16 +64,10 @@ func planBytes(p *sample.Plan) int64 { return int64(p.Bytes()) }
 // does build before waking waiters. Store reads that fail — missing,
 // torn mid-write, or written by a build with a different plan codec —
 // are misses: the leader rebuilds and the Put heals the entry.
-func (r *Runner) planFor(ctx context.Context, bench *workloads.Benchmark, scale int, sc sample.Config) (*sample.Plan, error) {
-	if r.planLRU.Limit() <= 0 {
-		return buildPlanSafe(ctx, bench, scale, sc)
-	}
-	k := planKey{bench: bench.Name, scale: scale, sampling: sc.Key()}
+func (r *Runner) planFor(ctx context.Context, bench *workloads.Benchmark, k store.Key, sc sample.Config) (*sample.Plan, error) {
 	plan, leader, err := r.plans.Get(ctx, k, func(ctx context.Context) (*sample.Plan, error) {
-		return throughStore(ctx, r, func() store.Key {
-			return store.PlanKey(k.bench, k.scale, k.sampling, r.workloadKey(bench, scale))
-		}, &r.planStoreHits, &r.planStoreWrites, func() (*sample.Plan, error) {
-			plan, err := buildPlanSafe(ctx, bench, scale, sc)
+		return throughStore(ctx, r, k, &r.planStoreHits, &r.planStoreWrites, func() (*sample.Plan, error) {
+			plan, err := buildPlanSafe(ctx, bench, k.Scale, sc)
 			if err == nil {
 				r.planBuilds.Add(1)
 			}
@@ -89,17 +78,6 @@ func (r *Runner) planFor(ctx context.Context, bench *workloads.Benchmark, scale 
 		r.planHits.Add(1)
 	}
 	return plan, err
-}
-
-// seedCount installs a known-exact instruction count into the count
-// memo (and the persistent store) without an emulation pass — used
-// when a finished exact cell or a sampled run's plan pass has already
-// established it.
-func (r *Runner) seedCount(bench *workloads.Benchmark, scale int, n uint64) {
-	k := countKey{bench: bench.Name, scale: scale}
-	if r.counts.Seed(k, n) && r.store.Load() != nil {
-		r.storeWrite(context.Background(), store.CountKey(k.bench, k.scale, r.workloadKey(bench, scale)), &store.Count{Insts: n})
-	}
 }
 
 // buildPlanSafe is sample.BuildPlan behind a panic-containment

@@ -245,9 +245,6 @@ func (r *Runner) storeRead(ctx context.Context, k store.Key, out any) bool {
 // transient retries, reporting whether the entry is durable. Failures
 // cost durability, not correctness.
 func (r *Runner) storeWrite(ctx context.Context, k store.Key, v any) bool {
-	if k.Kind == "" {
-		return false
-	}
 	st := r.storeFor()
 	if st == nil {
 		return false

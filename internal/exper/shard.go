@@ -20,7 +20,6 @@ import (
 
 	"repro/internal/pipeline"
 	"repro/internal/sample"
-	"repro/internal/store"
 )
 
 // Shard identifies one partition of a sweep: this process owns every
@@ -131,31 +130,28 @@ func (r *Runner) SweepMerge(spec *SweepSpec, sc *sample.Config) (*SweepResult, [
 	if err != nil {
 		return nil, nil, err
 	}
-	var scKey string
 	if sc != nil {
-		n := sc.Normalize()
-		if err := n.Validate(); err != nil {
-			return nil, nil, err
-		}
-		scKey = n.Key()
+		n := *sc // cellKey normalizes in place; leave the caller's alone
+		sc = &n
 	}
 	cells := make([][]*pipeline.Result, len(benches))
 	var missing []string
 	for bi, b := range benches {
-		scale := effectiveScale(b, spec.Scale)
-		w := r.workloadKey(b, scale)
 		cells[bi] = make([]*pipeline.Result, len(cfgs))
-		for ci := range cfgs {
-			ck := cfgs[ci].Normalize().Key()
+		for ci, cfg := range cfgs {
+			k, err := cellKey(&cfg, b, spec.Scale, sc)
+			if err != nil {
+				return nil, nil, err
+			}
 			var hit bool
 			if sc != nil {
 				var sr sample.Result
-				if hit = r.storeRead(context.Background(), store.SampledKey(ck, b.Name, scale, scKey, w), &sr); hit {
+				if hit = r.storeRead(context.Background(), k, &sr); hit {
 					cells[bi][ci] = sr.Estimate()
 				}
 			} else {
 				var res pipeline.Result
-				if hit = r.storeRead(context.Background(), store.ExactKey(ck, b.Name, scale, w), &res); hit {
+				if hit = r.storeRead(context.Background(), k, &res); hit {
 					cells[bi][ci] = &res
 				}
 			}
@@ -163,7 +159,7 @@ func (r *Runner) SweepMerge(spec *SweepSpec, sc *sample.Config) (*SweepResult, [
 				r.storeHits.Add(1)
 				continue
 			}
-			missing = append(missing, fmt.Sprintf("%s@%d %s", b.Name, scale, cfgs[ci].Name))
+			missing = append(missing, fmt.Sprintf("%s@%d %s", b.Name, k.Scale, cfg.Name))
 		}
 	}
 	if len(missing) > 0 {

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/emu"
 	"repro/internal/pipeline"
 	"repro/internal/sample"
 	"repro/internal/store"
@@ -135,8 +136,7 @@ func TestStoreExactAndSampledDisjoint(t *testing.T) {
 		t.Errorf("exact request after sampled run: stats %+v, want a fresh simulation", s2)
 	}
 
-	// ...but does satisfy a sampled request under the same regime, and
-	// the memoized instruction count is reloaded too (no emulation).
+	// ...but does satisfy a sampled request under the same regime.
 	r3 := storeRunner(st)
 	sr, err := r3.RunSampled(ctx, pipeline.DefaultConfig(), b, 1, sc)
 	if err != nil {
@@ -181,6 +181,48 @@ func TestInstCountPersisted(t *testing.T) {
 	}
 	if s2 := r2.Stats(); s2.StoreHits != 1 {
 		t.Errorf("second process recounted instead of hitting the store: %+v", s2)
+	}
+}
+
+// TestCellsStoreNoCounts: an exact and a sampled sweep on a fresh store
+// persist their results and plans but no instruction count, since no
+// cell needs one; a later InstCount writes the one count entry, and it
+// is the emulator's count.
+func TestCellsStoreNoCounts(t *testing.T) {
+	ctx := context.Background()
+	st := openStore(t)
+	r := storeRunner(st)
+	spec := resumeSpec()
+	if _, err := r.Sweep(ctx, spec); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.SweepSampled(ctx, spec, sample.DefaultConfig()); err != nil {
+		t.Fatal(err)
+	}
+	info, err := st.Stat()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]int{store.KindExact: 4, store.KindSampled: 4, store.KindPlan: 2}
+	if !reflect.DeepEqual(info.ByKind, want) {
+		t.Errorf("store after the sweeps holds %v, want %v", info.ByKind, want)
+	}
+
+	b := bench(t, "untst")
+	n, err := r.InstCount(ctx, b, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := emu.New(b.Program(1))
+	m.Run(^uint64(0))
+	if n != m.InstCount() {
+		t.Errorf("InstCount = %d, the emulator counts %d", n, m.InstCount())
+	}
+	if info, err = st.Stat(); err != nil {
+		t.Fatal(err)
+	}
+	if got := info.ByKind[store.KindCount]; got != 1 || info.Entries != 11 {
+		t.Errorf("after InstCount: %d count entries of %d, want 1 of 11", got, info.Entries)
 	}
 }
 

@@ -29,8 +29,8 @@ func classKey(b *workloads.Benchmark) string {
 // over benches and returns per-benchmark speedups ordered by behavior
 // class — the machine-readable form of ClassFigure.
 func (o Options) ClassFigureData(ctx context.Context, benches []*workloads.Benchmark) ([]ClassSpeedup, error) {
-	base := o.machine().Baseline()
-	opt := o.machine()
+	base := pipeline.DefaultConfig().Baseline()
+	opt := pipeline.DefaultConfig()
 	runs, err := o.runMatrix(ctx, benches, []pipeline.Config{base, opt})
 	if err != nil {
 		return nil, err

@@ -16,7 +16,7 @@ import (
 // 256 and 1024 instructions bracket the frame sizes of rePLay-class
 // systems.
 func (o Options) DiscreteSweep(ctx context.Context, w io.Writer) error {
-	def := o.machine()
+	def := pipeline.DefaultConfig()
 	base := def.Baseline()
 	mk := func(window int) pipeline.Config {
 		c := def
@@ -41,7 +41,7 @@ func (o Options) DiscreteSweep(ctx context.Context, w io.Writer) error {
 // instruction stream" (which a Butts-Sohi-style eliminator could then
 // remove).
 func (o Options) DeadValues(ctx context.Context, w io.Writer) error {
-	def := o.machine()
+	def := pipeline.DefaultConfig()
 	base := def.Baseline()
 	runs, err := o.runMatrix(ctx, workloads.All(), []pipeline.Config{base, def})
 	if err != nil {

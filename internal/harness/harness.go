@@ -40,8 +40,6 @@ type Options struct {
 	// Experiments at Scale 1 run in seconds; the default scales match
 	// the EXPERIMENTS.md numbers.
 	Scale int
-	// Machine is the base machine template (zero value = DefaultConfig).
-	Machine pipeline.Config
 	// Engine memoizes and deduplicates simulations. Share one engine
 	// across artifact calls to simulate each unique (config, benchmark,
 	// scale) triple once per process. Nil runs each artifact on a
@@ -53,10 +51,6 @@ type Options struct {
 	// much faster at large scale, accurate to the reported confidence
 	// interval. Sampled and exact results are cached separately.
 	Sample *sample.Config
-}
-
-func (o Options) machine() pipeline.Config {
-	return o.Machine.Normalize()
 }
 
 // engine returns the shared engine, or a private one for this call.
@@ -138,8 +132,8 @@ type Speedup struct {
 // Figure6Data runs the headline comparison and returns per-benchmark
 // speedups in suite order — the machine-readable form of Figure6.
 func (o Options) Figure6Data(ctx context.Context) ([]Speedup, error) {
-	base := o.machine().Baseline()
-	opt := o.machine()
+	base := pipeline.DefaultConfig().Baseline()
+	opt := pipeline.DefaultConfig()
 	runs, err := o.runMatrix(ctx, workloads.All(), []pipeline.Config{base, opt})
 	if err != nil {
 		return nil, err
@@ -208,7 +202,7 @@ type Effects struct {
 // and returns one Effects row per suite plus an overall "avg" row — the
 // machine-readable form of Table3.
 func (o Options) Table3Data(ctx context.Context) ([]Effects, error) {
-	runs, err := o.runMatrix(ctx, workloads.All(), []pipeline.Config{o.machine()})
+	runs, err := o.runMatrix(ctx, workloads.All(), []pipeline.Config{pipeline.DefaultConfig()})
 	if err != nil {
 		return nil, err
 	}

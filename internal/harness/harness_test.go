@@ -387,12 +387,6 @@ func TestDeadValuesOptimizationIncreasesDeadFraction(t *testing.T) {
 
 func TestOptionsDefaults(t *testing.T) {
 	var o Options
-	if o.machine().PRegs == 0 {
-		t.Error("machine should default to DefaultConfig")
-	}
-	if o.machine().Key() != pipeline.DefaultConfig().Key() {
-		t.Error("zero Machine should normalize to the default machine")
-	}
 	if o.engine() == nil {
 		t.Error("nil Engine should yield a private engine")
 	}
@@ -441,7 +435,7 @@ func TestArtifactsShareOneSimulationPerTriple(t *testing.T) {
 func TestSuiteSpeedupsFormatting(t *testing.T) {
 	var buf bytes.Buffer
 	o := smallOpts()
-	def := o.machine()
+	def := pipeline.DefaultConfig()
 	err := o.suiteSpeedups(bg, &buf, "Title Line", def.Baseline(), []namedConfig{{"only", def}})
 	if err != nil {
 		t.Fatal(err)

@@ -88,7 +88,7 @@ func (o Options) SampleCheckData(ctx context.Context, names []string, toleranceP
 		return nil, err
 	}
 	eng := o.engine()
-	cfgs := []pipeline.Config{o.machine().Baseline(), o.machine()}
+	cfgs := []pipeline.Config{pipeline.DefaultConfig().Baseline(), pipeline.DefaultConfig()}
 
 	start := time.Now()
 	exact, err := eng.Matrix(ctx, benches, cfgs, o.Scale, nil, nil)

@@ -59,7 +59,7 @@ func (o Options) suiteSpeedups(ctx context.Context, w io.Writer, title string, r
 // the machine fetch-bound; an 8-wide front end makes it execution-bound.
 // All bars are relative to the default baseline.
 func (o Options) Figure8(ctx context.Context, w io.Writer) error {
-	def := o.machine()
+	def := pipeline.DefaultConfig()
 	base := def.Baseline()
 
 	fetchBound := base
@@ -92,7 +92,7 @@ func (o Options) Figure8(ctx context.Context, w io.Writer) error {
 // Figure9 compares value feedback alone against feedback plus
 // optimization (§6.1).
 func (o Options) Figure9(ctx context.Context, w io.Writer) error {
-	def := o.machine()
+	def := pipeline.DefaultConfig()
 	base := def.Baseline()
 	feedback := def.WithMode(core.ModeFeedbackOnly)
 	feedback.Name = "feedback"
@@ -109,7 +109,7 @@ func (o Options) Figure9(ctx context.Context, w io.Writer) error {
 // Figure10 sweeps the per-bundle dependence depth (§6.2): 0 (default),
 // 1, 3, and 3 with one chained memory operation.
 func (o Options) Figure10(ctx context.Context, w io.Writer) error {
-	def := o.machine()
+	def := pipeline.DefaultConfig()
 	base := def.Baseline()
 	mk := func(name string, depth, mem int) pipeline.Config {
 		c := def
@@ -131,7 +131,7 @@ func (o Options) Figure10(ctx context.Context, w io.Writer) error {
 // Figure11 sweeps the optimizer's extra pipeline stages (§6.3): 0, 2
 // (default), 4.
 func (o Options) Figure11(ctx context.Context, w io.Writer) error {
-	def := o.machine()
+	def := pipeline.DefaultConfig()
 	base := def.Baseline()
 	mk := func(stages uint64) pipeline.Config {
 		c := def
@@ -151,7 +151,7 @@ func (o Options) Figure11(ctx context.Context, w io.Writer) error {
 // Figure12 sweeps the value-feedback transmission delay (§6.4): 0, 1
 // (default), 5, 10 cycles.
 func (o Options) Figure12(ctx context.Context, w io.Writer) error {
-	def := o.machine()
+	def := pipeline.DefaultConfig()
 	base := def.Baseline()
 	mk := func(delay uint64) pipeline.Config {
 		c := def
@@ -172,7 +172,7 @@ func (o Options) Figure12(ctx context.Context, w io.Writer) error {
 // MBCSweep is an ablation beyond the paper: Memory Bypass Cache capacity
 // 32/64/128/256 entries — probing the mcf/untst "fits in the MBC" story.
 func (o Options) MBCSweep(ctx context.Context, w io.Writer) error {
-	def := o.machine()
+	def := pipeline.DefaultConfig()
 	base := def.Baseline()
 	mk := func(entries int) pipeline.Config {
 		c := def
@@ -198,7 +198,7 @@ func (o Options) MBCSweep(ctx context.Context, w io.Writer) error {
 // minor optimizations toggled off (§3.2 claims the store policies differ
 // little; we measure it).
 func (o Options) PolicySweep(ctx context.Context, w io.Writer) error {
-	def := o.machine()
+	def := pipeline.DefaultConfig()
 	base := def.Baseline()
 	flush := def
 	flush.Name = "flush-MBC"

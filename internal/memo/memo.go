@@ -154,21 +154,6 @@ func vacates(err error) bool {
 	return err == errPanicked || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// Seed installs v as the settled value for k unless the key already
-// has a slot (settled or in flight), reporting whether it did.
-func (c *Cache[K, V]) Seed(k K, v V) bool {
-	c.mu.Lock()
-	if _, ok := c.m[k]; ok {
-		c.mu.Unlock()
-		return false
-	}
-	e := &entry[V]{done: make(chan struct{})}
-	c.m[k] = e
-	c.mu.Unlock()
-	c.settle(k, e, v, nil)
-	return true
-}
-
 // Recharge re-sizes k's resident value, whose size may have changed
 // since it was admitted, and evicts down to the budget. It does nothing
 // when k is not resident in the LRU.
@@ -277,13 +262,6 @@ func (l *LRU) SetBudget(n int64) {
 	defer l.mu.Unlock()
 	l.budget = n
 	l.evict()
-}
-
-// Limit returns the current budget.
-func (l *LRU) Limit() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.budget
 }
 
 // Bytes returns the resident bytes charged against the budget.

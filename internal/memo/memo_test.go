@@ -99,23 +99,10 @@ func TestCacheMemoizesDeterministicError(t *testing.T) {
 	}
 }
 
-// TestCacheSeedAndPeek: seed never overwrites a slot, settled or in
-// flight, and peek answers at once even while a leader is running.
-func TestCacheSeedAndPeek(t *testing.T) {
+// TestCachePeek: peek answers at once, even while a leader is
+// running, and reports only settled values.
+func TestCachePeek(t *testing.T) {
 	c := New[string, int](nil, nil)
-	if !c.Seed("a", 1) {
-		t.Fatal("seed of a fresh key did not install")
-	}
-	if c.Seed("a", 2) {
-		t.Error("seed overwrote a settled value")
-	}
-	if v, ok := c.Peek("a"); !ok || v != 1 {
-		t.Errorf("peek(a) = (%d, %v), want (1, true)", v, ok)
-	}
-	if v, leader := settledGet(t, c, "a", 99); v != 1 || leader {
-		t.Errorf("get(a) = (%d, leader %v), want the seeded 1 as a hit", v, leader)
-	}
-
 	started, release := make(chan struct{}), make(chan struct{})
 	done := make(chan int)
 	go func() {
@@ -129,9 +116,6 @@ func TestCacheSeedAndPeek(t *testing.T) {
 	<-started
 	if _, ok := c.Peek("b"); ok {
 		t.Error("peek reported an in-flight slot as settled")
-	}
-	if c.Seed("b", 4) {
-		t.Error("seed overwrote an in-flight slot")
 	}
 	close(release)
 	if v := <-done; v != 3 {

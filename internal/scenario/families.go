@@ -149,9 +149,9 @@ var _ = registerFamily(&familyDef{
 		for j := int64(0); j < accs; j++ {
 			fmt.Fprintf(&b, "    add r19, r%d -> r19\n", 12+j)
 		}
-		r := newRNG(seed)
+		r := workloads.NewRNG(seed)
 		data := fmt.Sprintf(".org %#x\n.data src\n%s", srcBase,
-			quads(int(elems), func(int) uint64 { return r.n(256) }))
+			workloads.Quads(int(elems), func(int) uint64 { return r.N(256) }))
 		perIter := uint64(accs)*(2+uint64(writes)) + 3
 		return emitted{
 			body:    b.String(),
@@ -179,13 +179,13 @@ var _ = registerFamily(&familyDef{
 		nodes, hops := int(p["nodes"]), p["hops"]
 		// A Fisher-Yates permutation visited in order is a single
 		// n-cycle: chain[perm[k]] points at perm[k+1].
-		r := newRNG(seed)
+		r := workloads.NewRNG(seed)
 		perm := make([]int, nodes)
 		for i := range perm {
 			perm[i] = i
 		}
 		for i := nodes - 1; i > 0; i-- {
-			j := int(r.n(uint64(i + 1)))
+			j := int(r.N(uint64(i + 1)))
 			perm[i], perm[j] = perm[j], perm[i]
 		}
 		next := make([]uint64, nodes)
@@ -201,7 +201,7 @@ hop:
     add r19, r1 -> r19
 `
 		data := fmt.Sprintf(".org %#x\n.data chain\n%s", srcBase,
-			quads(nodes, func(i int) uint64 { return next[i] }))
+			workloads.Quads(nodes, func(i int) uint64 { return next[i] }))
 		return emitted{
 			body:    body,
 			data:    data,
@@ -231,11 +231,11 @@ var _ = registerFamily(&familyDef{
 		elems, bias, sites, work := p["elems"], p["bias"], p["sites"], p["work"]
 		var b strings.Builder
 		b.WriteString("    ldi src -> r1\n    ldq [r28+8] -> r2       ; elements\nloop:\n    ldq [r1] -> r4\n")
-		r := newRNG(seed)
+		r := workloads.NewRNG(seed)
 		for s := int64(0); s < sites; s++ {
 			fmt.Fprintf(&b, "    and r4, %d -> r5\n    beq r5, skip%d\n", int64(1)<<s, s)
 			for w := int64(0); w < work; w++ {
-				c := 1 + r.n(255)
+				c := 1 + r.N(255)
 				if w%2 == 0 {
 					fmt.Fprintf(&b, "    add r19, %d -> r19\n", c)
 				} else {
@@ -246,10 +246,10 @@ var _ = registerFamily(&familyDef{
 		}
 		b.WriteString("    add r1, 8 -> r1\n    sub r2, 1 -> r2\n    bne r2, loop\n")
 		data := fmt.Sprintf(".org %#x\n.data src\n%s", srcBase,
-			quads(int(elems), func(int) uint64 {
+			workloads.Quads(int(elems), func(int) uint64 {
 				var w uint64
 				for s := int64(0); s < sites; s++ {
-					if r.n(100) < uint64(bias) {
+					if r.N(100) < uint64(bias) {
 						w |= 1 << s
 					}
 				}
@@ -287,19 +287,19 @@ var _ = registerFamily(&familyDef{
 	},
 	emit: func(p map[string]int64, seed uint64) emitted {
 		chains, length, iters, muls := p["chains"], p["length"], p["iters"], p["muls"]
-		r := newRNG(seed)
+		r := workloads.NewRNG(seed)
 		var b strings.Builder
 		b.WriteString("    ldq [r28+8] -> r2       ; iterations\n")
 		for c := int64(0); c < chains; c++ {
-			fmt.Fprintf(&b, "    ldi %d -> r%d\n", 1+r.n(255), 4+c)
+			fmt.Fprintf(&b, "    ldi %d -> r%d\n", 1+r.N(255), 4+c)
 		}
 		b.WriteString("loop:\n")
 		for l := int64(0); l < length; l++ {
 			for c := int64(0); c < chains; c++ {
 				reg := 4 + c
-				cst := 1 + r.n(255)
+				cst := 1 + r.N(255)
 				switch {
-				case r.n(100) < uint64(muls):
+				case r.N(100) < uint64(muls):
 					fmt.Fprintf(&b, "    mul r%d, %d -> r%d\n", reg, 1+cst%7, reg)
 				case (l+c)%2 == 0:
 					fmt.Fprintf(&b, "    add r%d, %d -> r%d\n", reg, cst, reg)

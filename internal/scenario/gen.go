@@ -65,7 +65,7 @@ func pow2(n int64) int64 {
 // mixGen carries the generator state for one program: the RNG, the
 // label counter, and the address masks.
 type mixGen struct {
-	r     *rng
+	r     *workloads.RNG
 	label int
 	mask  int64
 }
@@ -85,18 +85,18 @@ func (g *mixGen) nextLabel() string {
 // genALU emits 1-4 ALU ops alternating between the checksum and the
 // value register, with occasional multiplies.
 func (g *mixGen) genALU() frag {
-	n := 1 + g.r.n(4)
+	n := 1 + g.r.N(4)
 	var b strings.Builder
 	for i := uint64(0); i < n; i++ {
 		reg := "r19"
 		if i%2 == 1 {
 			reg = "r7"
 		}
-		c := 1 + g.r.n(255)
+		c := 1 + g.r.N(255)
 		switch {
-		case g.r.n(4) == 0:
+		case g.r.N(4) == 0:
 			fmt.Fprintf(&b, "    mul %s, %d -> %s\n", reg, 1+c%7, reg)
-		case g.r.n(2) == 0:
+		case g.r.N(2) == 0:
 			fmt.Fprintf(&b, "    add %s, %d -> %s\n", reg, c, reg)
 		default:
 			fmt.Fprintf(&b, "    xor %s, %d -> %s\n", reg, c, reg)
@@ -108,7 +108,7 @@ func (g *mixGen) genALU() frag {
 // genLoad emits a masked table load feeding the value register and the
 // checksum, then advances the load cursor by a random word stride.
 func (g *mixGen) genLoad() frag {
-	step := 8 * (1 + g.r.n(8))
+	step := 8 * (1 + g.r.N(8))
 	text := fmt.Sprintf(`    and r3, %d -> r3
     add r5, r3 -> r8
     ldq [r8] -> r7
@@ -121,7 +121,7 @@ func (g *mixGen) genLoad() frag {
 // genStore emits a masked store of the checksum, then advances the
 // store cursor.
 func (g *mixGen) genStore() frag {
-	step := 8 * (1 + g.r.n(8))
+	step := 8 * (1 + g.r.N(8))
 	text := fmt.Sprintf(`    and r10, %d -> r10
     add r6, r10 -> r8
     stq r19 -> [r8]
@@ -135,7 +135,7 @@ func (g *mixGen) genStore() frag {
 func (g *mixGen) genBranch() frag {
 	l := g.nextLabel()
 	var b strings.Builder
-	fmt.Fprintf(&b, "    and r7, %d -> r9\n    beq r9, %s\n", int64(1)<<g.r.n(8), l)
+	fmt.Fprintf(&b, "    and r7, %d -> r9\n    beq r9, %s\n", int64(1)<<g.r.N(8), l)
 	arm := g.genALU()
 	b.WriteString(arm.text)
 	fmt.Fprintf(&b, "%s:\n", l)
@@ -146,14 +146,14 @@ func (g *mixGen) genBranch() frag {
 // one or two load/ALU sub-templates — nested control flow that still
 // terminates by construction.
 func (g *mixGen) genInner() frag {
-	trips := 2 + g.r.n(5)
+	trips := 2 + g.r.N(5)
 	l := g.nextLabel()
 	var b strings.Builder
 	fmt.Fprintf(&b, "    ldi %d -> r11\n%s:\n", trips, l)
 	var inner uint64
-	for i := uint64(0); i <= g.r.n(2); i++ {
+	for i := uint64(0); i <= g.r.N(2); i++ {
 		var f frag
-		if g.r.n(2) == 0 {
+		if g.r.N(2) == 0 {
 			f = g.genLoad()
 		} else {
 			f = g.genALU()
@@ -172,7 +172,7 @@ func emitMix(p map[string]int64, seed uint64) emitted {
 	}
 	total := uint64(mem + alu + branch)
 	elems := pow2(p["elems"])
-	g := &mixGen{r: newRNG(seed), mask: (elems - 1) * 8}
+	g := &mixGen{r: workloads.NewRNG(seed), mask: (elems - 1) * 8}
 
 	var b strings.Builder
 	fmt.Fprintf(&b, `    ldi src -> r5
@@ -182,18 +182,18 @@ func emitMix(p map[string]int64, seed uint64) emitted {
     ldi %d -> r7
     ldq [r28+8] -> r2       ; iterations
 loop:
-`, 1+g.r.n(255))
+`, 1+g.r.N(255))
 	var perIter uint64
 	innerUsed := p["inner"] == 0
 	for i := int64(0); i < p["blocks"]; i++ {
 		var f frag
-		if !innerUsed && g.r.n(4) == 0 {
+		if !innerUsed && g.r.N(4) == 0 {
 			innerUsed = true
 			f = g.genInner()
 		} else {
-			switch x := g.r.n(total); {
+			switch x := g.r.N(total); {
 			case x < uint64(mem):
-				if g.r.n(3) == 0 {
+				if g.r.N(3) == 0 {
 					f = g.genStore()
 				} else {
 					f = g.genLoad()
@@ -210,7 +210,7 @@ loop:
 	b.WriteString("    sub r2, 1 -> r2\n    bne r2, loop\n")
 
 	data := fmt.Sprintf(".org %#x\n.data src\n%s.org %#x\n.data out\n.space %d\n",
-		srcBase, quads(int(elems), func(int) uint64 { return g.r.next() }),
+		srcBase, workloads.Quads(int(elems), func(int) uint64 { return g.r.Next() }),
 		outBase, elems*8)
 	iters := uint64(p["iters"])
 	return emitted{

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/asm"
 	"repro/internal/emu"
+	"repro/internal/workloads"
 )
 
 // checkScenario asserts the full generation contract for one scenario:
@@ -53,7 +54,7 @@ func TestFamiliesDefaultsRun(t *testing.T) {
 // spec keeps iteration-ish knobs small so the fuzz stays fast.
 func TestSeedFuzz(t *testing.T) {
 	const seeds = 200
-	meta := newRNG(0xF00D)
+	meta := workloads.NewRNG(0xF00D)
 	fams := FamilyNames()
 	// Small draws for the expensive knobs; everything else fuzzes over
 	// the full family bounds.
@@ -65,7 +66,7 @@ func TestSeedFuzz(t *testing.T) {
 		"mix":     {"iters": {16, 128}, "elems": {64, 512}},
 	}
 	for i := 0; i < seeds; i++ {
-		fam := fams[int(meta.n(uint64(len(fams))))]
+		fam := fams[int(meta.N(uint64(len(fams))))]
 		params := map[string]Knob{}
 		for _, k := range families[fam].knobs {
 			if s, ok := small[fam][k.name]; ok {
@@ -75,7 +76,7 @@ func TestSeedFuzz(t *testing.T) {
 			}
 		}
 		spec := &Spec{
-			Seed: meta.next(),
+			Seed: meta.Next(),
 			Scenarios: []ScenarioSpec{{
 				Family: fam,
 				Name:   fmt.Sprintf("fuzz%d", i),

@@ -1,10 +1,5 @@
 package scenario
 
-import (
-	"strconv"
-	"strings"
-)
-
 // splitmix is the SplitMix64 output function — the sub-seed derivation
 // used to give every scenario an independent RNG stream from the spec's
 // root seed. It is fixed forever: changing it would silently change
@@ -24,51 +19,4 @@ func fnv64(s string) uint64 {
 		h *= 0x100000001B3
 	}
 	return h
-}
-
-// rng is the same deterministic xorshift64 generator the built-in
-// workloads use for their data tables; generated programs must likewise
-// be reproducible run to run and Go-version to Go-version.
-type rng uint64
-
-func newRNG(seed uint64) *rng {
-	r := rng(seed | 1)
-	return &r
-}
-
-func (r *rng) next() uint64 {
-	x := uint64(*r)
-	x ^= x << 13
-	x ^= x >> 7
-	x ^= x << 17
-	*r = rng(x)
-	return x
-}
-
-// n returns a value in [0, m). Modulo bias is irrelevant here — the
-// draws parameterize synthetic programs, they are not statistics.
-func (r *rng) n(m uint64) uint64 {
-	if m == 0 {
-		return 0
-	}
-	return r.next() % m
-}
-
-// quads emits n .quad words drawn from gen, eight per line.
-func quads(n int, gen func(i int) uint64) string {
-	var s strings.Builder
-	s.Grow(n * 8)
-	for i := 0; i < n; i++ {
-		if i%8 == 0 {
-			if i > 0 {
-				s.WriteByte('\n')
-			}
-			s.WriteString(".quad ")
-		} else {
-			s.WriteString(", ")
-		}
-		s.WriteString(strconv.FormatUint(gen(i), 10))
-	}
-	s.WriteByte('\n')
-	return s.String()
 }

@@ -358,7 +358,7 @@ func (s *Spec) Generate() ([]*Scenario, error) {
 			// Sub-seed by name, not by position: a scenario's programs
 			// do not change when unrelated blocks are edited.
 			sub := splitmix(s.Seed ^ fnv64(n))
-			prng := newRNG(sub)
+			prng := workloads.NewRNG(sub)
 			params := make(map[string]int64, len(fam.knobs))
 			for _, k := range fam.knobs {
 				r := Knob{Min: k.def, Max: k.def}
@@ -367,7 +367,7 @@ func (s *Spec) Generate() ([]*Scenario, error) {
 				}
 				val := r.Min
 				if r.Max > r.Min {
-					val = r.Min + int64(prng.n(uint64(r.Max-r.Min+1)))
+					val = r.Min + int64(prng.N(uint64(r.Max-r.Min+1)))
 				}
 				params[k.name] = val
 			}

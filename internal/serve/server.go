@@ -29,9 +29,6 @@ const (
 	DefaultTenantJobs = 1
 	// DefaultQueueDepth is the default per-class wait-queue cap.
 	DefaultQueueDepth = 64
-	// DefaultProgressInterval is the engine-telemetry granularity
-	// (cycles) behind SSE progress events.
-	DefaultProgressInterval = 250_000
 )
 
 // Config tunes a Server. The zero value gets the defaults above.
@@ -43,10 +40,6 @@ type Config struct {
 	TenantJobs int
 	// QueueDepth bounds each SLO class's wait queue.
 	QueueDepth int
-	// ProgressInterval is the cycle granularity of SSE interval
-	// telemetry (0 = DefaultProgressInterval; < 0 disables the
-	// engine observer entirely).
-	ProgressInterval int64
 	// Logf, when set, receives operational log lines (listen address,
 	// job lifecycle, drain progress).
 	Logf func(format string, args ...any)
@@ -104,7 +97,7 @@ type Server struct {
 
 // New builds a Server over engine. Attach the engine's store and set
 // its budgets before calling; the server only adds an observer for SSE
-// interval telemetry (unless cfg.ProgressInterval < 0).
+// interval telemetry, at the engine's progress granularity.
 func New(engine *exper.Runner, cfg Config) *Server {
 	if cfg.MaxJobs <= 0 {
 		cfg.MaxJobs = DefaultMaxJobs
@@ -132,14 +125,7 @@ func New(engine *exper.Runner, cfg Config) *Server {
 	}
 	s.execute = s.runSweep
 	s.sched = newSched(cfg.MaxJobs, cfg.TenantJobs, cfg.QueueDepth, s.runJob, s.evictJob)
-	if cfg.ProgressInterval >= 0 {
-		every := cfg.ProgressInterval
-		if every == 0 {
-			every = DefaultProgressInterval
-		}
-		engine.SetProgressInterval(uint64(every))
-		engine.Observe(s.routeProgress)
-	}
+	engine.Observe(s.routeProgress)
 	return s
 }
 

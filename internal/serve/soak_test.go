@@ -34,7 +34,7 @@ func TestSoakManyUniqueCellsStaysFlat(t *testing.T) {
 		jobs    = 400
 		slack   = 256 << 10
 	)
-	s, ts, eng := newTestServer(t, 2, Config{ProgressInterval: -1})
+	s, ts, eng := newTestServer(t, 2, Config{})
 	s.history = history
 	var first string
 	var mid, midResults uint64

@@ -24,7 +24,8 @@
 //     same triple are different estimators of the same quantity and
 //     must never share a slot
 //   - KindCount: a benchmark's dynamic instruction count (no machine
-//     configuration — the architectural emulator defines it)
+//     configuration — the architectural emulator defines it), written
+//     only by the engine's InstCount: no simulation cell needs one
 //   - KindPlan: a sampled-run window plan (sample.Plan — the window
 //     schedule plus an architectural checkpoint per window), keyed by
 //     benchmark, scale, workload hash and sampling regime but no

@@ -39,10 +39,9 @@ const (
 	KindPlan = "plan"
 )
 
-// Key is the canonical identity of one stored result. Its fields are
-// exactly the coordinates the experiment engine memoizes on, which is
-// what makes the store a drop-in durable layer below the in-memory
-// cache.
+// Key is the canonical identity of one stored result. It is also the
+// experiment engine's in-memory memo key, which is what makes the
+// store a drop-in durable layer below the in-memory cache.
 type Key struct {
 	// Kind is the entry's namespace: KindExact, KindSampled, KindCount
 	// or KindPlan.

@@ -184,7 +184,7 @@ var Mpg2d = register(&Benchmark{
 	DefaultScale: 300,
 	src: func(scale int) string {
 		block := randQuads(64, 0x3D1, 256)
-		cosrow := quads(8, func(i int) uint64 { return uint64(64 - 7*i) })
+		cosrow := Quads(8, func(i int) uint64 { return uint64(64 - 7*i) })
 		return fmt.Sprintf(`
 start:
     ldi params -> r28

@@ -17,9 +17,9 @@ var Amp = register(&Benchmark{
 	Notes:        "pairwise force accumulation, re-read particle arrays",
 	DefaultScale: 400,
 	src: func(scale int) string {
-		r := newRNG(0xA39)
+		r := NewRNG(0xA39)
 		pos := floatQuads(64, func(i int) float64 {
-			return float64(r.next()%1000)/250 + 0.5
+			return float64(r.Next()%1000)/250 + 0.5
 		})
 		return fmt.Sprintf(`
 start:
@@ -72,12 +72,12 @@ var App = register(&Benchmark{
 	Notes:        "banded forward solve, row results stored then reloaded",
 	DefaultScale: 150,
 	src: func(scale int) string {
-		r := newRNG(0xA6B)
+		r := NewRNG(0xA6B)
 		coef := floatQuads(128, func(int) float64 {
-			return 0.25 + float64(r.next()%100)/400
+			return 0.25 + float64(r.Next()%100)/400
 		})
 		rhs := floatQuads(128, func(int) float64 {
-			return 1 + float64(r.next()%50)/50
+			return 1 + float64(r.Next()%50)/50
 		})
 		return fmt.Sprintf(`
 start:
@@ -142,9 +142,9 @@ var Art = register(&Benchmark{
 	Notes:        "neural F1 match over two MBC-resident 64-entry vectors",
 	DefaultScale: 400,
 	src: func(scale int) string {
-		r := newRNG(0xA47)
-		w1 := floatQuads(64, func(int) float64 { return float64(r.next()%100) / 100 })
-		w2 := floatQuads(64, func(int) float64 { return float64(r.next()%100) / 100 })
+		r := NewRNG(0xA47)
+		w1 := floatQuads(64, func(int) float64 { return float64(r.Next()%100) / 100 })
+		w2 := floatQuads(64, func(int) float64 { return float64(r.Next()%100) / 100 })
 		return fmt.Sprintf(`
 start:
     ldi params -> r28
@@ -195,10 +195,10 @@ var Eqk = register(&Benchmark{
 	Notes:        "sparse MVM with indirect (index-load-driven) accesses",
 	DefaultScale: 70,
 	src: func(scale int) string {
-		r := newRNG(0xE9C)
-		idx := quads(256, func(int) uint64 { return (r.next() % 128) * 8 })
-		vals := floatQuads(256, func(int) float64 { return float64(r.next()%1000) / 500 })
-		x := floatQuads(128, func(int) float64 { return float64(r.next()%100) / 100 })
+		r := NewRNG(0xE9C)
+		idx := Quads(256, func(int) uint64 { return (r.Next() % 128) * 8 })
+		vals := floatQuads(256, func(int) float64 { return float64(r.Next()%1000) / 500 })
+		x := floatQuads(128, func(int) float64 { return float64(r.Next()%100) / 100 })
 		return fmt.Sprintf(`
 start:
     ldi params -> r28
@@ -256,14 +256,14 @@ var Msa = register(&Benchmark{
 	Notes:        "4x4 vertex transform, matrix reloaded per vertex",
 	DefaultScale: 120,
 	src: func(scale int) string {
-		r := newRNG(0x35A)
+		r := NewRNG(0x35A)
 		mat := floatQuads(16, func(i int) float64 {
 			if i%5 == 0 {
 				return 1
 			}
-			return float64(r.next()%100) / 1000
+			return float64(r.Next()%100) / 1000
 		})
-		verts := floatQuads(256, func(int) float64 { return float64(r.next()%2000)/100 - 10 })
+		verts := floatQuads(256, func(int) float64 { return float64(r.Next()%2000)/100 - 10 })
 		return fmt.Sprintf(`
 start:
     ldi params -> r28
@@ -332,8 +332,8 @@ var Mgd = register(&Benchmark{
 	Notes:        "7-point stencil over a 32KB grid (exceeds MBC)",
 	DefaultScale: 4,
 	src: func(scale int) string {
-		r := newRNG(0x36D)
-		grid := floatQuads(4096, func(int) float64 { return float64(r.next()%1000) / 100 })
+		r := NewRNG(0x36D)
+		grid := floatQuads(4096, func(int) float64 { return float64(r.Next()%1000) / 100 })
 		return fmt.Sprintf(`
 start:
     ldi params -> r28

@@ -19,12 +19,12 @@ var Bzp = register(&Benchmark{
 	Notes:        "run-length compression scan, 8KB working set",
 	DefaultScale: 24,
 	src: func(scale int) string {
-		r := newRNG(0xB21)
+		r := NewRNG(0xB21)
 		// Byte data with runs: values change with p=1/6.
-		cur := r.next() % 40
-		data := quads(1024, func(int) uint64 {
-			if r.next()%6 == 0 {
-				cur = r.next() % 40
+		cur := r.Next() % 40
+		data := Quads(1024, func(int) uint64 {
+			if r.Next()%6 == 0 {
+				cur = r.Next() % 40
 			}
 			return cur
 		})
@@ -624,12 +624,12 @@ var Vor = register(&Benchmark{
 	Notes:        "record traversal with field checks, 16KB working set",
 	DefaultScale: 45,
 	src: func(scale int) string {
-		r := newRNG(0x40E)
-		recs := quads(2048, func(i int) uint64 {
+		r := NewRNG(0x40E)
+		recs := Quads(2048, func(i int) uint64 {
 			if i%4 == 0 {
-				return r.next()%8 + 1 // type tag
+				return r.Next()%8 + 1 // type tag
 			}
-			return r.next() % (1 << 30)
+			return r.Next() % (1 << 30)
 		})
 		return fmt.Sprintf(`
 start:

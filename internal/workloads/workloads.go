@@ -14,6 +14,8 @@
 package workloads
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"math"
 	"sort"
@@ -68,6 +70,7 @@ type Benchmark struct {
 
 	mu    sync.Mutex
 	cache map[int]*emu.Program
+	fps   map[int]string
 }
 
 // Source returns the assembly text at the given scale (<= 0 uses the
@@ -96,6 +99,30 @@ func (b *Benchmark) Program(scale int) *emu.Program {
 	}
 	b.cache[scale] = p
 	return p
+}
+
+// Fingerprint returns the content hash of the benchmark's source at
+// the given scale (<= 0 uses the default): the first 16 hex digits of
+// its SHA-256, memoized per scale beside the program cache, without
+// assembling the program or keeping the source. Store keys carry it,
+// so editing a kernel invalidates its stored results instead of
+// serving stale ones: the name alone does not identify the work.
+func (b *Benchmark) Fingerprint(scale int) string {
+	if scale <= 0 {
+		scale = b.DefaultScale
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if w, ok := b.fps[scale]; ok {
+		return w
+	}
+	sum := sha256.Sum256([]byte(b.Source(scale)))
+	w := hex.EncodeToString(sum[:8])
+	if b.fps == nil {
+		b.fps = make(map[int]string)
+	}
+	b.fps[scale] = w
+	return w
 }
 
 var registry []*Benchmark
@@ -216,29 +243,44 @@ func ByName(name string) (*Benchmark, bool) {
 	return b, ok
 }
 
-// rng is a deterministic xorshift64 generator used to emit data tables;
-// workloads must be reproducible run to run.
-type rng uint64
+// RNG is a deterministic xorshift64 generator used to emit data
+// tables; workloads, built-in and generated (internal/scenario), must
+// be reproducible run to run and Go-version to Go-version. It is fixed
+// forever: changing it would change every program and orphan stored
+// results.
+type RNG uint64
 
-func newRNG(seed uint64) *rng {
-	r := rng(seed | 1)
+// NewRNG returns a generator seeded with seed (forced odd, so never 0).
+func NewRNG(seed uint64) *RNG {
+	r := RNG(seed | 1)
 	return &r
 }
 
-func (r *rng) next() uint64 {
+// Next returns the next value of the stream.
+func (r *RNG) Next() uint64 {
 	x := uint64(*r)
 	x ^= x << 13
 	x ^= x >> 7
 	x ^= x << 17
-	*r = rng(x)
+	*r = RNG(x)
 	return x
 }
 
-// quads emits n .quad words drawn from gen. It builds through a
-// strings.Builder: the data tables run to tens of thousands of words at
-// large scales, where naive concatenation is quadratic and used to
-// dominate workload assembly time.
-func quads(n int, gen func(i int) uint64) string {
+// N returns a value in [0, m) (0 when m is 0). Modulo bias is
+// irrelevant here: the draws parameterize programs, they are not
+// statistics.
+func (r *RNG) N(m uint64) uint64 {
+	if m == 0 {
+		return 0
+	}
+	return r.Next() % m
+}
+
+// Quads emits n .quad words drawn from gen, eight per line. It builds
+// through a strings.Builder: the data tables run to tens of thousands
+// of words at large scales, where naive concatenation is quadratic and
+// used to dominate workload assembly time.
+func Quads(n int, gen func(i int) uint64) string {
 	var s strings.Builder
 	s.Grow(n * 8)
 	for i := 0; i < n; i++ {
@@ -258,9 +300,9 @@ func quads(n int, gen func(i int) uint64) string {
 
 // randQuads emits n pseudo-random .quad words in [0, mod).
 func randQuads(n int, seed, mod uint64) string {
-	r := newRNG(seed)
-	return quads(n, func(int) uint64 {
-		v := r.next()
+	r := NewRNG(seed)
+	return Quads(n, func(int) uint64 {
+		v := r.Next()
 		if mod != 0 {
 			v %= mod
 		}
@@ -270,7 +312,7 @@ func randQuads(n int, seed, mod uint64) string {
 
 // floatQuads emits n .quad words holding float64 bit patterns.
 func floatQuads(n int, gen func(i int) float64) string {
-	return quads(n, func(i int) uint64 {
+	return Quads(n, func(i int) uint64 {
 		return math.Float64bits(gen(i))
 	})
 }

@@ -2,11 +2,31 @@ package workloads
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"testing"
 
 	"repro/internal/emu"
 	"repro/internal/pipeline"
 )
+
+// TestFingerprintIsSourceHash pins the fingerprint every store key
+// carries to its formula, the first 16 hex digits of SHA-256 over
+// Source(scale): stores written by earlier builds stay warm only while
+// it holds. Scale 0 is the default scale's fingerprint.
+func TestFingerprintIsSourceHash(t *testing.T) {
+	for _, b := range All() {
+		for _, scale := range []int{1, 2} {
+			sum := sha256.Sum256([]byte(b.Source(scale)))
+			if got, want := b.Fingerprint(scale), hex.EncodeToString(sum[:])[:16]; got != want {
+				t.Errorf("%s@%d: fingerprint %s, want %s", b.Name, scale, got, want)
+			}
+		}
+		if b.Fingerprint(0) != b.Fingerprint(b.DefaultScale) {
+			t.Errorf("%s: scale 0 and the default scale %d fingerprint differently", b.Name, b.DefaultScale)
+		}
+	}
+}
 
 func TestRegistryComplete(t *testing.T) {
 	all := All()
