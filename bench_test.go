@@ -248,6 +248,48 @@ func BenchmarkPipelineOptimized(b *testing.B) {
 	benchPipeline(b, pipeline.DefaultConfig())
 }
 
+// exactMixBenches are the built-ins of the exact perfbench sweep, two
+// from each behaviour class: branchy, memory-bound, ILP-rich, mixed.
+var exactMixBenches = []string{"bzp", "g721e", "gap", "eqk", "art", "msa", "twf", "g721d"}
+
+// BenchmarkPipelineExactMix measures cycle-level simulation speed on
+// the exact sweep's workload: each of exactMixBenches at its default
+// scale on the default and baseline machines, one after another in one
+// goroutine. As in benchPipeline, session construction is hoisted out
+// of the timed region, so allocs/op counts only what the 16 runs
+// allocate.
+func BenchmarkPipelineExactMix(b *testing.B) {
+	var progs []*emu.Program
+	for _, name := range exactMixBenches {
+		bench, ok := workloads.ByName(name)
+		if !ok {
+			b.Fatalf("benchmark %q missing from registry", name)
+		}
+		progs = append(progs, bench.Program(bench.DefaultScale))
+	}
+	cfgs := []pipeline.Config{pipeline.DefaultConfig(), pipeline.DefaultConfig().Baseline()}
+	b.ResetTimer()
+	var retired uint64
+	for i := 0; i < b.N; i++ {
+		for _, prog := range progs {
+			for _, cfg := range cfgs {
+				b.StopTimer()
+				s, err := pipeline.New(cfg, prog)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				res, err := s.Run(context.Background(), pipeline.RunOpts{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				retired += res.Retired
+			}
+		}
+	}
+	b.ReportMetric(float64(retired)/b.Elapsed().Seconds(), "insts/s")
+}
+
 // --- Sweep-level benchmarks of the exper engine ---
 
 // sweepBenchConfigs builds n distinct machine configurations — a

@@ -38,10 +38,10 @@ type mbc struct {
 	prf     *regfile.File
 
 	// bases[p] counts valid entries whose symbolic base is preg p,
-	// maintained alongside the reference counts. feedback consults it
-	// to skip the full-table scan for the (overwhelmingly common)
-	// produced values no MBC entry is expressed against — the scan was
-	// the hottest simulator function before the gate.
+	// maintained alongside the reference counts. The count is exact, so
+	// feedback skips the table scan for the (overwhelmingly common)
+	// produced values no MBC entry is expressed against, and stops
+	// scanning once it has folded bases[p] entries.
 	bases []uint32
 }
 
@@ -117,9 +117,8 @@ func (m *mbc) flush() {
 	}
 }
 
-// feedback folds a produced value into every entry based on preg p.
-// The scan only runs when the base index says at least one entry is
-// expressed against p.
+// feedback folds a produced value into every entry based on preg p,
+// scanning only while the base index says unfolded entries remain.
 func (m *mbc) feedback(p regfile.PReg, val uint64) (applied uint64) {
 	if m.bases[p] == 0 {
 		return 0
@@ -131,6 +130,9 @@ func (m *mbc) feedback(p regfile.PReg, val uint64) (applied uint64) {
 			m.bases[p]--
 			m.prf.Release(p)
 			applied++
+			if m.bases[p] == 0 {
+				break
+			}
 		}
 	}
 	return applied

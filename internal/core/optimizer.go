@@ -95,11 +95,12 @@ type Optimizer struct {
 	consumed []bool
 	tracked  []bool
 
-	// ratBases[p] counts RAT entries whose symbolic value is expressed
-	// against preg p, maintained by symRef/symUnref alongside the
-	// reference counts. Feedback consults it to skip the table scan for
-	// produced values no entry is based on — the common case on the
-	// steady-state path.
+	// ratBases[p] counts the RAT entries feedback can fold — integer
+	// (symOK) entries whose symbolic value is expressed against preg p —
+	// maintained by symRef/symUnref alongside the reference counts. The
+	// count is exact, so Feedback skips the table scan when it is zero
+	// (the common case on the steady-state path) and stops scanning once
+	// it has folded that many entries.
 	ratBases []uint32
 
 	bundle       uint64
@@ -177,27 +178,31 @@ func (o *Optimizer) ResetAt(cfg Config, regs *[isa.NumRegs]uint64) {
 			e.sym = Const(v)
 		} else {
 			e.sym = Sym(p)
-			o.symRef(p)
+			o.symRef(e, p)
 		}
 	}
 }
 
-// symRef takes a RAT symbolic-base reference on p, keeping the base
-// index in step with the reference counts.
-func (o *Optimizer) symRef(p regfile.PReg) {
+// symRef takes entry e's symbolic-base reference on p, keeping the
+// base index in step with the reference counts.
+func (o *Optimizer) symRef(e *ratEntry, p regfile.PReg) {
 	if p == regfile.NoPReg {
 		return
 	}
-	o.ratBases[p]++
+	if e.symOK {
+		o.ratBases[p]++
+	}
 	o.prf.AddRef(p)
 }
 
-// symUnref drops a RAT symbolic-base reference on p.
-func (o *Optimizer) symUnref(p regfile.PReg) {
+// symUnref drops entry e's symbolic-base reference on p.
+func (o *Optimizer) symUnref(e *ratEntry, p regfile.PReg) {
 	if p == regfile.NoPReg {
 		return
 	}
-	o.ratBases[p]--
+	if e.symOK {
+		o.ratBases[p]--
+	}
 	o.prf.Release(p)
 }
 
@@ -226,17 +231,18 @@ func (o *Optimizer) Feedback(p regfile.PReg, val uint64) {
 	if o.cfg.DiscreteWindow > 0 {
 		return
 	}
-	// Scan only when the base index says some entry is expressed
-	// against p (the count may also cover non-symOK entries, which keep
-	// a plain symbolic value forever — the scan then finds nothing,
-	// exactly as before the gate).
+	// The base index counts exactly the entries to fold: scan only
+	// while some remain.
 	if o.ratBases[p] > 0 {
 		for r := range o.rat {
 			e := &o.rat[r]
 			if e.symOK && e.sym.HasBase() && e.sym.Base == p {
 				e.sym = Const(e.sym.Eval(val))
-				o.symUnref(p)
+				o.symUnref(e, p)
 				o.stats.FeedbackApplied++
+				if o.ratBases[p] == 0 {
+					break
+				}
 			}
 		}
 	}
@@ -269,16 +275,9 @@ func (o *Optimizer) srcOf(r isa.Reg) source {
 }
 
 // optDepth returns the chained-addition depth an optimization consuming
-// the given sources' symbolic values would have within this bundle.
-func optDepth(srcs ...source) int {
-	d := 0
-	for _, s := range srcs {
-		if s.depth > d {
-			d = s.depth
-		}
-	}
-	return d + 1
-}
+// the symbolic values of sources a and b would have within this bundle;
+// an absent operand is source{}.
+func optDepth(a, b source) int { return max(a.depth, b.depth) + 1 }
 
 // depthOK reports whether an optimization at the given depth fits the
 // per-bundle addition budget (§6.2), counting refused attempts.
@@ -315,7 +314,7 @@ func (o *Optimizer) setDest(r isa.Reg, p regfile.PReg, sym SymVal, depth int) {
 	// symbolic base may be kept alive only by the entry being replaced
 	// (e.g. `add r1, 1 -> r1` over a reassociated r1).
 	if sym.HasBase() {
-		o.symRef(sym.Base)
+		o.symRef(e, sym.Base)
 	}
 	oldPreg, oldSym := e.preg, e.sym
 	e.preg = p
@@ -324,7 +323,7 @@ func (o *Optimizer) setDest(r isa.Reg, p regfile.PReg, sym SymVal, depth int) {
 	e.depth = depth
 	o.prf.Release(oldPreg)
 	if oldSym.HasBase() {
-		o.symUnref(oldSym.Base)
+		o.symUnref(e, oldSym.Base)
 	}
 }
 
@@ -359,15 +358,17 @@ func (o *Optimizer) addDep(deps []regfile.PReg, p regfile.PReg) []regfile.PReg {
 // still do. Instructions must be presented in program order; call
 // BeginBundle at each rename-cycle boundary.
 func (o *Optimizer) Rename(d *emu.DynInst) RenameResult {
-	return o.RenameInto(d, nil)
+	var res RenameResult
+	o.RenameInto(d, &res)
+	return res
 }
 
-// RenameInto is Rename with a caller-owned dependence buffer: the
-// result's Deps list is built by appending to deps[:0] (at most two
-// entries per instruction), so a caller that recycles per-instruction
-// buffers — the pipeline's dynOp arena — renames with zero heap
-// allocation. A nil deps behaves exactly like Rename.
-func (o *Optimizer) RenameInto(d *emu.DynInst, deps []regfile.PReg) RenameResult {
+// RenameInto is Rename writing its result into the caller-owned *res,
+// whose previous contents it overwrites. The dependence list is built by
+// appending to res.Deps[:0] (at most two entries per instruction), so a
+// caller that points res.Deps at a recycled buffer — the pipeline's
+// dynOp arena — renames with no heap allocation and no result copy.
+func (o *Optimizer) RenameInto(d *emu.DynInst, res *RenameResult) {
 	// Discrete (offline) optimization invalidates the tables at each
 	// trace boundary (§3.4).
 	if o.cfg.DiscreteWindow > 0 && o.stats.Renamed > 0 &&
@@ -376,20 +377,20 @@ func (o *Optimizer) RenameInto(d *emu.DynInst, deps []regfile.PReg) RenameResult
 	}
 	o.stats.Renamed++
 	in := d.Inst
-	res := RenameResult{Dest: regfile.NoPReg, ExecClass: in.Op.Class(), Deps: deps[:0]}
+	*res = RenameResult{Dest: regfile.NoPReg, ExecClass: in.Op.Class(), Deps: res.Deps[:0]}
 
 	switch in.Op.Class() {
 	case isa.ClassNop, isa.ClassHalt:
 		res.Kind = KindEarly // nothing for the core to execute
-		return res
+		return
 	case isa.ClassBranch:
-		o.renameBranch(d, &res)
+		o.renameBranch(d, res)
 	case isa.ClassLoad:
-		o.renameLoad(d, &res)
+		o.renameLoad(d, res)
 	case isa.ClassStore:
-		o.renameStore(d, &res)
+		o.renameStore(d, res)
 	default:
-		o.renameALU(d, &res)
+		o.renameALU(d, res)
 	}
 
 	// The instruction holds a reference on its destination until retire,
@@ -401,7 +402,6 @@ func (o *Optimizer) RenameInto(d *emu.DynInst, deps []regfile.PReg) RenameResult
 	if res.Kind == KindEarly {
 		o.stats.EarlyExecuted++
 	}
-	return res
 }
 
 // renameALU handles integer, floating-point and move operations.
@@ -568,7 +568,7 @@ func (o *Optimizer) renameBranch(d *emu.DynInst, res *RenameResult) {
 	switch {
 	case in.Op.IsCondBranch():
 		a := o.srcOf(in.SrcA)
-		if allowEarly && a.sym.Known && o.depthOK(optDepth(a)) {
+		if allowEarly && a.sym.Known && o.depthOK(optDepth(a, source{})) {
 			o.verify(emu.BranchTaken(in.Op, a.sym.Off) == d.Taken, d, "branch resolution")
 			res.Kind = KindEarly
 			res.BranchResolved = true
@@ -586,7 +586,7 @@ func (o *Optimizer) renameBranch(d *emu.DynInst, res *RenameResult) {
 			if zero && !a.sym.Known {
 				e := &o.rat[in.SrcA]
 				if e.sym.HasBase() {
-					o.symUnref(e.sym.Base)
+					o.symUnref(e, e.sym.Base)
 				}
 				e.sym = Const(0)
 				o.stats.Inferences++
@@ -624,7 +624,7 @@ func (o *Optimizer) renameBranch(d *emu.DynInst, res *RenameResult) {
 
 	case in.Op == isa.JMP:
 		a := o.srcOf(in.SrcA)
-		if allowEarly && a.sym.Known && o.depthOK(optDepth(a)) {
+		if allowEarly && a.sym.Known && o.depthOK(optDepth(a, source{})) {
 			o.verify(a.sym.Off == d.NextPC, d, "jmp target")
 			res.Kind = KindEarly
 			res.BranchResolved = true
@@ -646,7 +646,7 @@ func (o *Optimizer) renameLoad(d *emu.DynInst, res *RenameResult) {
 	base := o.srcOf(in.SrcA)
 
 	addrKnown := false
-	if o.cfg.Mode == ModeFull && base.sym.Known && o.depthOK(optDepth(base)) {
+	if o.cfg.Mode == ModeFull && base.sym.Known && o.depthOK(optDepth(base, source{})) {
 		addr := base.sym.Off + uint64(in.Imm)
 		o.verify(addr == d.Addr, d, "load address")
 		addrKnown = true
@@ -727,7 +727,7 @@ func (o *Optimizer) renameStore(d *emu.DynInst, res *RenameResult) {
 	res.Kind = KindNormal
 
 	addrKnown := false
-	if o.cfg.Mode == ModeFull && base.sym.Known && o.depthOK(optDepth(base)) {
+	if o.cfg.Mode == ModeFull && base.sym.Known && o.depthOK(optDepth(base, source{})) {
 		addr := base.sym.Off + uint64(in.Imm)
 		o.verify(addr == d.Addr, d, "store address")
 		addrKnown = true
@@ -776,10 +776,10 @@ func (o *Optimizer) flushTables() {
 			continue
 		}
 		if e.sym.HasBase() {
-			o.symUnref(e.sym.Base)
+			o.symUnref(e, e.sym.Base)
 		}
 		e.sym = Sym(e.preg)
-		o.symRef(e.preg)
+		o.symRef(e, e.preg)
 		e.bundle, e.depth = 0, 0
 	}
 	if o.mbc != nil {
@@ -797,7 +797,7 @@ func (o *Optimizer) ReleaseAll() {
 		if e.preg != regfile.NoPReg {
 			o.prf.Release(e.preg)
 			if e.sym.HasBase() {
-				o.symUnref(e.sym.Base)
+				o.symUnref(e, e.sym.Base)
 			}
 			e.preg = regfile.NoPReg
 			e.sym = SymVal{}

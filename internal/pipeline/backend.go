@@ -33,7 +33,7 @@ type backEnd struct {
 	fetchQ opRing
 	renQ   opRing
 	window opRing
-	scheds [numScheds][]opRef
+	scheds [numScheds][]schedEntry
 
 	// ops and opFree implement the dynOp arena: all in-flight ops live
 	// in the ops slab (presized to the pipeline's total queue capacity,
@@ -103,7 +103,7 @@ func (be *backEnd) reset(cfg *Config, regs *[isa.NumRegs]uint64, shape backEndSh
 	be.window.reset(cfg.WindowSize)
 	for c := range be.scheds {
 		if cap(be.scheds[c]) < cfg.SchedEntries {
-			be.scheds[c] = make([]opRef, 0, cfg.SchedEntries)
+			be.scheds[c] = make([]schedEntry, 0, cfg.SchedEntries)
 		}
 		be.scheds[c] = be.scheds[c][:0]
 	}

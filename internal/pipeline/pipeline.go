@@ -39,6 +39,19 @@ func schedOf(c isa.Class) schedClass {
 	}
 }
 
+// schedEntry is one scheduler slot: the op and its cached wake cycle,
+// the first cycle its operands allow it to issue — notReady until wake
+// can resolve it, and final from then on. Issue compares the cached
+// cycle without touching the op. While the cycle is unresolved, block
+// names the source preg that was found not ready (NoPReg when the op
+// must re-resolve in full): the op stays unresolved until that preg's
+// producer issues.
+type schedEntry struct {
+	wake  uint64
+	ref   opRef
+	block regfile.PReg
+}
+
 // opRef names one in-flight op by its index in the session's arena.
 // The pipeline queues, schedulers, event wheel, and dependence links
 // all hold opRefs instead of *dynOp pointers: the arena slab is the
@@ -60,8 +73,8 @@ type dynOp struct {
 	res core.RenameResult
 
 	// depbuf backs res.Deps (at most two dependences per instruction);
-	// rename appends into it via Optimizer.RenameInto, so dependence
-	// lists cost no allocation.
+	// rename points res.Deps at it and Optimizer.RenameInto fills res in
+	// place, so renaming costs no allocation and no result copy.
 	depbuf [2]regfile.PReg
 
 	// gen counts recycles of this arena slot. A holder of a possibly
@@ -74,19 +87,17 @@ type dynOp struct {
 	dispatchedAt uint64
 	doneAt       uint64 // execution completion (notReady until issued)
 	sched        schedClass
-	issued       bool
 
 	mispredicted  bool // the front end guessed this branch wrong
 	stallsFetch   bool // fetch is stalled waiting for this branch
 	resolvedEarly bool // the optimizer resolved it at rename
-	decodeHandled bool // static-target BTB miss repaired at decode
 
 	// memDep is the youngest older in-flight store to this load's
 	// address; the load forwards from it and cannot begin executing
 	// before the store's data is ready (store-to-load forwarding with
 	// perfect memory disambiguation). memDepGen is the store's
 	// generation at capture: once the store retires (and its slot is
-	// recycled) the generations diverge, which canIssue reads as "the
+	// recycled) the generations diverge, which wake reads as "the
 	// dependence is long satisfied" — exactly the timing the retired
 	// store's frozen doneAt would have produced.
 	memDep    opRef
@@ -139,6 +150,9 @@ type Session struct {
 
 	windowOccSum uint64
 	schedOccSum  uint64
+	// schedOcc is the number of ops in the four schedulers: dispatch
+	// counts them in, issue counts them out.
+	schedOcc int
 
 	fetchResumeAt  uint64 // fetch stalled until this cycle (notReady = until resolve)
 	fetchBlockedAt uint64 // I-cache miss in progress
@@ -289,11 +303,9 @@ func (s *Session) newOp() opRef {
 func (s *Session) freeOp(i opRef) {
 	op := s.op(i)
 	op.gen++
-	op.issued = false
 	op.mispredicted = false
 	op.stallsFetch = false
 	op.resolvedEarly = false
-	op.decodeHandled = false
 	op.memDep = noOp
 	op.memDepGen = 0
 	s.opFree = append(s.opFree, i)
@@ -325,7 +337,7 @@ func (s *Session) retire() {
 		// A retiring store leaves the store-to-load dependence map
 		// (unless a younger store to the same address replaced it);
 		// after this the op is unreachable and safe to recycle.
-		if op.d.Inst.Op.IsStore() && s.lastStore[op.d.Addr] == ref {
+		if op.res.ExecClass == isa.ClassStore && s.lastStore[op.d.Addr] == ref {
 			delete(s.lastStore, op.d.Addr)
 		}
 		s.freeOp(ref)
@@ -355,22 +367,17 @@ func (s *Session) complete() {
 // opLatency returns the execution latency of an issued op, charging the
 // data cache for loads.
 func (s *Session) opLatency(op *dynOp) uint64 {
-	in := op.d.Inst
-	switch {
-	case in.Op.IsLoad():
+	switch op.res.ExecClass {
+	case isa.ClassLoad:
 		lat := s.caches.DataAccess(op.d.Addr)
 		if !op.res.AddrKnown {
 			lat++ // address generation
 		}
 		return lat
-	case in.Op.IsStore():
+	case isa.ClassStore, isa.ClassSimpleInt, isa.ClassBranch:
 		return 1
 	}
-	switch op.res.ExecClass {
-	case isa.ClassSimpleInt, isa.ClassBranch:
-		return 1
-	}
-	switch in.Op {
+	switch op.d.Inst.Op {
 	case isa.MUL, isa.MULH:
 		return 7
 	case isa.DIV, isa.REM:
@@ -389,6 +396,9 @@ func (s *Session) opLatency(op *dynOp) uint64 {
 // issue selects ready instructions from each scheduler, oldest first,
 // bounded by the execution units.
 func (s *Session) issue() {
+	if s.schedOcc == 0 {
+		return
+	}
 	units := [numScheds]int{
 		schedInt:     s.cfg.NumSimpleALU,
 		schedComplex: s.cfg.NumComplexALU,
@@ -400,80 +410,98 @@ func (s *Session) issue() {
 
 	for cls := schedInt; cls < numScheds; cls++ {
 		q := s.scheds[cls]
-		if len(q) == 0 {
-			continue
-		}
 		left := units[cls]
-		kept := q[:0]
-		for _, ref := range q {
+		// Issued entries leave the queue; the rest slide down in
+		// order, preserving age-based selection.
+		k := 0
+		for i := range q {
+			e := &q[i]
 			if left == 0 {
-				kept = append(kept, ref)
-				continue
+				k += copy(q[k:], q[i:])
+				break
 			}
-			op := s.op(ref)
-			if !s.canIssue(op, &agenLeft, &portsLeft) {
-				kept = append(kept, ref)
-				continue
+			if e.wake == notReady && (e.block == regfile.NoPReg || s.ready[e.block] != notReady) {
+				e.wake, e.block = s.wake(s.op(e.ref))
 			}
-			op.issued = true
-			lat := s.opLatency(op)
-			op.doneAt = s.cycle + s.cfg.RegReadLat + lat
-			if op.res.Dest != regfile.NoPReg {
-				s.ready[op.res.Dest] = op.doneAt
+			if e.wake <= s.cycle {
+				op := s.op(e.ref)
+				if cls != schedMem || unitFree(op, &agenLeft, &portsLeft) {
+					op.doneAt = s.cycle + s.cfg.RegReadLat + s.opLatency(op)
+					if op.res.Dest != regfile.NoPReg {
+						s.ready[op.res.Dest] = op.doneAt
+					}
+					s.completions.schedule(s.cycle, op.doneAt, e.ref)
+					left--
+					continue
+				}
 			}
-			s.completions.schedule(s.cycle, op.doneAt, ref)
-			left--
+			if k != i {
+				q[k] = *e
+			}
+			k++
 		}
-		// Preserve queue order for age-based selection.
-		s.scheds[cls] = kept
+		s.scheds[cls] = q[:k]
+		s.schedOcc -= len(q) - k
 	}
 }
 
-// canIssue checks operand readiness and memory-unit availability.
-func (s *Session) canIssue(op *dynOp, agenLeft, portsLeft *int) bool {
-	if op.dispatchedAt+s.cfg.SchedMinLat > s.cycle {
-		return false
-	}
-	execStart := s.cycle + s.cfg.RegReadLat
+// wake returns a scheduled op's wake cycle: the first cycle at which
+// its operands are ready by the time it reaches execute, RegReadLat
+// cycles after issue. That is the latest of dispatchedAt + SchedMinLat,
+// each source's ready time less RegReadLat, and (for a load forwarding
+// from an in-flight store) the store's completion less RegReadLat; the
+// forwarding latency itself is folded into the load's access latency. It
+// is computable once every producer has issued, and final from then
+// on: each ready time is written once, when its producer issues (or at
+// rename for an early-executed producer), and the op holds a reference
+// on each source preg until it retires, so no source can be freed and
+// reallocated under it. A retired store (generation mismatch) completed
+// no later than its retirement cycle, which is before any cycle that
+// can read its term, so the dependence is dropped. While some producer
+// has yet to issue, wake returns notReady and the source preg that is
+// not ready (NoPReg when the op waits on a store).
+func (s *Session) wake(op *dynOp) (uint64, regfile.PReg) {
+	rrl := s.cfg.RegReadLat
+	w := op.dispatchedAt + s.cfg.SchedMinLat
 	for _, p := range op.res.Deps {
-		if s.ready[p] == notReady || s.ready[p] > execStart {
-			return false
+		r := s.ready[p]
+		if r == notReady {
+			return notReady, p
+		}
+		if r > rrl && r-rrl > w {
+			w = r - rrl
 		}
 	}
-	// A load forwarding from an in-flight store waits for the store's
-	// data (store-to-load forwarding latency is folded into the load's
-	// own access latency). A generation mismatch means the store has
-	// retired (its arena slot was recycled); a retired store completed
-	// no later than its retirement cycle <= now < execStart, so the
-	// dependence is satisfied — identical timing to the frozen doneAt
-	// the pre-arena heap op would have reported.
 	if op.memDep != noOp {
 		dep := s.op(op.memDep)
 		if dep.gen != op.memDepGen {
 			op.memDep = noOp
-		} else if dep.doneAt == notReady || dep.doneAt > execStart {
-			return false
+		} else if dep.doneAt == notReady {
+			return notReady, regfile.NoPReg
+		} else if d := dep.doneAt; d > rrl && d-rrl > w {
+			w = d - rrl
 		}
 	}
-	in := op.d.Inst
-	if in.Op.IsLoad() {
-		needAgen := 0
-		if !op.res.AddrKnown {
-			needAgen = 1
-		}
-		if *portsLeft == 0 || *agenLeft < needAgen {
-			return false
-		}
-		*portsLeft--
-		*agenLeft -= needAgen
-	} else if in.Op.IsStore() {
-		if !op.res.AddrKnown {
-			if *agenLeft == 0 {
-				return false
-			}
-			*agenLeft--
-		}
+	return w, regfile.NoPReg
+}
+
+// unitFree checks memory-unit availability for a load or store whose
+// operands are ready, claiming the D-cache port and address generator
+// it needs.
+func unitFree(op *dynOp, agenLeft, portsLeft *int) bool {
+	needAgen := 0
+	if !op.res.AddrKnown {
+		needAgen = 1
 	}
+	needPort := 0
+	if op.res.ExecClass == isa.ClassLoad {
+		needPort = 1
+	}
+	if *portsLeft < needPort || *agenLeft < needAgen {
+		return false
+	}
+	*portsLeft -= needPort
+	*agenLeft -= needAgen
 	return true
 }
 
@@ -495,7 +523,8 @@ func (s *Session) dispatch() {
 				s.res.SchedStalls++
 				break
 			}
-			s.scheds[op.sched] = append(s.scheds[op.sched], ref)
+			s.scheds[op.sched] = append(s.scheds[op.sched], schedEntry{wake: notReady, ref: ref, block: regfile.NoPReg})
+			s.schedOcc++
 		}
 		op.dispatchedAt = s.cycle
 		s.window.push(ref)
@@ -529,15 +558,16 @@ func (s *Session) rename() {
 			s.res.RegStalls++
 			break
 		}
-		op.res = s.opt.RenameInto(&op.d, op.depbuf[:0])
+		op.res.Deps = op.depbuf[:0]
+		s.opt.RenameInto(&op.d, &op.res)
 		op.renameDoneAt = renameDone
 		op.doneAt = notReady
 		op.sched = schedOf(op.res.ExecClass)
 		// Memory dependences: loads forward from the youngest older
 		// store to the same address that is still in flight.
-		if op.d.Inst.Op.IsStore() {
+		if op.res.ExecClass == isa.ClassStore {
 			s.lastStore[op.d.Addr] = ref
-		} else if op.d.Inst.Op.IsLoad() && op.res.Kind == core.KindNormal {
+		} else if op.res.ExecClass == isa.ClassLoad && op.res.Kind == core.KindNormal {
 			if dep, ok := s.lastStore[op.d.Addr]; ok {
 				op.memDep, op.memDepGen = dep, s.op(dep).gen
 			}
@@ -654,7 +684,6 @@ func (s *Session) handleBranch(ref opRef) bool {
 	if in.Op == isa.BR || in.Op == isa.JSR {
 		// Static-target branches that miss the BTB are repaired at
 		// decode: the front end restarts once the target is decoded.
-		op.decodeHandled = true
 		s.res.DecodeRedirects++
 		s.fetchResumeAt = s.cycle + s.cfg.FrontLat
 		return true

@@ -212,9 +212,7 @@ func (s *Session) Run(ctx context.Context, opts RunOpts) (*Result, error) {
 		s.rename()
 		s.fetch()
 		s.windowOccSum += uint64(s.window.len())
-		for c := schedInt; c < numScheds; c++ {
-			s.schedOccSum += uint64(len(s.scheds[c]))
-		}
+		s.schedOccSum += uint64(s.schedOcc)
 		s.cycle++
 
 		if opts.Interval > 0 && s.cycle-ivStart >= opts.Interval {

@@ -112,13 +112,15 @@ func (f *File) Alloc() PReg {
 	return p
 }
 
-// AddRef takes an additional reference on p.
+// AddRef takes an additional reference on p. It and Release are the
+// simulator's hottest calls, so both stay small enough to inline: the
+// panic and free-list paths live out of line.
 func (f *File) AddRef(p PReg) {
 	if p == NoPReg {
 		return
 	}
 	if f.refs[p] <= 0 {
-		panic(fmt.Sprintf("regfile: AddRef on dead preg p%d", p))
+		deadPReg("AddRef", p)
 	}
 	f.refs[p]++
 }
@@ -128,15 +130,32 @@ func (f *File) Release(p PReg) {
 	if p == NoPReg {
 		return
 	}
-	if f.refs[p] <= 0 {
-		panic(fmt.Sprintf("regfile: Release on dead preg p%d", p))
+	if f.refs[p] <= 1 {
+		f.releaseLast(p)
+		return
 	}
 	f.refs[p]--
-	if f.refs[p] == 0 {
-		f.free = append(f.free, p)
-		f.ready[p] = false
-		f.Frees++
+}
+
+// releaseLast drops p's last reference, returning it to the free list;
+// a dead p panics.
+func (f *File) releaseLast(p PReg) {
+	if f.refs[p] <= 0 {
+		deadPReg("Release", p)
 	}
+	f.refs[p] = 0
+	f.free = append(f.free, p)
+	f.ready[p] = false
+	f.Frees++
+}
+
+// deadPReg reports a reference operation on a preg with no references:
+// a reference-count bug in the caller. Kept out of line so the callers
+// stay within the inlining budget.
+//
+//go:noinline
+func deadPReg(op string, p PReg) {
+	panic(fmt.Sprintf("regfile: %s on dead preg p%d", op, p))
 }
 
 // Refs returns the current reference count of p (for tests/invariants).

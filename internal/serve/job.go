@@ -132,8 +132,11 @@ type Job struct {
 	sampled *sample.Config
 
 	// The resolved execution cells: cfgs[0] is the reference machine.
+	// cfgKeys[i] is cfgs[i].Key(), hashed once at admission for the
+	// telemetry routing table.
 	benches []*workloads.Benchmark
 	cfgs    []pipeline.Config
+	cfgKeys []string
 
 	mu       sync.Mutex
 	state    State
@@ -166,9 +169,13 @@ func newJob(id, tenant string, class Class, spec *exper.SweepSpec, sc *sample.Co
 		sampled: sc,
 		benches: benches,
 		cfgs:    cfgs,
+		cfgKeys: make([]string, len(cfgs)),
 		state:   StateQueued,
 		created: time.Now(),
 		subs:    map[chan Event]bool{},
+	}
+	for i := range cfgs {
+		j.cfgKeys[i] = cfgs[i].Key()
 	}
 	j.emit("queued", map[string]any{
 		"id": id, "tenant": tenant, "class": class.String(), "cells": j.totalCells(),

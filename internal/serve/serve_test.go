@@ -591,3 +591,46 @@ func TestEndToEndMultiTenant(t *testing.T) {
 		}
 	}
 }
+
+// TestProgressRoutesToWatchingJobs checks the telemetry routing table:
+// a job watches each of its cells under the config's content hash,
+// receives the engine's progress for those cells as ephemeral
+// "progress" events, and leaves no routing entry behind when unwatched.
+func TestProgressRoutesToWatchingJobs(t *testing.T) {
+	s := New(exper.NewRunner(1), Config{})
+	var spec exper.SweepSpec
+	if err := json.Unmarshal([]byte(`{"benchmarks":["tst"],"variants":[{"label":"opt"},{"label":"w64","set":{"WindowSize":64}}]}`), &spec); err != nil {
+		t.Fatal(err)
+	}
+	benches, cfgs, err := spec.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	j := newJob("j1", "t", Critical, &spec, nil, benches, cfgs)
+	_, ch := j.subscribe(0)
+	s.watchCells(j)
+	if got, want := len(s.watch), len(benches)*len(cfgs); got != want {
+		t.Fatalf("watching %d cells, want %d", got, want)
+	}
+	for _, c := range cfgs {
+		s.routeProgress(exper.Progress{ConfigKey: c.Key(), Benchmark: "tst", Machine: c.Name})
+		select {
+		case ev := <-ch:
+			if ev.Type != "progress" {
+				t.Fatalf("event %q, want progress", ev.Type)
+			}
+		default:
+			t.Fatalf("no progress event for %s", c.Name)
+		}
+	}
+	s.routeProgress(exper.Progress{ConfigKey: "other", Benchmark: "tst"})
+	select {
+	case ev := <-ch:
+		t.Fatalf("unwatched cell routed %q", ev.Type)
+	default:
+	}
+	s.unwatchCells(j)
+	if len(s.watch) != 0 {
+		t.Fatalf("%d routing entries left after unwatch", len(s.watch))
+	}
+}

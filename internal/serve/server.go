@@ -303,8 +303,8 @@ func (s *Server) watchCells(j *Job) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, b := range j.benches {
-		for i := range j.cfgs {
-			k := watchKey{cfg: j.cfgs[i].Key(), bench: b.Name}
+		for _, key := range j.cfgKeys {
+			k := watchKey{cfg: key, bench: b.Name}
 			m := s.watch[k]
 			if m == nil {
 				m = map[*Job]bool{}
@@ -319,8 +319,8 @@ func (s *Server) unwatchCells(j *Job) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, b := range j.benches {
-		for i := range j.cfgs {
-			k := watchKey{cfg: j.cfgs[i].Key(), bench: b.Name}
+		for _, key := range j.cfgKeys {
+			k := watchKey{cfg: key, bench: b.Name}
 			if m := s.watch[k]; m != nil {
 				delete(m, j)
 				if len(m) == 0 {
