@@ -369,6 +369,37 @@ func benchSweepSampled(b *testing.B, budget int64) {
 func BenchmarkSweepSampledPlanned(b *testing.B)   { benchSweepSampled(b, exper.DefaultTraceBudget) }
 func BenchmarkSweepSampledPerConfig(b *testing.B) { benchSweepSampled(b, 0) }
 
+// planBuildScaleMul sizes BenchmarkPlanBuild's programs at the multiple
+// of each built-in's default scale that the sampled perfbench sweep
+// runs.
+const planBuildScaleMul = 8
+
+// BenchmarkPlanBuild times sampled simulation's config-independent
+// functional pass: sample.BuildPlan over every built-in at
+// planBuildScaleMul times its default scale, one after another in one
+// goroutine. The pass is the emulator's raw fast-forward loop plus
+// checkpoint snapshots, the dominant cost of a sampled cell. insts/s
+// counts the dynamic instructions the plans cover.
+func BenchmarkPlanBuild(b *testing.B) {
+	var progs []*emu.Program
+	for _, bench := range workloads.All() {
+		progs = append(progs, bench.Program(planBuildScaleMul*bench.DefaultScale))
+	}
+	sc := sample.DefaultConfig().Normalize()
+	b.ResetTimer()
+	var insts uint64
+	for i := 0; i < b.N; i++ {
+		for _, prog := range progs {
+			plan, err := sample.BuildPlan(context.Background(), prog, sc, 0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			insts += plan.TotalInsts
+		}
+	}
+	b.ReportMetric(float64(insts)/b.Elapsed().Seconds(), "insts/s")
+}
+
 // BenchmarkOptimizerRename isolates the rename/optimize stage: one
 // instruction stream renamed with full optimization, no timing model.
 func BenchmarkOptimizerRename(b *testing.B) {

@@ -11,8 +11,7 @@
 package bpred
 
 import (
-	"encoding/binary"
-
+	"repro/internal/bitset"
 	"repro/internal/isa"
 )
 
@@ -50,6 +49,13 @@ type Predictor struct {
 	ras     []uint64
 	rasTop  int
 
+	// Marks of what differs from the New state, so Reset and Delta
+	// visit only what a run wrote: the phtBlock-counter blocks and the
+	// BTB entries Update or Apply wrote. A BTB write always sets the
+	// valid bit, so the marked entries are exactly the valid ones.
+	phtDirty bitset.Set
+	btbDirty bitset.Set
+
 	// Stats.
 	Lookups   uint64
 	DirMisses uint64
@@ -73,33 +79,57 @@ func New(cfg Config) *Predictor {
 	}
 	n := 1 << cfg.IndexBits
 	p := &Predictor{
-		cfg:    cfg,
-		pht:    make([]uint8, n),
-		btbTag: make([]uint64, cfg.BTBEntries),
-		btbTgt: make([]uint64, cfg.BTBEntries),
-		btbOK:  make([]bool, cfg.BTBEntries),
-		ras:    make([]uint64, cfg.RASEntries),
+		cfg:      cfg,
+		pht:      make([]uint8, n),
+		btbTag:   make([]uint64, cfg.BTBEntries),
+		btbTgt:   make([]uint64, cfg.BTBEntries),
+		btbOK:    make([]bool, cfg.BTBEntries),
+		ras:      make([]uint64, cfg.RASEntries),
+		phtDirty: bitset.New((n + phtBlock - 1) / phtBlock),
+		btbDirty: bitset.New(cfg.BTBEntries),
 	}
-	p.Reset()
+	// Fill the counters by doubling copies: the 256K-entry default
+	// table is written at memmove speed instead of byte-at-a-time.
+	p.pht[0] = 1
+	for i := 1; i < n; i <<= 1 {
+		copy(p.pht[i:], p.pht[:i])
+	}
 	return p
+}
+
+// phtBlock is the number of counters one dirty mark covers.
+const phtBlock = 64
+
+// weakNotTakenBlock is one block of reset counters.
+var weakNotTakenBlock = func() (b [phtBlock]uint8) {
+	for i := range b {
+		b[i] = 1
+	}
+	return b
+}()
+
+// phtBlockRange returns the counter indices [lo, hi) of block b.
+func (p *Predictor) phtBlockRange(b int) (lo, hi int) {
+	lo = b * phtBlock
+	return lo, min(lo+phtBlock, len(p.pht))
 }
 
 // Reset returns the predictor to exactly the state New builds: empty
 // history, BTB and return stack, every counter weakly not-taken, and
-// statistics zero. Simulation reuses one predictor per geometry this
-// way instead of allocating a fresh table per session or sampled
-// window.
+// statistics zero. Only the marked counter blocks and BTB entries are
+// rewritten. Simulation reuses one predictor per geometry this way
+// instead of allocating a fresh table per session or sampled window.
 func (p *Predictor) Reset() {
 	p.history = 0
-	// Fill the counters by doubling copies: the 256K-entry default
-	// table is written at memmove speed instead of byte-at-a-time.
-	p.pht[0] = 1
-	for i := 1; i < len(p.pht); i <<= 1 {
-		copy(p.pht[i:], p.pht[:i])
+	for b := range p.phtDirty.All() {
+		lo, hi := p.phtBlockRange(b)
+		copy(p.pht[lo:hi], weakNotTakenBlock[:])
 	}
-	clear(p.btbTag)
-	clear(p.btbTgt)
-	clear(p.btbOK)
+	clear(p.phtDirty)
+	for i := range p.btbDirty.All() {
+		p.btbTag[i], p.btbTgt[i], p.btbOK[i] = 0, 0, false
+	}
+	clear(p.btbDirty)
 	clear(p.ras)
 	p.rasTop = 0
 	p.Lookups, p.DirMisses, p.TgtMisses = 0, 0, 0
@@ -107,14 +137,17 @@ func (p *Predictor) Reset() {
 
 // Delta is a predictor's state as a sparse difference from its reset
 // state: the pattern-table counters and BTB entries that differ, the
-// return stack, the global history and the statistics counters. Apply
-// on a reset predictor of the same geometry reproduces the recorded
-// state exactly; functional warming trains a few hundred counters of a
+// marked counter blocks none of whose counters differ (trained counters
+// can return to their reset value), the return stack, the global
+// history and the statistics counters. Apply on a reset predictor of
+// the same geometry reproduces the recorded state exactly, marks
+// included; functional warming trains a few hundred counters of a
 // 256K-entry table, so a Delta is a small fraction of the predictor.
 type Delta struct {
 	History   uint64
 	PHTIndex  []uint32
 	PHT       []uint8
+	PHTClean  []uint32
 	BTBIndex  []uint32
 	BTBTag    []uint64
 	BTBTgt    []uint64
@@ -124,10 +157,6 @@ type Delta struct {
 	DirMisses uint64
 	TgtMisses uint64
 }
-
-// weakNotTaken is eight reset counters, for comparing the table eight
-// entries at a time.
-const weakNotTaken = 0x0101010101010101
 
 // Delta records the predictor as a difference from its reset state.
 func (p *Predictor) Delta() Delta {
@@ -139,32 +168,23 @@ func (p *Predictor) Delta() Delta {
 		DirMisses: p.DirMisses,
 		TgtMisses: p.TgtMisses,
 	}
-	i := 0
-	for ; i+8 <= len(p.pht); i += 8 {
-		if binary.LittleEndian.Uint64(p.pht[i:]) == weakNotTaken {
-			continue
-		}
-		for j := i; j < i+8; j++ {
-			if p.pht[j] != 1 {
-				d.PHTIndex = append(d.PHTIndex, uint32(j))
-				d.PHT = append(d.PHT, p.pht[j])
+	for b := range p.phtDirty.All() {
+		lo, hi := p.phtBlockRange(b)
+		n := len(d.PHTIndex)
+		for i := lo; i < hi; i++ {
+			if p.pht[i] != 1 {
+				d.PHTIndex = append(d.PHTIndex, uint32(i))
+				d.PHT = append(d.PHT, p.pht[i])
 			}
 		}
-	}
-	for ; i < len(p.pht); i++ {
-		if p.pht[i] != 1 {
-			d.PHTIndex = append(d.PHTIndex, uint32(i))
-			d.PHT = append(d.PHT, p.pht[i])
+		if len(d.PHTIndex) == n {
+			d.PHTClean = append(d.PHTClean, uint32(b))
 		}
 	}
-	// Update writes an entry's tag, target and valid bit together, so
-	// an entry differs from reset exactly when it is valid.
-	for i, ok := range p.btbOK {
-		if ok {
-			d.BTBIndex = append(d.BTBIndex, uint32(i))
-			d.BTBTag = append(d.BTBTag, p.btbTag[i])
-			d.BTBTgt = append(d.BTBTgt, p.btbTgt[i])
-		}
+	for i := range p.btbDirty.All() {
+		d.BTBIndex = append(d.BTBIndex, uint32(i))
+		d.BTBTag = append(d.BTBTag, p.btbTag[i])
+		d.BTBTgt = append(d.BTBTgt, p.btbTgt[i])
 	}
 	return d
 }
@@ -173,12 +193,17 @@ func (p *Predictor) Delta() Delta {
 // from, leaving it in exactly the recorded state.
 func (p *Predictor) Apply(d *Delta) {
 	p.history = d.History
+	for _, b := range d.PHTClean {
+		p.phtDirty.Add(int(b))
+	}
 	for k, i := range d.PHTIndex {
 		p.pht[i] = d.PHT[k]
+		p.phtDirty.Add(int(i / phtBlock))
 	}
 	for k, i := range d.BTBIndex {
 		p.btbTag[i], p.btbTgt[i] = d.BTBTag[k], d.BTBTgt[k]
 		p.btbOK[i] = true
+		p.btbDirty.Add(int(i))
 	}
 	copy(p.ras, d.RAS)
 	p.rasTop = d.RASTop
@@ -242,7 +267,9 @@ func (p *Predictor) Predict(pc uint64, op isa.Op, isReturn bool) Prediction {
 // misprediction statistics.
 func (p *Predictor) Update(pc uint64, op isa.Op, taken bool, target uint64, mispredicted bool) {
 	if op.IsCondBranch() {
-		ctr := &p.pht[p.phtIndex(pc)]
+		i := p.phtIndex(pc)
+		p.phtDirty.Add(int(i / phtBlock))
+		ctr := &p.pht[i]
 		if taken {
 			if *ctr < 3 {
 				*ctr++
@@ -258,6 +285,7 @@ func (p *Predictor) Update(pc uint64, op isa.Op, taken bool, target uint64, misp
 	if taken && (op != isa.JMP || p.cfg.IndirectBTB) {
 		i := p.btbIndex(pc)
 		p.btbTag[i], p.btbTgt[i], p.btbOK[i] = pc, target, true
+		p.btbDirty.Add(i)
 	}
 	if mispredicted {
 		if op.IsCondBranch() {

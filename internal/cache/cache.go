@@ -11,7 +11,11 @@
 //	Mem:  100 cycles
 package cache
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/bitset"
+)
 
 // Config describes one cache level.
 type Config struct {
@@ -23,16 +27,21 @@ type Config struct {
 }
 
 // Cache is one set-associative, LRU, allocate-on-miss cache level. The
-// tag/valid/LRU state lives in flat [set*assoc+way] arrays, so
-// resetting a level for reuse (see Reset) is three bulk writes rather
-// than thousands of per-set allocations.
+// tag/valid/LRU state lives in flat [set*assoc+way] arrays, and a
+// dirty bit per set marks the sets that differ from the New state, so
+// resetting a level for reuse (see Reset) or recording it as a Delta
+// costs what a run touched, not the level's size.
 type Cache struct {
 	cfg      Config
-	sets     int
 	lineBits uint
+	setBits  uint
 	tags     []uint64 // [set*assoc+way]
 	valid    []bool
 	lru      []uint8 // lower is more recently used
+	// dirty holds every set a miss allocated into or Apply wrote. A
+	// set enters it with a valid line and lines are never invalidated,
+	// so it holds exactly the sets that differ from the New state.
+	dirty bitset.Set
 
 	// Stats.
 	Accesses uint64
@@ -71,33 +80,44 @@ func New(cfg Config) *Cache {
 	if err := cfg.Validate(); err != nil {
 		panic(fmt.Sprintf("cache %s: %v", cfg.Name, err))
 	}
-	c := &Cache{cfg: cfg, sets: cfg.SizeB / (cfg.Assoc * cfg.LineB)}
+	sets := cfg.SizeB / (cfg.Assoc * cfg.LineB)
+	c := &Cache{cfg: cfg, dirty: bitset.New(sets)}
 	for c.cfg.LineB>>c.lineBits > 1 {
 		c.lineBits++
 	}
-	n := c.sets * cfg.Assoc
+	for sets>>c.setBits > 1 {
+		c.setBits++
+	}
+	n := sets * cfg.Assoc
 	c.tags = make([]uint64, n)
 	c.valid = make([]bool, n)
 	c.lru = make([]uint8, n)
-	c.Reset()
+	for base := 0; base < n; base += cfg.Assoc {
+		c.resetLRU(base)
+	}
 	return c
 }
 
-// Reset returns the level to exactly the state New builds: every line
-// invalid, each set's LRU order by way, statistics zero. Simulation
-// reuses one level per geometry this way instead of allocating a fresh
-// one per session or sampled window.
-func (c *Cache) Reset() {
-	clear(c.tags)
-	clear(c.valid)
-	w := uint8(0)
-	for i := range c.lru {
-		c.lru[i] = w
-		w++
-		if int(w) == c.cfg.Assoc {
-			w = 0
-		}
+// resetLRU puts the set at base back in its New LRU order, by way.
+func (c *Cache) resetLRU(base int) {
+	for w := 0; w < c.cfg.Assoc; w++ {
+		c.lru[base+w] = uint8(w)
 	}
+}
+
+// Reset returns the level to exactly the state New builds: every line
+// invalid, each set's LRU order by way, statistics zero. Only the dirty
+// sets are rewritten. Simulation reuses one level per geometry this way
+// instead of allocating a fresh one per session or sampled window.
+func (c *Cache) Reset() {
+	a := c.cfg.Assoc
+	for set := range c.dirty.All() {
+		base := set * a
+		clear(c.tags[base : base+a])
+		clear(c.valid[base : base+a])
+		c.resetLRU(base)
+	}
+	clear(c.dirty)
 	c.Accesses, c.Misses = 0, 0
 }
 
@@ -116,19 +136,13 @@ type Delta struct {
 	Misses   uint64
 }
 
-// Delta records the level as a difference from its reset state.
+// Delta records the level as a difference from its reset state: the
+// dirty sets, in set order.
 func (c *Cache) Delta() Delta {
 	d := Delta{Accesses: c.Accesses, Misses: c.Misses}
 	a := c.cfg.Assoc
-	for set := 0; set < c.sets; set++ {
+	for set := range c.dirty.All() {
 		base := set * a
-		diff := false
-		for w := 0; w < a && !diff; w++ {
-			diff = c.valid[base+w] || c.tags[base+w] != 0 || int(c.lru[base+w]) != w
-		}
-		if !diff {
-			continue
-		}
 		d.Sets = append(d.Sets, int32(set))
 		d.Tags = append(d.Tags, c.tags[base:base+a]...)
 		d.Valid = append(d.Valid, c.valid[base:base+a]...)
@@ -143,6 +157,7 @@ func (c *Cache) Apply(d *Delta) {
 	a := c.cfg.Assoc
 	for i, set := range d.Sets {
 		base := int(set) * a
+		c.dirty.Add(int(set))
 		copy(c.tags[base:base+a], d.Tags[i*a:])
 		copy(c.valid[base:base+a], d.Valid[i*a:])
 		copy(c.lru[base:base+a], d.LRU[i*a:])
@@ -155,7 +170,7 @@ func (c *Cache) Config() Config { return c.cfg }
 
 func (c *Cache) index(addr uint64) (set int, tag uint64) {
 	line := addr >> c.lineBits
-	return int(line % uint64(c.sets)), line / uint64(c.sets)
+	return int(line & (1<<c.setBits - 1)), line >> c.setBits
 }
 
 func (c *Cache) touch(base, way int) {
@@ -191,6 +206,7 @@ func (c *Cache) Access(addr uint64) bool {
 	}
 	c.tags[base+victim] = tag
 	c.valid[base+victim] = true
+	c.dirty.Add(set)
 	c.touch(base, victim)
 	return false
 }

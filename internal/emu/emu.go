@@ -106,7 +106,7 @@ type Machine struct {
 
 	// regs is the register file indexed by interpreter slot: the 64
 	// architectural registers, then the read-as-zero and write-sink
-	// slots.
+	// slots; the slots past them are never used.
 	regs [numSlots]uint64
 	prog *Program
 	code []decoded
@@ -328,7 +328,7 @@ func (m *Machine) Step() *DynInst {
 		return nil
 	}
 	d := new(DynInst)
-	m.exec(1, d, nil)
+	m.StepInto(d)
 	return d
 }
 
@@ -336,11 +336,41 @@ func (m *Machine) Step() *DynInst {
 // the allocation-free form of Step (the pipeline's fetch stage passes
 // arena-recycled records). It reports whether an instruction executed:
 // false means the machine had already halted and d is untouched.
+//
+// The record is built around a one-instruction exec: the sources,
+// effective address, store value and branch outcome are read from the
+// decoded entry before it runs, the result, next PC and halt flag
+// after.
 func (m *Machine) StepInto(d *DynInst) bool {
 	if m.halt {
 		return false
 	}
-	m.exec(1, d, nil)
+	pc, r := m.PC, &m.regs
+	if pc >= uint64(len(m.code)) {
+		m.exec(1) // panics: the PC is outside the program
+	}
+	e := &m.code[pc]
+	x := r[e.a]
+	// Field by field, not as one composite literal: that would copy a
+	// temporary through a write-barriered struct move.
+	d.Seq, d.PC, d.Inst = m.seq, pc, &m.prog.Code[pc]
+	d.SrcVals = [2]uint64{r[e.srcs[0]], r[e.srcs[1]]}
+	d.Addr, d.StoreVal, d.Taken = 0, 0, false
+	switch e.class {
+	case isa.ClassLoad:
+		d.Addr = x + e.imm
+	case isa.ClassStore:
+		d.Addr, d.StoreVal = x+e.imm, r[e.b]
+		if e.op == isa.STL {
+			d.StoreVal = uint64(uint32(d.StoreVal))
+		}
+	case isa.ClassBranch:
+		d.Taken = e.op.IsUncondBranch() || BranchTaken(e.op, x)
+	}
+	m.exec(1)
+	// exec writes every instruction's result to its destination slot
+	// (the sink slot when it names no register).
+	d.Result, d.NextPC, d.Halt = r[e.dst], m.PC, m.halt
 	return true
 }
 
@@ -352,7 +382,7 @@ func (m *Machine) Run(max uint64) uint64 {
 	if max == 0 {
 		max = math.MaxUint64
 	}
-	return m.exec(max, nil, nil)
+	return m.exec(max)
 }
 
 // RunObserved executes until HALT or until max instructions have run
@@ -365,8 +395,12 @@ func (m *Machine) RunObserved(max uint64, fn func(*DynInst)) uint64 {
 	if max == 0 {
 		max = math.MaxUint64
 	}
-	var scratch DynInst
-	return m.exec(max, &scratch, fn)
+	var d DynInst
+	var n uint64
+	for ; n < max && m.StepInto(&d); n++ {
+		fn(&d)
+	}
+	return n
 }
 
 // RunProgram executes p to completion (bounded by max when max > 0) and

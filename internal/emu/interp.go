@@ -11,20 +11,24 @@ import (
 // The predecoded interpreter. Each Program is decoded once, on first
 // execution, into a table with one entry per instruction: a dispatch
 // opcode plus operands resolved to register-file slots. Every way of
-// executing a program — Run, Step, StepInto, RunObserved, Record and
-// the live pipeline sessions fed by StepInto — goes through exec, which
-// dispatches each instruction with one switch and reads operands
-// without register-validity checks.
+// executing a program goes through exec, which dispatches each
+// instruction with one switch and reads operands without
+// register-validity checks. Run calls it directly and writes no
+// records; StepInto — and through it Step, RunObserved, Record and the
+// live pipeline sessions — builds each dynamic record around a
+// one-instruction exec, so the raw loop carries no per-instruction
+// record checks.
 
 // Register-file slots. Slots 0..63 are the architectural registers.
 // Both hardwired-zero registers and absent operands read zeroSlot, which
 // is never written; hardwired-zero and absent destinations, and
 // instructions that write no register, write sinkSlot, which is never
-// read.
+// read. The register file has a slot for every uint8, so indexing it
+// with a decoded slot needs no bounds check.
 const (
 	zeroSlot = isa.NumRegs
 	sinkSlot = isa.NumRegs + 1
-	numSlots = isa.NumRegs + 2
+	numSlots = 1 << 8
 )
 
 // decoded is one predecoded instruction.
@@ -39,6 +43,8 @@ type decoded struct {
 	// srcs are the slots of Inst.Sources(), in order, padded with
 	// zeroSlot.
 	srcs [2]uint8
+	// class is op's class, for StepInto's record.
+	class isa.Class
 	// imm is the resolved immediate: the ALU second operand (b is then
 	// zeroSlot, so b+imm is the operand in either form), the LDI value,
 	// the load/store displacement or the branch target.
@@ -95,6 +101,7 @@ func decode(code []isa.Inst) []decoded {
 		default:
 			e.op = isa.NOP
 		}
+		e.class = e.op.Class()
 		out[i] = e
 	}
 	return out
@@ -116,22 +123,24 @@ func b2u(b bool) uint64 {
 }
 
 // exec executes up to n instructions, stopping early at HALT, and
-// returns how many ran. When d is non-nil each instruction's dynamic
-// record is written into d and, when fn is non-nil, handed to fn before
-// the next instruction executes.
-func (m *Machine) exec(n uint64, d *DynInst, fn func(*DynInst)) uint64 {
+// returns how many ran. The loop keeps only its count and the PC live
+// across the dispatch: HALT ends it by lowering n.
+func (m *Machine) exec(n uint64) uint64 {
+	if m.halt {
+		return 0
+	}
 	code, r := m.code, &m.regs
-	pc, seq, halt := m.PC, m.seq, m.halt
-	start := seq
-	for ; n > 0 && !halt; n-- {
+	pc := m.PC
+	var i uint64
+	for ; i < n; i++ {
 		if pc >= uint64(len(code)) {
-			m.PC, m.seq = pc, seq
+			m.PC, m.seq = pc, m.seq+i
 			panic(fmt.Sprintf("emu: PC %d outside program %q (len %d)", pc, m.prog.Name, len(code)))
 		}
 		e := &code[pc]
 		x, y := r[e.a], r[e.b]+e.imm
-		var res, addr, sv uint64
-		next, taken := pc+1, false
+		var res uint64
+		next := pc + 1
 		switch e.op {
 		case isa.ADD:
 			res = x + y
@@ -192,66 +201,49 @@ func (m *Machine) exec(n uint64, d *DynInst, fn func(*DynInst)) uint64 {
 		case isa.FTOI:
 			res = uint64(int64(f64(x)))
 		case isa.LDQ, isa.FLDQ:
-			addr = x + e.imm
-			res = m.Mem.Load64(addr)
+			res = m.Mem.Load64(x + e.imm)
 		case isa.LDL:
-			addr = x + e.imm
-			res = uint64(int64(int32(m.Mem.Load32(addr))))
+			res = uint64(int64(int32(m.Mem.Load32(x + e.imm))))
 		case isa.STQ, isa.FSTQ:
-			addr, sv = x+e.imm, r[e.b]
-			m.Mem.Store64(addr, sv)
+			m.Mem.Store64(x+e.imm, r[e.b])
 		case isa.STL:
-			addr, sv = x+e.imm, uint64(uint32(r[e.b]))
-			m.Mem.Store32(addr, uint32(sv))
+			m.Mem.Store32(x+e.imm, uint32(r[e.b]))
 		case isa.BEQ:
 			if x == 0 {
-				taken, next = true, e.imm
+				next = e.imm
 			}
 		case isa.BNE:
 			if x != 0 {
-				taken, next = true, e.imm
+				next = e.imm
 			}
 		case isa.BLT:
 			if int64(x) < 0 {
-				taken, next = true, e.imm
+				next = e.imm
 			}
 		case isa.BGE:
 			if int64(x) >= 0 {
-				taken, next = true, e.imm
+				next = e.imm
 			}
 		case isa.BLE:
 			if int64(x) <= 0 {
-				taken, next = true, e.imm
+				next = e.imm
 			}
 		case isa.BGT:
 			if int64(x) > 0 {
-				taken, next = true, e.imm
+				next = e.imm
 			}
 		case isa.BR:
-			taken, next = true, e.imm
+			next = e.imm
 		case isa.JSR:
-			taken, next, res = true, e.imm, pc+1
+			next, res = e.imm, pc+1
 		case isa.JMP:
-			taken, next = true, x
+			next = x
 		case isa.HALT:
-			halt = true
-		}
-		if d != nil {
-			// Field by field, not as one composite literal: that would
-			// copy a temporary through a write-barriered struct move.
-			// Sources are read before the result is written back.
-			d.Seq, d.PC, d.Inst = seq, pc, &m.prog.Code[pc]
-			d.SrcVals = [2]uint64{r[e.srcs[0]], r[e.srcs[1]]}
-			d.Result, d.Addr, d.StoreVal = res, addr, sv
-			d.Taken, d.NextPC, d.Halt = taken, next, halt
+			m.halt, n = true, i+1
 		}
 		r[e.dst] = res
-		if fn != nil {
-			fn(d)
-		}
 		pc = next
-		seq++
 	}
-	m.PC, m.seq, m.halt = pc, seq, halt
-	return seq - start
+	m.PC, m.seq = pc, m.seq+i
+	return i
 }

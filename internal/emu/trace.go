@@ -99,7 +99,7 @@ func Record(ctx context.Context, p *Program, maxInsts uint64) (*Trace, error) {
 		}
 		for i := uint64(0); i < n && !m.halt; i++ {
 			t.Insts = append(t.Insts, DynInst{})
-			m.exec(1, &t.Insts[len(t.Insts)-1], nil)
+			m.StepInto(&t.Insts[len(t.Insts)-1])
 		}
 	}
 	return t, nil

@@ -33,16 +33,33 @@ type Memory struct {
 	pages map[uint64]*[PageSize]byte // owned: writable in place
 	base  *layer                     // shared, read-only (nil: none)
 
-	// One-entry lookup caches: accesses cluster within a page, so the
-	// last page read (owned or shared) and the last owned page written
-	// take the page-map hash out of the emulator's hot load/store path.
-	// A read pointer stays valid until its page is copied on write,
-	// which refreshes both caches; freezing empties the write cache.
-	// The keys are stored plus one, so the zero value caches nothing.
-	lastKey  uint64
-	lastPage *[PageSize]byte
-	ownKey   uint64
-	ownPage  *[PageSize]byte
+	// Direct-mapped page caches, indexed by the page number's low bits:
+	// accesses cluster within a few pages, so the pages last read
+	// (owned or shared) and the owned pages last written take the
+	// page-map hash out of the emulator's hot load/store path. A read
+	// entry stays valid until its page is copied on write, and the miss
+	// that copies it refreshes its key's entry in both caches; freezing
+	// empties both.
+	read, write pageCache
+}
+
+// pageCacheSlots is the page caches' size, a power of two. Sixteen
+// slots miss on at most 0.1 % of accesses on every built-in workload;
+// eight left one at 2.7 %.
+const pageCacheSlots = 16
+
+// pageCache is a direct-mapped page cache: slot i holds a page whose
+// number's low bits are i, tagged with that number complemented. The
+// zero value's tags complement a number no 64-bit address's page has,
+// so it caches nothing.
+type pageCache struct {
+	keys  [pageCacheSlots]uint64
+	pages [pageCacheSlots]*[PageSize]byte
+}
+
+// put caches page p under page number key.
+func (c *pageCache) put(key uint64, p *[PageSize]byte) {
+	c.keys[key%pageCacheSlots], c.pages[key%pageCacheSlots] = ^key, p
 }
 
 // layer is a frozen page map. A layer may sit on one flat parent (its
@@ -71,51 +88,59 @@ func New() *Memory {
 	return &Memory{pages: make(map[uint64]*[PageSize]byte)}
 }
 
-// readPage returns the page holding addr, or nil when it was never
-// written.
-func (m *Memory) readPage(addr uint64) *[PageSize]byte {
-	key := addr >> pageBits
-	if m.lastKey == key+1 {
-		return m.lastPage
+// readPage returns the page numbered key, or nil when it was never
+// written. It takes the page number, not the address, to stay within
+// the compiler's inlining budget.
+func (m *Memory) readPage(key uint64) *[PageSize]byte {
+	if m.read.keys[key%pageCacheSlots] == ^key {
+		return m.read.pages[key%pageCacheSlots]
 	}
-	return m.lookup(key, false)
+	return m.readMiss(key)
 }
 
-// writePage returns the owned page holding addr, copying or allocating
+// writePage returns the owned page numbered key, copying or allocating
 // it first when needed.
-func (m *Memory) writePage(addr uint64) *[PageSize]byte {
-	key := addr >> pageBits
-	if m.ownKey == key+1 {
-		return m.ownPage
+func (m *Memory) writePage(key uint64) *[PageSize]byte {
+	if m.write.keys[key%pageCacheSlots] == ^key {
+		return m.write.pages[key%pageCacheSlots]
 	}
-	return m.lookup(key, true)
+	return m.writeMiss(key)
 }
 
-// lookup is the pages' slow path: find key in the owned pages, then the
-// shared layers, copying a shared page into the owned set (or
-// allocating a zero one) when alloc asks to write it.
-func (m *Memory) lookup(key uint64, alloc bool) *[PageSize]byte {
-	p, own := m.pages[key], true
-	if p == nil {
-		p, own = m.base.lookup(key), false
+// readMiss is readPage's slow path: find key in the owned pages, then
+// the shared layers, and cache what it finds (an owned page in the
+// write cache too).
+func (m *Memory) readMiss(key uint64) *[PageSize]byte {
+	if p := m.pages[key]; p != nil {
+		m.read.put(key, p)
+		m.write.put(key, p)
+		return p
 	}
-	if alloc && !own {
-		np := new([PageSize]byte)
-		if p != nil {
-			*np = *p
+	p := m.base.lookup(key)
+	if p != nil {
+		m.read.put(key, p)
+	}
+	return p
+}
+
+// writeMiss is writePage's slow path: find key in the owned pages, or
+// copy its shared page into them (allocate a zero one when there is
+// none), and cache it in both caches, so no read entry is left
+// pointing at the shared page it replaced.
+func (m *Memory) writeMiss(key uint64) *[PageSize]byte {
+	p := m.pages[key]
+	if p == nil {
+		p = new([PageSize]byte)
+		if q := m.base.lookup(key); q != nil {
+			*p = *q
 		}
 		if m.pages == nil {
 			m.pages = make(map[uint64]*[PageSize]byte)
 		}
-		m.pages[key] = np
-		p, own = np, true
+		m.pages[key] = p
 	}
-	if p != nil {
-		m.lastKey, m.lastPage = key+1, p
-	}
-	if own {
-		m.ownKey, m.ownPage = key+1, p
-	}
+	m.read.put(key, p)
+	m.write.put(key, p)
 	return p
 }
 
@@ -132,8 +157,7 @@ func (m *Memory) freeze() {
 		return
 	}
 	m.pages = nil
-	m.lastKey, m.lastPage = 0, nil
-	m.ownKey, m.ownPage = 0, nil
+	m.read, m.write = pageCache{}, pageCache{}
 	b := m.base
 	for k, p := range own {
 		if q := b.lookup(k); q != nil && *q == *p {
@@ -282,7 +306,7 @@ func checkAlign(addr uint64) {
 // Load64 reads the 8-byte word at the naturally aligned address addr.
 func (m *Memory) Load64(addr uint64) uint64 {
 	checkAlign(addr)
-	p := m.readPage(addr)
+	p := m.readPage(addr >> pageBits)
 	if p == nil {
 		return 0
 	}
@@ -293,7 +317,7 @@ func (m *Memory) Load64(addr uint64) uint64 {
 // Store64 writes the 8-byte word v at the naturally aligned address addr.
 func (m *Memory) Store64(addr uint64, v uint64) {
 	checkAlign(addr)
-	p := m.writePage(addr)
+	p := m.writePage(addr >> pageBits)
 	off := addr & pageMask
 	binary.LittleEndian.PutUint64(p[off:off+8], v)
 }
@@ -303,7 +327,7 @@ func (m *Memory) Load32(addr uint64) uint32 {
 	if addr&3 != 0 {
 		panic(fmt.Sprintf("mem: misaligned 4-byte access at %#x", addr))
 	}
-	p := m.readPage(addr)
+	p := m.readPage(addr >> pageBits)
 	if p == nil {
 		return 0
 	}
@@ -316,14 +340,14 @@ func (m *Memory) Store32(addr uint64, v uint32) {
 	if addr&3 != 0 {
 		panic(fmt.Sprintf("mem: misaligned 4-byte access at %#x", addr))
 	}
-	p := m.writePage(addr)
+	p := m.writePage(addr >> pageBits)
 	off := addr & pageMask
 	binary.LittleEndian.PutUint32(p[off:off+4], v)
 }
 
 // LoadByte reads one byte (used by image loading and debugging tools).
 func (m *Memory) LoadByte(addr uint64) byte {
-	p := m.readPage(addr)
+	p := m.readPage(addr >> pageBits)
 	if p == nil {
 		return 0
 	}
@@ -332,7 +356,7 @@ func (m *Memory) LoadByte(addr uint64) byte {
 
 // StoreByte writes one byte.
 func (m *Memory) StoreByte(addr uint64, b byte) {
-	m.writePage(addr)[addr&pageMask] = b
+	m.writePage(addr >> pageBits)[addr&pageMask] = b
 }
 
 // WriteBlock copies data into memory starting at addr (any alignment).
@@ -431,8 +455,8 @@ func FromPagesOver(pages []Page, prev *Memory) (*Memory, error) {
 	return &Memory{base: &layer{pages: own}}, nil
 }
 
-// peek returns the page key resolves to without touching the lookup
-// cache, so it may run concurrently with other readers.
+// peek returns the page key resolves to without touching the page
+// caches, so it may run concurrently with other readers.
 func (m *Memory) peek(key uint64) *[PageSize]byte {
 	if p := m.pages[key]; p != nil {
 		return p

@@ -208,7 +208,7 @@ func (d *WarmDelta) Bytes() uint64 {
 		n += uint64(4*cap(c.Sets) + 8*cap(c.Tags) + cap(c.Valid) + cap(c.LRU))
 	}
 	b := &d.bp
-	n += uint64(4*cap(b.PHTIndex) + cap(b.PHT) + 4*cap(b.BTBIndex) + 8*(cap(b.BTBTag)+cap(b.BTBTgt)+cap(b.RAS)))
+	n += uint64(4*(cap(b.PHTIndex)+cap(b.PHTClean)) + cap(b.PHT) + 4*cap(b.BTBIndex) + 8*(cap(b.BTBTag)+cap(b.BTBTgt)+cap(b.RAS)))
 	return n
 }
 
