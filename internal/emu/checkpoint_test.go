@@ -8,6 +8,7 @@ package emu_test
 
 import (
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -168,18 +169,48 @@ func TestRunMatchesStep(t *testing.T) {
 	}
 }
 
-// TestRunObservedMatchesStep pins the observed fast-forward (functional
-// warming's path) against Step, record by record.
-func TestRunObservedMatchesStep(t *testing.T) {
+// TestRunEventsMatchesStep pins the event-recording fast-forward
+// (functional warming's path) against Step: its batches' events are
+// Step's loads and control transfers, in order, and it ends in Step's
+// architectural state.
+func TestRunEventsMatchesStep(t *testing.T) {
 	prog := program(t, "untst", 1)
 	slow := emu.New(prog)
-	want := traceFrom(slow)
+	want := eventsOf(traceFrom(slow))
 
 	fast := emu.New(prog)
-	var got []emu.DynInst
-	fast.RunObserved(0, func(d *emu.DynInst) { got = append(got, *d) })
-	sameTrace(t, "RunObserved", want, got)
-	sameArchState(t, "RunObserved end-state", slow, fast)
+	var got []emu.Event
+	buf := make([]emu.Event, 0, 64)
+	for !fast.Halted() {
+		_, evs := fast.RunEvents(0, buf[:0])
+		got = append(got, evs...)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("RunEvents recorded %d events, Step's trace holds %d, or they differ", len(got), len(want))
+	}
+	sameArchState(t, "RunEvents end-state", slow, fast)
+}
+
+// eventsOf returns the Events of trace's loads and control transfers.
+func eventsOf(trace []emu.DynInst) []emu.Event {
+	var out []emu.Event
+	for i := range trace {
+		if ev, ok := eventOf(&trace[i]); ok {
+			out = append(out, ev)
+		}
+	}
+	return out
+}
+
+// eventOf returns d's Event, if d is a load or a control transfer.
+func eventOf(d *emu.DynInst) (emu.Event, bool) {
+	switch op := d.Inst.Op; {
+	case op.IsLoad():
+		return emu.Event{PC: d.PC, Addr: d.Addr, Op: op}, true
+	case op.IsBranch():
+		return emu.Event{PC: d.PC, Addr: d.NextPC, Op: op, Taken: d.Taken}, true
+	}
+	return emu.Event{}, false
 }
 
 // TestSnapshotIsImmutable: a checkpoint shares its memory pages with the

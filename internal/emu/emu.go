@@ -35,10 +35,12 @@ type Program struct {
 	// assembler; useful for locating result cells in tests and tools.
 	Symbols map[string]uint64
 
-	decodeOnce sync.Once
-	table      []decoded
-	imageOnce  sync.Once
-	image      *mem.Memory // frozen: owns no pages, shared by every NewMemory
+	decodeOnce   sync.Once
+	table        []decoded
+	observeOnce  sync.Once
+	observeTable []decoded // see observing
+	imageOnce    sync.Once
+	image        *mem.Memory // frozen: owns no pages, shared by every NewMemory
 }
 
 // Symbol looks up a label defined in the program source.
@@ -109,9 +111,11 @@ type Machine struct {
 	// slots; the slots past them are never used.
 	regs [numSlots]uint64
 	prog *Program
-	code []decoded
+	code []decoded // the program's interpreter table (see exec)
 	seq  uint64
 	halt bool
+	// events is RunEvents' buffer while it runs, nil otherwise.
+	events []Event
 }
 
 // New constructs a machine ready to execute p from its entry point with a
@@ -119,6 +123,9 @@ type Machine struct {
 func New(p *Program) *Machine {
 	return &Machine{Mem: p.NewMemory(), PC: p.Entry, prog: p, code: p.decoded()}
 }
+
+// Program returns the program the machine executes.
+func (m *Machine) Program() *Program { return m.prog }
 
 // Halted reports whether the machine has executed HALT.
 func (m *Machine) Halted() bool { return m.halt }
@@ -385,22 +392,44 @@ func (m *Machine) Run(max uint64) uint64 {
 	return m.exec(max)
 }
 
-// RunObserved executes until HALT or until max instructions have run
-// (max <= 0 means unlimited), invoking fn on every dynamic record, and
-// returns the number of instructions executed. The record is reused
-// across calls — fn must not retain it — which keeps observed
-// fast-forward (e.g. functional cache/predictor warming in sampled
-// simulation) allocation-free like Run.
-func (m *Machine) RunObserved(max uint64, fn func(*DynInst)) uint64 {
+// Event is one load or control transfer executed by RunEvents. Every
+// instruction between two events runs in sequence, so a batch's events
+// and the PCs it started and ended at give its whole instruction-fetch
+// stream, and its events give every data access and branch outcome:
+// all that functional warming needs.
+type Event struct {
+	// PC is the instruction's index in Program.Code.
+	PC uint64
+	// Addr is a load's effective address, or a control transfer's
+	// next PC.
+	Addr uint64
+	// Op is the instruction's opcode.
+	Op isa.Op
+	// Taken reports a control transfer's outcome.
+	Taken bool
+}
+
+// RunEvents executes like Run, appending an Event to ev for every load
+// and control transfer, and returns how many instructions ran and the
+// extended ev. It stops after max instructions (max <= 0 means
+// unlimited), at HALT, or after the event that fills ev to its
+// capacity, so the caller bounds the batch; it runs nothing when ev
+// has no room. ev never grows.
+func (m *Machine) RunEvents(max uint64, ev []Event) (uint64, []Event) {
+	if len(ev) == cap(ev) {
+		return 0, ev
+	}
 	if max == 0 {
 		max = math.MaxUint64
 	}
-	var d DynInst
-	var n uint64
-	for ; n < max && m.StepInto(&d); n++ {
-		fn(&d)
-	}
-	return n
+	// exec reads the table from m.code, so StepInto's one-instruction
+	// calls pass nothing extra. A panic (a PC outside the program)
+	// leaves the observing table in place, but every later exec
+	// panics on the same PC.
+	m.code, m.events = m.prog.observing(), ev
+	n := m.exec(max)
+	m.code, ev, m.events = m.prog.decoded(), m.events, nil
+	return n, ev
 }
 
 // RunProgram executes p to completion (bounded by max when max > 0) and

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 
 	"repro/internal/isa"
 )
@@ -14,10 +15,17 @@ import (
 // executing a program goes through exec, which dispatches each
 // instruction with one switch and reads operands without
 // register-validity checks. Run calls it directly and writes no
-// records; StepInto — and through it Step, RunObserved, Record and the
-// live pipeline sessions — builds each dynamic record around a
+// records; StepInto — and through it Step, Record and the live
+// pipeline sessions — builds each dynamic record around a
 // one-instruction exec, so the raw loop carries no per-instruction
 // record checks.
+//
+// RunEvents, the functional-warming path, runs the same loop over a
+// second table, the observing table, built on first use: a copy of the
+// first in which every load and control transfer dispatches to one
+// extra case, opEvent. That case appends the instruction's Event and
+// executes the instruction itself; every other instruction runs
+// exactly as under Run.
 
 // Register-file slots. Slots 0..63 are the architectural registers.
 // Both hardwired-zero registers and absent operands read zeroSlot, which
@@ -31,6 +39,10 @@ const (
 	numSlots = 1 << 8
 )
 
+// opEvent is the observing table's dispatch opcode for loads and
+// control transfers; the entry's orig field holds the real opcode.
+const opEvent = isa.Op(isa.NumOps)
+
 // decoded is one predecoded instruction.
 type decoded struct {
 	// op is the dispatch opcode; an invalid opcode decodes as NOP.
@@ -43,8 +55,12 @@ type decoded struct {
 	// srcs are the slots of Inst.Sources(), in order, padded with
 	// zeroSlot.
 	srcs [2]uint8
-	// class is op's class, for StepInto's record.
+	// class is op's class, for StepInto's record (and, in the
+	// observing table, orig's class).
 	class isa.Class
+	// orig is the opcode an opEvent entry executes once it has
+	// recorded its event; zero elsewhere.
+	orig isa.Op
 	// imm is the resolved immediate: the ALU second operand (b is then
 	// zeroSlot, so b+imm is the operand in either form), the LDI value,
 	// the load/store displacement or the branch target.
@@ -113,6 +129,46 @@ func (p *Program) decoded() []decoded {
 	return p.table
 }
 
+// observing returns p's observing table, building it on first use: the
+// interpreter table with every load and control transfer dispatching to
+// opEvent.
+func (p *Program) observing() []decoded {
+	p.observeOnce.Do(func() {
+		t := slices.Clone(p.decoded())
+		for i := range t {
+			if c := t[i].class; c == isa.ClassLoad || c == isa.ClassBranch {
+				t[i].op, t[i].orig = opEvent, t[i].op
+			}
+		}
+		p.observeTable = t
+	})
+	return p.observeTable
+}
+
+// takenMask holds, for each control-transfer opcode, which of the
+// operand's sign classes (see signClass) take it: bit k is set when
+// operands of class k do. It is derived from BranchTaken, so the
+// observing table's events and the records StepInto builds agree.
+var takenMask = func() (t [isa.NumOps]uint8) {
+	for op := isa.Op(0); op < isa.Op(isa.NumOps); op++ {
+		if !op.IsBranch() {
+			continue
+		}
+		for _, v := range []uint64{math.MaxUint64, 0, 1} { // -1, 0, 1
+			if op.IsUncondBranch() || BranchTaken(op, v) {
+				t[op] |= 1 << signClass(v)
+			}
+		}
+	}
+	return t
+}()
+
+// signClass is 0 for a negative operand, 1 for zero and 2 for a
+// positive one: all that decides whether a conditional branch is taken.
+func signClass(x uint64) uint64 {
+	return b2u(x == 0) | b2u(int64(x) > 0)<<1
+}
+
 func f64(b uint64) float64   { return math.Float64frombits(b) }
 func fbits(f float64) uint64 { return math.Float64bits(f) }
 func b2u(b bool) uint64 {
@@ -122,9 +178,11 @@ func b2u(b bool) uint64 {
 	return 0
 }
 
-// exec executes up to n instructions, stopping early at HALT, and
-// returns how many ran. The loop keeps only its count and the PC live
-// across the dispatch: HALT ends it by lowering n.
+// exec executes up to n instructions from m.code (the program's
+// interpreter table, or its observing table while RunEvents runs),
+// stopping early at HALT, and returns how many ran. The loop keeps only
+// its count and the PC live across the dispatch: HALT ends it by
+// lowering n, and so does an event that fills m.events.
 func (m *Machine) exec(n uint64) uint64 {
 	if m.halt {
 		return 0
@@ -240,6 +298,37 @@ func (m *Machine) exec(n uint64) uint64 {
 			next = x
 		case isa.HALT:
 			m.halt, n = true, i+1
+		case opEvent:
+			// An observing table's load or control transfer: record
+			// its event and execute it. The only calls are the
+			// loads' own, so the other cases keep their registers.
+			op := e.orig
+			ev := Event{PC: pc, Addr: x + e.imm, Op: op}
+			if e.class == isa.ClassLoad {
+				if op == isa.LDL {
+					res = uint64(int64(int32(m.Mem.Load32(ev.Addr))))
+				} else {
+					res = m.Mem.Load64(ev.Addr)
+				}
+			} else {
+				ev.Taken = takenMask[op]>>signClass(x)&1 != 0
+				ev.Addr = pc + 1
+				if ev.Taken {
+					ev.Addr = e.imm
+					if op == isa.JMP {
+						ev.Addr = x
+					}
+				}
+				// JSR's return address; the other control
+				// transfers write the sink slot.
+				next, res = ev.Addr, pc+1
+			}
+			k := len(m.events)
+			m.events = m.events[:k+1]
+			m.events[k] = ev
+			if k+1 == cap(m.events) {
+				n = i + 1
+			}
 		}
 		r[e.dst] = res
 		pc = next

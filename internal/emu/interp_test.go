@@ -4,13 +4,14 @@ package emu_test
 // the reference stepper: the emulator's semantics interpreted straight
 // from isa.Inst (a class switch, then EvalALU or BranchTaken, with the
 // hardwired zeros checked on every register access). Every way the
-// package executes a program — Run, Step, StepInto, RunObserved and
-// Record — must produce its records and end states exactly.
+// package executes a program — Run, Step, StepInto, RunEvents and
+// Record — must produce its records, events and end states exactly.
 
 import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/asm"
@@ -196,13 +197,35 @@ func checkEquivalent(t *testing.T, p *emu.Program, max uint64) {
 	}
 	sameEndState(t, name+" Step", m, s.m)
 
-	// RunObserved in uneven chunks, so chunk boundaries fall mid-stream.
-	s = &refStream{t, newRef(p)}
+	// RunEvents in uneven batches with a small buffer, so batches end
+	// mid-stream, on the event that fills the buffer, and at HALT; each
+	// batch's events are the reference's loads and control transfers.
+	ref = newRef(p)
 	m = emu.New(p)
+	buf := make([]emu.Event, 0, 7)
 	for !m.Halted() {
-		m.RunObserved(997, func(d *emu.DynInst) { s.next(name+" RunObserved", d) })
+		n, evs := m.RunEvents(997, buf[:0])
+		if n == 0 {
+			t.Fatalf("%s: RunEvents ran nothing at instruction %d", name, m.InstCount())
+		}
+		var want []emu.Event
+		var last bool
+		for j := uint64(0); j < n; j++ {
+			var d emu.DynInst
+			ref.step(&d)
+			var ev emu.Event
+			if ev, last = eventOf(&d); last {
+				want = append(want, ev)
+			}
+		}
+		if !slices.Equal(evs, want) {
+			t.Fatalf("%s: RunEvents batch ending at instruction %d: events %v, want %v", name, m.InstCount(), evs, want)
+		}
+		if full := len(evs) == cap(evs); !m.Halted() && n < 997 && (!full || !last) {
+			t.Fatalf("%s: RunEvents batch of %d stopped at instruction %d with %d events", name, n, m.InstCount(), len(evs))
+		}
 	}
-	sameEndState(t, name+" RunObserved", m, s.m)
+	sameEndState(t, name+" RunEvents", m, ref)
 
 	// Record: the whole stream at once.
 	tr, err := emu.Record(context.Background(), p, 0)

@@ -180,7 +180,7 @@ func windowBytes(t *testing.T, cfg Config, prog *emu.Program, ck *emu.Checkpoint
 	window := func() {
 		m := emu.NewAt(prog, ck)
 		w := NewWarmer(cfg)
-		m.RunObserved(2000, w.Observe)
+		w.Warm(m, 2000)
 		s, err := w.Seed(prog, m)
 		if err != nil {
 			t.Fatal(err)

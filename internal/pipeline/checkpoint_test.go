@@ -176,7 +176,7 @@ func TestWarmedSeedingDoesNotChangeRetirement(t *testing.T) {
 	cfg := pipeline.DefaultConfig()
 	w := pipeline.NewWarmer(cfg)
 	m := emu.New(prog)
-	m.RunObserved(k, w.Observe)
+	w.Warm(m, k)
 	ck := m.Snapshot()
 
 	s, err := w.Seed(prog, m)

@@ -4,6 +4,8 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"hash/maphash"
+	"sync/atomic"
 
 	"repro/internal/bpred"
 	"repro/internal/cache"
@@ -110,10 +112,45 @@ func (c Config) Normalize() Config {
 // same machine hash identically regardless of what they are called, so
 // result caches can deduplicate simulations across experiments. The key
 // is stable within a process run and across runs of the same build.
+//
+// Keys are memoized (see keyMemo), so a repeated request costs a hash
+// and a compare of the config, not its rendering and SHA-256.
 func (c Config) Key() string {
 	c.Name = ""
+	slot := &keyMemo.slots[maphash.Comparable(keyMemo.seed, c)%keySlots]
+	if e := slot.Load(); e != nil && e.cfg == c {
+		return e.key
+	}
+	k := c.hashKey()
+	slot.Store(&keyEntry{cfg: c, key: k})
+	return k
+}
+
+// hashKey computes Key for a config whose Name is cleared.
+func (c Config) hashKey() string {
 	sum := sha256.Sum256([]byte(fmt.Sprintf("%#v", c)))
 	return hex.EncodeToString(sum[:8])
+}
+
+// keySlots is the size of keyMemo's table.
+const keySlots = 256
+
+// keyMemo is Key's memo: a direct-mapped table indexed by a hash of
+// the Name-cleared config. Each slot holds one immutable entry, and a
+// config that maps to an occupied slot replaces its entry, so the
+// table never grows however many machines a process simulates, and
+// concurrent callers at worst compute a key twice.
+var keyMemo struct {
+	seed  maphash.Seed
+	slots [keySlots]atomic.Pointer[keyEntry]
+}
+
+func init() { keyMemo.seed = maphash.MakeSeed() }
+
+// keyEntry is one memoized key.
+type keyEntry struct {
+	cfg Config
+	key string
 }
 
 // Baseline returns c with the optimizer disabled (and without its extra

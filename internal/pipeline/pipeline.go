@@ -623,7 +623,6 @@ func (s *Session) fetch() {
 		s.fetched++
 
 		// Instruction cache: one access per new line.
-		const instBytes = 4
 		addr := d.PC * instBytes
 		line := addr &^ (s.lineB - 1)
 		extra := uint64(0)

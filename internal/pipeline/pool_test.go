@@ -229,7 +229,7 @@ func TestSeedSpendsWarmer(t *testing.T) {
 	prog := benchProgram(t, "gcc").Program(1)
 	w := pipeline.NewWarmer(pipeline.DefaultConfig())
 	m := emu.New(prog)
-	m.RunObserved(500, w.Observe)
+	w.Warm(m, 500)
 	if _, err := w.Seed(prog, m); err != nil {
 		t.Fatal(err)
 	}

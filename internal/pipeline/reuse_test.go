@@ -160,7 +160,7 @@ func TestWarmDeltaRestoresFrontEnd(t *testing.T) {
 	cfg := DefaultConfig()
 	w := NewWarmer(cfg)
 	m := emu.New(prog)
-	m.RunObserved(20000, w.Observe)
+	w.Warm(m, 20000)
 	d := w.Delta()
 	r, err := NewWarmerFrom(cfg.Baseline(), d)
 	if err != nil {

@@ -24,7 +24,14 @@ type frontEnd struct {
 	caches *cache.Hierarchy
 	bp     *bpred.Predictor
 	pool   *sync.Pool // the pool it returns to (nil: not pooled)
+	// events is Warmer.Warm's batch buffer, made on first use; its
+	// capacity bounds a batch.
+	events []emu.Event
 }
+
+// warmBatch is the most events one emulator batch of Warmer.Warm
+// records.
+const warmBatch = 256
 
 // FrontKey is the geometry a front-end is built from (Config.Caches
 // and Config.BPred). Front-ends with equal keys are interchangeable
@@ -84,14 +91,14 @@ func (fe *frontEnd) release() {
 // Warmer keeps the machine's history-dependent front-end structures —
 // the cache hierarchy and the branch predictor — functionally warm
 // while the architectural emulator fast-forwards between detailed
-// windows (SMARTS-style "functional warming"). Observe applies exactly
+// windows (SMARTS-style "functional warming"). Warm applies exactly
 // the accesses the Session's fetch stage would issue for the same
-// dynamic instruction: one I-cache access per new line plus the
-// next-line prefetch, a D-cache access per load/store, and a
-// predict/update pair per branch (including the return-address stack).
-// A session seeded from the warmer (Seed) therefore starts with the
-// cache and predictor contents a continuous detailed run would have
-// had, which is what makes short detailed warmup windows sufficient.
+// dynamic instructions: one I-cache access per new line plus the
+// next-line prefetch, a D-cache access per load, and a predict/update
+// pair per branch (including the return-address stack). A session
+// seeded from the warmer (Seed) therefore starts with the cache and
+// predictor contents a continuous detailed run would have had, which
+// is what makes short detailed warmup windows sufficient.
 //
 // The warmer's front-end comes from the pool shared with sessions and
 // passes to the session Seed builds, which returns it to the pool when
@@ -100,9 +107,11 @@ func (fe *frontEnd) release() {
 //
 // A Warmer is single-goroutine, like the emulator it observes.
 type Warmer struct {
-	cfg      Config
-	fe       *frontEnd
-	lineB    uint64
+	cfg   Config
+	fe    *frontEnd
+	lineB uint64
+	// lastLine is the I-cache line of the last instruction fetched;
+	// it carries across Warm's batches and calls.
 	lastLine uint64
 }
 
@@ -119,38 +128,71 @@ func NewWarmer(cfg Config) *Warmer {
 	}
 }
 
-// Observe feeds one dynamic instruction through the front-end models.
-// It is safe to pass emu.Machine.RunObserved's reused record.
-func (w *Warmer) Observe(d *emu.DynInst) {
-	// Instruction cache: one access per new line, plus the next-line
-	// prefetch, mirroring Session.fetch.
-	const instBytes = 4
-	caches := w.fe.caches
-	addr := d.PC * instBytes
-	line := addr &^ (w.lineB - 1)
-	if line != w.lastLine {
-		caches.InstFetch(addr)
-		caches.InstFetch(addr + w.lineB)
-		w.lastLine = line
-	}
+// instBytes is the size of an instruction in the fetch address space.
+const instBytes = 4
 
-	in := d.Inst
-	switch {
-	case in.Op.IsLoad():
-		// The timing model charges the D-cache for loads only (stores
-		// retire without an access; see Session.opLatency), so the
-		// warmer mirrors that. Loads the optimizer would eliminate are
-		// still touched — the warmer cannot know the optimizer's table
-		// state — which the detailed warmup window absorbs.
-		caches.DataAccess(d.Addr)
-	case in.Op.IsBranch():
-		bp := w.fe.bp
-		isReturn := in.Op == isa.JMP && in.SrcA == isa.IntReg(26)
-		pred := bp.Predict(d.PC, in.Op, isReturn)
-		mis := pred.Taken != d.Taken ||
-			(d.Taken && (!pred.TargetKnown || pred.Target != d.NextPC))
-		bp.Update(d.PC, in.Op, d.Taken, d.NextPC, mis)
+// Warm runs m forward n instructions, or to HALT, feeding them through
+// the front-end models. The emulator runs in batches (emu.RunEvents)
+// that record only loads and control transfers; Warm applies each
+// batch in program order, rebuilding the instruction-fetch stream from
+// the PCs between events, since those run in sequence.
+func (w *Warmer) Warm(m *emu.Machine, n uint64) {
+	fe := w.fe
+	if fe.events == nil {
+		fe.events = make([]emu.Event, 0, warmBatch)
 	}
+	code := m.Program().Code
+	for n > 0 && !m.Halted() {
+		pc := m.PC
+		k, evs := m.RunEvents(n, fe.events[:0])
+		n -= k
+		for i := range evs {
+			ev := &evs[i]
+			w.fetch(pc, ev.PC+1)
+			if ev.Op.IsLoad() {
+				// The timing model charges the D-cache for loads
+				// only (stores retire without an access; see
+				// Session.opLatency), so the warmer mirrors that.
+				// Loads the optimizer would eliminate are still
+				// touched — the warmer cannot know the optimizer's
+				// table state — which the detailed warmup window
+				// absorbs.
+				fe.caches.DataAccess(ev.Addr)
+				pc = ev.PC + 1
+				continue
+			}
+			isReturn := ev.Op == isa.JMP && code[ev.PC].SrcA == isa.IntReg(26)
+			pred := fe.bp.Predict(ev.PC, ev.Op, isReturn)
+			mis := pred.Taken != ev.Taken ||
+				(ev.Taken && (!pred.TargetKnown || pred.Target != ev.Addr))
+			fe.bp.Update(ev.PC, ev.Op, ev.Taken, ev.Addr, mis)
+			pc = ev.Addr
+		}
+		w.fetch(pc, m.PC)
+	}
+}
+
+// fetch feeds the instruction fetches of the PCs [from, to), run in
+// sequence, through the I-cache, mirroring Session.fetch: one access
+// per new line, plus the next-line prefetch.
+func (w *Warmer) fetch(from, to uint64) {
+	if from >= to {
+		return
+	}
+	caches, lineB := w.fe.caches, w.lineB
+	addr, end := from*instBytes, to*instBytes
+	if addr&^(lineB-1) != w.lastLine {
+		caches.InstFetch(addr)
+		caches.InstFetch(addr + lineB)
+	}
+	// Every later line starts on a line boundary, or on every
+	// instruction when lines are shorter than one.
+	step := max(lineB, instBytes)
+	for a := (addr | (step - 1)) + 1; a < end; a += step {
+		caches.InstFetch(a)
+		caches.InstFetch(a + lineB)
+	}
+	w.lastLine = (end - instBytes) &^ (lineB - 1)
 }
 
 // Seed builds a session that resumes m — the machine this warmer has

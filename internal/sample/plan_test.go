@@ -128,8 +128,8 @@ func TestStaleCountFailsLoudly(t *testing.T) {
 // long the program runs against the grid spacing, the pass keeps at
 // most maxCheckpoints evenly spaced checkpoints spanning the run.
 func TestScanKeepsBoundedGrid(t *testing.T) {
-	if maxCheckpoints != 32 {
-		t.Fatalf("maxCheckpoints = %d; the plan memory sizing in docs/ARCHITECTURE.md assumes 32", maxCheckpoints)
+	if maxCheckpoints != 256 {
+		t.Fatalf("maxCheckpoints = %d; the plan memory sizing in docs/ARCHITECTURE.md assumes 256", maxCheckpoints)
 	}
 	p := prog(t, "mcf").Program(1)
 	for _, start := range []uint64{1, 7, 64, gridSpacing} {

@@ -26,8 +26,9 @@ import (
 // TestEntryBytesMatchEnvelopeMarshal pins Put's output byte for byte to
 // what json.Marshal gives for the whole envelope — the encoding every
 // existing store holds — for every entry kind, with strings that
-// encoding/json escapes. It then round-trips each entry: what Get
-// decodes re-encodes to the stored payload exactly.
+// encoding/json escapes (plans, whose MarshalJSON output Put stores as
+// is, included). It then round-trips each entry: what Get decodes
+// re-encodes to the stored payload exactly.
 func TestEntryBytesMatchEnvelopeMarshal(t *testing.T) {
 	var exact pipeline.Result
 	var sampled sample.Result
@@ -36,6 +37,11 @@ func TestEntryBytesMatchEnvelopeMarshal(t *testing.T) {
 	fill(reflect.ValueOf(&sampled), &n)
 	exact.Machine = `<opt> & "quoted" \ ` + " \t\x01é"
 	sampled.Program = "<b>&amp;</b>"
+	escaped := testPlan()
+	escaped.Program = `<p> & "q" \ ` + "\t\x01é"
+	for _, w := range escaped.Windows {
+		w.Ck.Program = escaped.Program
+	}
 
 	cases := []struct {
 		k   Key
@@ -46,6 +52,7 @@ func TestEntryBytesMatchEnvelopeMarshal(t *testing.T) {
 		{SampledKey(sampled.ConfigKey, "gcc", 2, sampled.Sampling.Key(), "w1"), &sampled, new(sample.Result)},
 		{CountKey("gcc", 2, "w1"), &Count{Insts: 123456}, new(Count)},
 		{PlanKey("b", 1, "p1000.t2.w60.x30", "w1"), testPlan(), new(sample.Plan)},
+		{PlanKey(escaped.Program, 1, "p1000.t2.w60.x30", "w1"), escaped, new(sample.Plan)},
 	}
 	s := openTemp(t)
 	for _, c := range cases {

@@ -335,8 +335,20 @@ func (s *Store) Put(k Key, v any) error {
 // envelope with the payload as a json.RawMessage would validate and
 // compact it a second time, although json.Marshal already made it
 // compact — a second full scan, costly for large plans.
+//
+// For the same reason a json.Marshaler's payload is its MarshalJSON
+// output as is: json.Marshal would validate and compact that once
+// more. A Marshaler stored here must therefore return what json.Marshal
+// gives for it — compact, HTML-escaped JSON — as sample.Plan does by
+// marshaling its codec form with json.Marshal.
 func encodeEntry(k Key, v any) ([]byte, error) {
-	payload, err := json.Marshal(v)
+	var payload []byte
+	var err error
+	if m, ok := v.(json.Marshaler); ok {
+		payload, err = m.MarshalJSON()
+	} else {
+		payload, err = json.Marshal(v)
+	}
 	if err != nil {
 		return nil, err
 	}
