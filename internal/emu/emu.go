@@ -291,12 +291,15 @@ func (m *Machine) Snapshot() *Checkpoint {
 // Restore replaces the machine's architectural state with the
 // checkpoint's. The checkpoint's memory image is shared copy-on-write,
 // so the checkpoint stays reusable after the restored machine resumes
-// (and stores). Restore panics when the checkpoint belongs to a different
+// (and stores). Restore also puts the machine back on its interpreter
+// table with no event buffer, which a RunEvents that panicked leaves
+// behind. Restore panics when the checkpoint belongs to a different
 // program — resuming another program's state is a programming error.
 func (m *Machine) Restore(c *Checkpoint) {
 	if c.Program != m.prog.Name {
 		panic(fmt.Sprintf("emu: restoring %q checkpoint into %q machine", c.Program, m.prog.Name))
 	}
+	m.code, m.events = m.prog.decoded(), nil
 	m.setRegs(&c.Regs)
 	m.Mem = c.Mem.Share()
 	m.PC = c.PC
@@ -372,7 +375,7 @@ func (m *Machine) StepInto(d *DynInst) bool {
 			d.StoreVal = uint64(uint32(d.StoreVal))
 		}
 	case isa.ClassBranch:
-		d.Taken = e.op.IsUncondBranch() || BranchTaken(e.op, x)
+		d.Taken = takenMask[e.op]>>signClass(x)&1 != 0
 	}
 	m.exec(1)
 	// exec writes every instruction's result to its destination slot
@@ -423,9 +426,9 @@ func (m *Machine) RunEvents(max uint64, ev []Event) (uint64, []Event) {
 		max = math.MaxUint64
 	}
 	// exec reads the table from m.code, so StepInto's one-instruction
-	// calls pass nothing extra. A panic (a PC outside the program)
-	// leaves the observing table in place, but every later exec
-	// panics on the same PC.
+	// calls pass nothing extra. A panic (a PC outside the program, a
+	// misaligned load) leaves the observing table and ev in place
+	// until Restore.
 	m.code, m.events = m.prog.observing(), ev
 	n := m.exec(max)
 	m.code, ev, m.events = m.prog.decoded(), m.events, nil

@@ -147,8 +147,9 @@ func (p *Program) observing() []decoded {
 
 // takenMask holds, for each control-transfer opcode, which of the
 // operand's sign classes (see signClass) take it: bit k is set when
-// operands of class k do. It is derived from BranchTaken, so the
-// observing table's events and the records StepInto builds agree.
+// operands of class k do. It is derived from BranchTaken, and both the
+// observing table's events and StepInto's records read it, so they
+// agree, and neither pays BranchTaken's call.
 var takenMask = func() (t [isa.NumOps]uint8) {
 	for op := isa.Op(0); op < isa.Op(isa.NumOps); op++ {
 		if !op.IsBranch() {
@@ -300,34 +301,37 @@ func (m *Machine) exec(n uint64) uint64 {
 			m.halt, n = true, i+1
 		case opEvent:
 			// An observing table's load or control transfer: record
-			// its event and execute it. The only calls are the
-			// loads' own, so the other cases keep their registers.
-			op := e.orig
-			ev := Event{PC: pc, Addr: x + e.imm, Op: op}
-			if e.class == isa.ClassLoad {
-				if op == isa.LDL {
-					res = uint64(int64(int32(m.Mem.Load32(ev.Addr))))
-				} else {
-					res = m.Mem.Load64(ev.Addr)
-				}
-			} else {
-				ev.Taken = takenMask[op]>>signClass(x)&1 != 0
-				ev.Addr = pc + 1
-				if ev.Taken {
-					ev.Addr = e.imm
-					if op == isa.JMP {
-						ev.Addr = x
-					}
-				}
-				// JSR's return address; the other control
-				// transfers write the sink slot.
-				next, res = ev.Addr, pc+1
-			}
+			// its event, then execute it. The event is written before
+			// a load's call, so nothing but what the plain loads keep
+			// is live across it, and the loop spills no more than it
+			// does without this case.
 			k := len(m.events)
 			m.events = m.events[:k+1]
-			m.events[k] = ev
 			if k+1 == cap(m.events) {
 				n = i + 1
+			}
+			ev := &m.events[k]
+			ev.PC, ev.Op = pc, e.orig
+			if e.class == isa.ClassLoad {
+				a := x + e.imm
+				ev.Addr, ev.Taken = a, false
+				if e.orig == isa.LDL {
+					res = uint64(int64(int32(m.Mem.Load32(a))))
+				} else {
+					res = m.Mem.Load64(a)
+				}
+			} else {
+				taken := takenMask[e.orig]>>signClass(x)&1 != 0
+				if taken {
+					next = e.imm
+					if e.orig == isa.JMP {
+						next = x
+					}
+				}
+				ev.Addr, ev.Taken = next, taken
+				// JSR's return address; the other control
+				// transfers write the sink slot.
+				res = pc + 1
 			}
 		}
 		r[e.dst] = res

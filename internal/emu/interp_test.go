@@ -408,3 +408,38 @@ func TestPanicMessages(t *testing.T) {
 		t.Errorf("misaligned load: panic %v, want %q", got, want)
 	}
 }
+
+// TestRestoreAfterEventsPanic: a RunEvents that panics leaves the
+// machine on its observing table with the caller's buffer; Restore must
+// take both back, so the restored machine records no event into a
+// buffer it no longer owns.
+func TestRestoreAfterEventsPanic(t *testing.T) {
+	// A load, then a fall off the end of the program.
+	p := &emu.Program{Name: "fall", Code: []isa.Inst{
+		{Op: isa.LDQ, Dst: isa.IntReg(1), SrcA: isa.ZeroReg, SrcB: isa.NoReg, Imm: 8, HasImm: true},
+		{Op: isa.NOP},
+	}}
+	m := emu.New(p)
+	start := m.Snapshot()
+	buf := make([]emu.Event, 0, 4)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("RunEvents past the end of the program did not panic")
+			}
+		}()
+		m.RunEvents(0, buf)
+	}()
+	m.Restore(start)
+	if n := m.Run(1); n != 1 {
+		t.Fatalf("restored machine ran %d instructions, want 1", n)
+	}
+	if got := buf[:2]; got[1] != (emu.Event{}) {
+		t.Fatalf("restored machine's Run recorded an event into the old buffer: %v", got)
+	}
+	m.Restore(start)
+	_, evs := m.RunEvents(1, make([]emu.Event, 0, 1))
+	if want := []emu.Event{{PC: 0, Addr: 8, Op: isa.LDQ}}; !slices.Equal(evs, want) {
+		t.Fatalf("RunEvents after Restore recorded %v, want %v", evs, want)
+	}
+}

@@ -5,32 +5,25 @@
 # Usage:
 #   scripts/bench_ab.sh BASE_DIR HEAD_DIR
 #
-# Environment:
-#   BENCH_PATTERN  -bench regex (default: the CI bench suite)
-#   BENCHTIME      -benchtime per benchmark and run (default: 1s)
-#   PAIRS          base/head run pairs (default: 7)
-#   MIN_RATIO      lowest median head/base insts/s ratio any one
-#                  benchmark may read (default: 0.85)
-#   MIN_GEOMEAN    lowest geomean of the benchmarks' median ratios
-#                  (default: 0.90)
-#
-# Each tree's root test binary is built once. Then PAIRS pairs run,
-# each pair one run of each binary back to back, the base first in odd
-# pairs and the head first in even ones, so both see the same machine
-# and drift falls on both sides. For every benchmark both trees report
-# insts/s for, a pair's ratio is head / base; the gate fails when a
-# benchmark's median ratio is below MIN_RATIO or the geomean of the
-# medians is below MIN_GEOMEAN. A speed-up reads above 1 and passes.
-# Benchmarks only one tree has are listed and skipped.
+# Each tree's root test binary is built once. Then eight pairs run;
+# in each, every benchmark runs once on each binary (1 s), back to
+# back, the base first in odd pairs and the head first in even ones,
+# so both see the same machine, drift falls on both sides and each
+# tree runs second equally often. For every benchmark both trees
+# report insts/s for, a pair's ratio is head / base; the gate fails
+# when a benchmark's median ratio is below 0.85 or the geomean of the
+# medians is below 0.90. A speed-up reads above 1 and passes.
+# Benchmarks only one tree has are listed and skipped. The pattern,
+# benchtime, pair count and bounds are constants below.
 set -euo pipefail
 
 base="$(cd "${1:?usage: bench_ab.sh BASE_DIR HEAD_DIR}" && pwd)"
 head="$(cd "${2:?usage: bench_ab.sh BASE_DIR HEAD_DIR}" && pwd)"
-pattern="${BENCH_PATTERN:-BenchmarkEmulator$|BenchmarkPipelineBaseline$|BenchmarkPipelineOptimized$|BenchmarkPipelineExactMix$|BenchmarkPlanBuild$|BenchmarkSweep}"
-benchtime="${BENCHTIME:-1s}"
-pairs="${PAIRS:-7}"
-min_ratio="${MIN_RATIO:-0.85}"
-min_geo="${MIN_GEOMEAN:-0.90}"
+pattern='BenchmarkEmulator$|BenchmarkPipelineBaseline$|BenchmarkPipelineOptimized$|BenchmarkPipelineExactMix$|BenchmarkPlanBuild$|BenchmarkSweep'
+benchtime=1s
+pairs=8 # even: each tree runs first in half the pairs
+min_ratio=0.85
+min_geo=0.90
 
 work="$(mktemp -d)"
 trap 'rm -rf "$work"' EXIT
@@ -40,12 +33,19 @@ for side in base head; do
 	(cd "$dir" && go test -c -o "$work/$side.test" .)
 done
 
-# run SIDE PAIR appends "SIDE PAIR NAME INSTS_PER_S" lines to $work/rates.
-run() {
-	local side="$1" pair="$2" dir
+# The benchmarks to compare: those either binary lists.
+benches=$(for side in base head; do
 	dir="${!side}"
-	(cd "$dir" && "$work/$side.test" -test.run '^$' -test.bench "$pattern" \
-		-test.benchtime "$benchtime" -test.timeout 10m) | tee -a "$work/$side.log" |
+	(cd "$dir" && "$work/$side.test" -test.list "$pattern")
+done | grep '^Benchmark' | sort -u)
+
+# run SIDE PAIR BENCH appends "SIDE PAIR NAME INSTS_PER_S" lines to
+# $work/rates.
+run() {
+	local side="$1" pair="$2" bench="$3" dir
+	dir="${!side}"
+	(cd "$dir" && "$work/$side.test" -test.run '^$' -test.bench "^$bench\$" \
+		-test.benchtime "$benchtime" -test.timeout 10m) |
 		awk -v side="$side" -v pair="$pair" '
 			/^Benchmark/ {
 				name = $1
@@ -56,14 +56,18 @@ run() {
 			}' >> "$work/rates"
 }
 
+# Both runs of one benchmark in a pair follow each other, so the
+# machine's load drifts little between the two halves of a ratio.
 for ((p = 1; p <= pairs; p++)); do
-	if ((p % 2)); then
-		run base "$p"
-		run head "$p"
-	else
-		run head "$p"
-		run base "$p"
-	fi
+	for bench in $benches; do
+		if ((p % 2)); then
+			run base "$p" "$bench"
+			run head "$p" "$bench"
+		else
+			run head "$p" "$bench"
+			run base "$p" "$bench"
+		fi
+	done
 	echo "pair $p of $pairs done" >&2
 done
 
