@@ -592,12 +592,12 @@ func storeCmd(out *os.File, dir string, args []string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(out, "%s: %d entries (%d exact, %d sampled, %d counts, %d plans), %d bytes\n",
+		fmt.Fprintf(out, "%s: %d entries (%d exact, %d sampled, %d counts, %d plans), %d bytes in %d segments\n",
 			dir, info.Entries, info.ByKind[store.KindExact], info.ByKind[store.KindSampled],
-			info.ByKind[store.KindCount], info.ByKind[store.KindPlan], info.Bytes)
-		if info.Corrupt > 0 || info.TempFiles > 0 {
-			fmt.Fprintf(out, "debris: %d corrupt entries, %d temp files (run 'contopt store gc')\n",
-				info.Corrupt, info.TempFiles)
+			info.ByKind[store.KindCount], info.ByKind[store.KindPlan], info.Bytes, info.Segments)
+		if info.Corrupt > 0 || info.Superseded > 0 || info.TornTails > 0 || info.Legacy > 0 {
+			fmt.Fprintf(out, "debris: %d corrupt entries, %d superseded records, %d torn tails, %d legacy entry files (run 'contopt store gc')\n",
+				info.Corrupt, info.Superseded, info.TornTails, info.Legacy)
 		}
 		return nil
 	case "gc":
@@ -605,8 +605,8 @@ func storeCmd(out *os.File, dir string, args []string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(out, "removed %d corrupt entries and %d temp files (%d bytes); %d intact entries kept\n",
-			rep.RemovedCorrupt, rep.RemovedTemp, rep.ReclaimedBytes, rep.RemainingIntact)
+		fmt.Fprintf(out, "removed %d corrupt entries, %d superseded records, %d torn tails and %d legacy entry files (%d bytes); %d intact entries kept\n",
+			rep.RemovedCorrupt, rep.RemovedSuperseded, rep.RemovedTorn, rep.RemovedLegacy, rep.ReclaimedBytes, rep.RemainingIntact)
 		return nil
 	case "verify":
 		vFlags := flag.NewFlagSet("store verify", flag.ContinueOnError)
@@ -622,7 +622,7 @@ func storeCmd(out *os.File, dir string, args []string) error {
 		for _, e := range entries {
 			if e.Err != nil {
 				corrupt++
-				fmt.Fprintf(out, "corrupt: %s: %v\n", e.Path, e.Err)
+				fmt.Fprintf(out, "corrupt: %v\n", e.Err) // the error names the segment and offset
 			}
 		}
 		fmt.Fprintf(out, "%d entries verified, %d corrupt\n", len(entries)-corrupt, corrupt)

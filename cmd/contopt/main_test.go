@@ -9,6 +9,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/store"
 )
 
 // capture redirects stdout around fn.
@@ -352,18 +354,31 @@ func TestStoreSubcommand(t *testing.T) {
 		t.Errorf("store verify: %s", vout)
 	}
 
-	// Corrupt one entry: verify must fail, gc must clean it up.
-	var entry string
-	filepath.WalkDir(filepath.Join(dir, "entries"), func(p string, d os.DirEntry, err error) error {
-		if err == nil && !d.IsDir() && entry == "" {
-			entry = p
-		}
-		return nil
-	})
-	if entry == "" {
-		t.Fatal("no entry files found")
+	// Corrupt one entry — flip a byte of its record's payload inside the
+	// segment: verify must fail, gc must clean it up.
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := os.WriteFile(entry, []byte("scribble"), 0o644); err != nil {
+	entries, err := st.List()
+	if err != nil || len(entries) == 0 {
+		t.Fatalf("no entries found (%v)", err)
+	}
+	e := entries[0]
+	f, err := os.OpenFile(e.Path, os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := make([]byte, 1)
+	at := e.Offset + e.Size - 3 // inside the payload, before its closing braces
+	if _, err := f.ReadAt(b, at); err != nil {
+		t.Fatal(err)
+	}
+	b[0] ^= 0x01
+	if _, err := f.WriteAt(b, at); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if err := run(context.Background(), []string{"store", "-store", dir, "verify"}); err == nil {
@@ -375,6 +390,11 @@ func TestStoreSubcommand(t *testing.T) {
 	}
 	if err := run(context.Background(), []string{"store", "-store", dir, "verify"}); err != nil {
 		t.Errorf("verify after gc: %v", err)
+	}
+	// The intact entry survives: one exact entry left.
+	stat = capture(t, func() error { return run(context.Background(), []string{"store", "-store", dir, "stat"}) })
+	if !strings.Contains(stat, "1 entries") || !strings.Contains(stat, "1 exact") {
+		t.Errorf("store stat after gc: %s", stat)
 	}
 }
 

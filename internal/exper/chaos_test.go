@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"os"
 	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -142,8 +143,9 @@ func TestChaosReadThroughRetries(t *testing.T) {
 }
 
 // TestChaosTornPlanEntryHeals: a sampled-run window plan torn mid-write
-// (truncated entry file) is a miss, not an error — the plan rebuilds,
-// the estimate matches, and the rewrite heals the entry.
+// (its record cut off at the end of a segment) is a miss, not an error —
+// the plan rebuilds, the estimate matches, and the rewrite heals the
+// entry.
 func TestChaosTornPlanEntryHeals(t *testing.T) {
 	ctx := context.Background()
 	st := openStore(t)
@@ -156,27 +158,56 @@ func TestChaosTornPlanEntryHeals(t *testing.T) {
 
 	// Tear the plan entries mid-write; drop the sampled results so the
 	// warm engine must resimulate through the plan rather than serve
-	// the result entry directly.
+	// the result entry directly. Records are self-delimiting, so each
+	// segment is rewritten as its other records, then the first half of
+	// each plan record: a torn tail, as a crash mid-append leaves it.
 	entries, err := st.List()
 	if err != nil {
 		t.Fatal(err)
 	}
+	type cut struct {
+		off, n int64
+		torn   bool
+	}
+	cuts := map[string][]cut{}
 	torn := 0
 	for _, e := range entries {
 		switch e.Key.Kind {
 		case store.KindPlan:
-			if err := os.Truncate(e.Path, e.Size/2); err != nil {
-				t.Fatal(err)
-			}
+			cuts[e.Path] = append(cuts[e.Path], cut{e.Offset, e.Size, true})
 			torn++
 		case store.KindSampled:
-			if err := os.Remove(e.Path); err != nil {
-				t.Fatal(err)
-			}
+			cuts[e.Path] = append(cuts[e.Path], cut{e.Offset, e.Size, false})
 		}
 	}
 	if torn == 0 {
 		t.Fatal("sampled run persisted no plan entry to tear")
+	}
+	for path, cs := range cuts {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sort.Slice(cs, func(i, j int) bool { return cs[i].off < cs[j].off })
+		var out, tails []byte
+		from := int64(0)
+		for _, c := range cs {
+			out = append(out, data[from:c.off]...)
+			if c.torn {
+				tails = append(tails, data[c.off:c.off+c.n/2]...)
+			}
+			from = c.off + c.n
+		}
+		out = append(append(out, data[from:]...), tails...)
+		if err := os.WriteFile(path, out, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A new handle, as a new process would open: st indexed the old
+	// offsets.
+	st, err = store.Open(st.Dir())
+	if err != nil {
+		t.Fatal(err)
 	}
 
 	warm := storeRunner(st)

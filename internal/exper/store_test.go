@@ -401,8 +401,8 @@ func TestPlanStoreSharedAcrossProcesses(t *testing.T) {
 }
 
 // TestPlanStoreTornEntryRebuilt fault-injects a partial plan write: a
-// truncated entry must read as a miss (never an error), be rebuilt, and
-// be healed for the next process.
+// plan record cut off mid-write must read as a miss (never an error), be
+// rebuilt, and be healed for the next process.
 func TestPlanStoreTornEntryRebuilt(t *testing.T) {
 	ctx := context.Background()
 	st := openStore(t)
@@ -413,12 +413,9 @@ func TestPlanStoreTornEntryRebuilt(t *testing.T) {
 	if _, err := r1.RunSampled(ctx, pipeline.DefaultConfig(), b, 1, sc); err != nil {
 		t.Fatal(err)
 	}
+	// Cut the plan's record in half: its segment now ends mid-record.
 	e := planEntry(t, st)
-	data, err := os.ReadFile(e.Path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(e.Path, data[:len(data)/2], 0o644); err != nil {
+	if err := os.Truncate(e.Path, e.Offset+e.Size/2); err != nil {
 		t.Fatal(err)
 	}
 

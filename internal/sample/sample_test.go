@@ -180,7 +180,9 @@ func TestExactFallbackForShortPrograms(t *testing.T) {
 // TestEstimatePreservesRatios: extrapolating window events by a uniform
 // factor must preserve the derived percentages the harness reports.
 func TestEstimatePreservesRatios(t *testing.T) {
-	p := prog(t, "untst").Program(1)
+	// Scale 8: at scale 1 untst is too short to sample and the check
+	// below would never run.
+	p := prog(t, "untst").Program(8)
 	r, err := Run(context.Background(), pipeline.DefaultConfig(), p, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -67,8 +68,9 @@ func TestFaultPointsThroughSeam(t *testing.T) {
 	if err := fault.Enable("store.write:err=ENOSPC:nth=2"); err != nil {
 		t.Fatal(err)
 	}
-	// nth=2 lands the ENOSPC on the temp-file Write — mid-write-behind,
-	// after CreateTemp already consumed call 1.
+	// The handle's segment exists, so the append's Write is call 1 and
+	// nth=2 lands the ENOSPC on its Sync: the record is all written but
+	// not durable, and the failed Put must take it back.
 	err = s.Put(CountKey("vpr", 1, "w1"), &Count{Insts: 9})
 	if !errors.Is(err, syscall.ENOSPC) || Classify(err) != ClassTransient {
 		t.Fatalf("Put under ENOSPC: err=%v class=%s", err, Classify(err))
@@ -95,13 +97,13 @@ func TestProbe(t *testing.T) {
 	if err := s.Probe(); err != nil {
 		t.Fatalf("probe after faults cleared: %v", err)
 	}
-	// Probes must not leave temp litter for Stat/GC to chew on.
-	info, err := s.Stat()
+	// Probes must not leave files for Stat/GC to chew on.
+	names, err := os.ReadDir(s.segDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.TempFiles != 0 || info.Entries != 0 {
-		t.Fatalf("probe left residue: %+v", info)
+	if len(names) != 0 {
+		t.Fatalf("probe left residue: %v", names)
 	}
 }
 
@@ -115,9 +117,7 @@ func TestQuarantine(t *testing.T) {
 	if err := s.Put(bad, &Count{Insts: 2}); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(s.path(bad), []byte("torn{"), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	corruptPayload(t, s, bad)
 
 	moved, err := s.Quarantine()
 	if err != nil {
@@ -126,7 +126,7 @@ func TestQuarantine(t *testing.T) {
 	if moved != 1 {
 		t.Fatalf("moved %d entries, want 1", moved)
 	}
-	// The corrupt entry is out of the entries tree: reads miss, List is
+	// The corrupt entry is out of the segments: reads miss, List is
 	// clean, and the evidence sits under quarantine/.
 	var got Count
 	if err := s.Get(bad, &got); Classify(err) != ClassNotFound {
@@ -182,10 +182,10 @@ func TestGCSparesUnreadableEntries(t *testing.T) {
 // TestGCConcurrentWithTrafficUnderFaults drives writers, readers and a
 // GC loop over one store while seeded transient faults hit the read and
 // write paths. The invariants: a reader never observes a torn or wrong
-// value (atomic rename means full entry or nothing), a key that has
-// been written stays readable forever (GC must not eat live entries,
-// even when it cannot read them), and a live writer's young temp file
-// survives GC's temp sweep.
+// value (a record is checked whole or not served), a key that has been
+// written stays readable forever (GC must not eat live entries, even
+// when it cannot read them or compacts the segment a writer appends
+// to), and a live writer's young torn tail survives GC.
 func TestGCConcurrentWithTrafficUnderFaults(t *testing.T) {
 	defer fault.Reset()
 	s := openTemp(t)
@@ -193,14 +193,11 @@ func TestGCConcurrentWithTrafficUnderFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A young temp file stands in for a live writer in another process;
+	// A young torn tail stands in for a live writer in another process;
 	// the grace window must keep every GC pass off it.
-	shard := filepath.Join(s.Dir(), "entries", "ab")
-	if err := os.MkdirAll(shard, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	liveTemp := filepath.Join(shard, ".tmp-live-writer")
-	if err := os.WriteFile(liveTemp, []byte("half-written"), 0o644); err != nil {
+	liveTorn := tornSegment(t, s, "live-writer", CountKey("elsewhere", 1, "w1"))
+	liveBytes, err := os.ReadFile(liveTorn)
+	if err != nil {
 		t.Fatal(err)
 	}
 
@@ -286,8 +283,8 @@ func TestGCConcurrentWithTrafficUnderFaults(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	if _, err := os.Stat(liveTemp); err != nil {
-		t.Fatalf("gc removed a young temp file inside the grace window: %v", err)
+	if data, err := os.ReadFile(liveTorn); err != nil || !bytes.Equal(data, liveBytes) {
+		t.Fatalf("gc touched a young torn tail inside the grace window: %v", err)
 	}
 	fault.Reset()
 	for k := 0; k < keys; k++ {

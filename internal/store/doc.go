@@ -14,9 +14,8 @@
 // the benchmark's generated source (so editing a kernel invalidates
 // its entries instead of serving stale results), the effective
 // iteration scale, and (for sampled estimates) the sampling-regime key
-// (sample.Config.Key) — and the entry's path is derived from a hash of
-// that Key. Four entry kinds occupy disjoint namespaces and can never
-// collide:
+// (sample.Config.Key) — and the store finds an entry by that Key alone.
+// Four entry kinds occupy disjoint namespaces and can never collide:
 //
 //   - KindExact: a cycle-exact pipeline.Result
 //   - KindSampled: a sample.Result estimate, additionally keyed by the
@@ -43,22 +42,43 @@
 //
 // # On-disk format
 //
-// Each entry is one JSON file under dir/entries/<aa>/<address>.json
-// (sharded by the first address byte). The file is a self-describing
-// envelope: a format marker, a codec version, the full Key written
-// back in clear (so the store can be inspected, verified, and migrated
-// without external metadata), a SHA-256 checksum of the payload, and
-// the payload itself — the result struct encoded as JSON, which
-// round-trips every exported field of pipeline.Result (including
-// Intervals, Measured, Truncated and the optimizer counters) and
-// sample.Result (including the window series and CI fields) exactly.
+// The store is a directory of append-only segments, dir/segments/*.seg,
+// after Bitcask (Sheehy & Smith, 2010) and the log-structured file
+// system (Rosenblum & Ousterhout, 1992). Each Store handle's first Put
+// creates a segment of its own, under a unique name made with O_EXCL,
+// and every Put of that handle appends one record to it: no file per
+// entry. A record frames one entry's envelope — a magic number, the
+// envelope's and its head's lengths, a CRC-32C of those and of the head,
+// the envelope, a newline. The envelope is self-describing: a format
+// marker, a codec version, the full Key written back in clear (so the
+// store can be inspected, verified, and migrated without external
+// metadata), a SHA-256 checksum of the payload, and the payload itself
+// — the result struct encoded as JSON, which round-trips every exported
+// field of pipeline.Result (including Intervals, Measured, Truncated
+// and the optimizer counters) and sample.Result (including the window
+// series and CI fields) exactly.
 //
-// Writes are atomic: the envelope is written to a temporary file in
-// the destination directory, synced, and renamed into place, so a
-// crash or Ctrl-C mid-write can never leave a half-written entry
-// visible. Concurrent writers of the same key are safe — the simulator
-// is deterministic, so both write identical bytes and the last rename
-// wins.
+// A handle finds records through an in-memory index from Key to
+// (segment, offset, length), built at Open by stepping from record to
+// record and reading heads only, never payloads. A key the index lacks
+// may have been written by another handle or process since: the miss
+// reads the segment directory once, stats each segment, and indexes the
+// records appended since the last look — it never creates a file. Of
+// several records of one key, the last one written answers.
+//
+// # Writes are durable, and appends never interleave
+//
+// Put appends its record with one write and fsyncs it before it
+// returns, so a result is on disk before anyone waiting on it wakes. A
+// segment has one writer, which holds the segment's advisory lock
+// (flock) across each append; GC takes the same lock before it compacts
+// a segment away, and a writer that finds its segment removed or
+// changed starts a new one. A crash mid-append leaves a torn tail — a
+// record the segment ends inside of — which readers skip as a miss; a
+// failed append is cut back, and its segment is dropped so that no
+// record ever follows a partial one. Concurrent writers of the same key
+// are safe — the simulator is deterministic, so both write identical
+// payloads and either record answers.
 //
 // # Corruption tolerance
 //
@@ -68,9 +88,13 @@
 // reported as a *CorruptError — and callers layering the store under a
 // cache (the experiment engine) treat any read error as a miss and
 // resimulate, so a damaged store degrades to a cold one, never to a
-// wrong or crashed run. A later successful Put overwrites the damaged
-// entry; GC deletes corrupt entries and abandoned temporary files in
-// bulk; Verify reports them without deleting.
+// wrong or crashed run. A record whose frame is damaged hides the rest
+// of its segment, which is reported as one corrupt entry. A later
+// successful Put supersedes the damaged entry; GC compacts the segments
+// it can lock into one, keeping each key's latest intact record and
+// dropping corrupt and superseded records and torn tails older than an
+// hour (a younger one may be an append in flight); List and
+// `contopt store verify` report corrupt entries without deleting.
 //
 // # Staleness
 //
@@ -80,5 +104,7 @@
 // (a bug fix that alters cycle counts) makes every stored result
 // stale with no key change. Bump Version alongside such a change —
 // old entries then read as unknown-version and are resimulated — or
-// drop the store directory.
+// drop the store directory. Stores written before the segment layout
+// kept one file per entry under dir/entries/; this build does not read
+// them, Stat counts them as legacy debris, and GC removes them.
 package store

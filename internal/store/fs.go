@@ -10,26 +10,42 @@ import (
 	"repro/internal/fault"
 )
 
-// File is the writable handle an FS hands out for atomic entry writes:
-// just enough of *os.File for the temp-write-sync-rename protocol.
+// File is an open segment (or quarantine) file: appends and their
+// durability step for the segment's writer, positioned reads for
+// scanners and Get, and the advisory lock that keeps GC off a segment
+// while a writer appends to it.
 type File interface {
 	io.Writer
+	io.ReaderAt
 	Name() string
+	Stat() (os.FileInfo, error)
 	Sync() error
+	Truncate(size int64) error
+	// Lock takes the file's exclusive advisory lock: it waits for the
+	// lock when wait is set, and otherwise fails with errBusy when
+	// another open file holds it. Closing the file releases it.
+	Lock(wait bool) error
+	Unlock() error
 	Close() error
 }
 
-// FS is the store's filesystem seam. Every byte the store reads or
-// writes goes through one of these calls, which is what lets the fault
-// registry fail them deterministically and lets tests substitute a
-// filesystem wholesale. The default (what Open uses) is the real OS
+// errBusy reports a lock another open file holds.
+var errBusy = errors.New("store: segment busy")
+
+// FS is the store's filesystem seam. Every byte of an entry the store
+// reads or writes goes through one of these calls, which is what lets
+// the fault registry fail them deterministically and lets tests
+// substitute a filesystem wholesale. The default (what Open uses) is the real OS
 // filesystem wrapped in fault points.
 type FS interface {
 	MkdirAll(dir string, perm os.FileMode) error
-	ReadFile(name string) ([]byte, error)
-	CreateTemp(dir, pattern string) (File, error)
-	Rename(oldpath, newpath string) error
+	ReadDir(dir string) ([]os.DirEntry, error)
+	// Create makes a new file for appending and fails if name exists.
+	Create(name string) (File, error)
+	// Open opens an existing file for reading.
+	Open(name string) (File, error)
 	Remove(name string) error
+	RemoveAll(name string) error
 	Stat(name string) (os.FileInfo, error)
 }
 
@@ -39,22 +55,75 @@ func OSFS() FS { return osFS{} }
 type osFS struct{}
 
 func (osFS) MkdirAll(dir string, perm os.FileMode) error { return os.MkdirAll(dir, perm) }
-func (osFS) ReadFile(name string) ([]byte, error)        { return os.ReadFile(name) }
-func (osFS) Rename(oldpath, newpath string) error        { return os.Rename(oldpath, newpath) }
+func (osFS) ReadDir(dir string) ([]os.DirEntry, error)   { return os.ReadDir(dir) }
 func (osFS) Remove(name string) error                    { return os.Remove(name) }
+func (osFS) RemoveAll(name string) error                 { return os.RemoveAll(name) }
 func (osFS) Stat(name string) (os.FileInfo, error)       { return os.Stat(name) }
 
-func (osFS) CreateTemp(dir, pattern string) (File, error) {
-	return os.CreateTemp(dir, pattern)
+func (osFS) Create(name string) (File, error) {
+	f, err := os.OpenFile(name, os.O_WRONLY|os.O_CREATE|os.O_EXCL|os.O_APPEND, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	return osFile{f}, nil
+}
+
+func (osFS) Open(name string) (File, error) {
+	f, err := os.Open(name)
+	if err != nil {
+		return nil, err
+	}
+	return osFile{f}, nil
+}
+
+// osFile adds flock(2) locking to *os.File. A flock belongs to the open
+// file, not the process, so two handles in one process exclude each
+// other just as two processes do.
+type osFile struct{ *os.File }
+
+func (f osFile) Lock(wait bool) error {
+	how := syscall.LOCK_EX
+	if !wait {
+		how |= syscall.LOCK_NB
+	}
+	err := f.flock(how)
+	if errors.Is(err, syscall.EWOULDBLOCK) {
+		return errBusy
+	}
+	return err
+}
+
+func (f osFile) Unlock() error { return f.flock(syscall.LOCK_UN) }
+
+func (f osFile) flock(how int) error {
+	conn, err := f.SyscallConn()
+	if err != nil {
+		return err
+	}
+	var ferr error
+	if err := conn.Control(func(fd uintptr) {
+		for {
+			ferr = syscall.Flock(int(fd), how)
+			if ferr != syscall.EINTR {
+				return
+			}
+		}
+	}); err != nil {
+		return err
+	}
+	if ferr != nil {
+		return &os.PathError{Op: "flock", Path: f.Name(), Err: ferr}
+	}
+	return nil
 }
 
 // FaultFS wraps fsys with the store's named fault points, keyed by
-// path so key= clauses can target one entry:
+// path so key= clauses can target one segment:
 //
-//	store.read    ReadFile
-//	store.write   CreateTemp, and Write/Sync on the temp file
-//	store.rename  Rename (the commit step of an atomic Put)
-//	store.remove  Remove
+//	store.read    ReadAt on a segment (Get, index scans, List), and
+//	              ReadDir of the segments (a Get that misses the index)
+//	store.write   Create, and Write/Sync on the created file
+//	store.remove  Remove and RemoveAll
 //	store.stat    Stat
 //
 // With no clauses armed each point is one atomic load; Open installs
@@ -68,29 +137,30 @@ func (f faultFS) MkdirAll(dir string, perm os.FileMode) error {
 	return f.inner.MkdirAll(dir, perm)
 }
 
-func (f faultFS) ReadFile(name string) ([]byte, error) {
-	if err := fault.Inject("store.read", name); err != nil {
+func (f faultFS) ReadDir(dir string) ([]os.DirEntry, error) {
+	if err := fault.Inject("store.read", dir); err != nil {
 		return nil, err
 	}
-	return f.inner.ReadFile(name)
+	return f.inner.ReadDir(dir)
 }
 
-func (f faultFS) CreateTemp(dir, pattern string) (File, error) {
-	if err := fault.Inject("store.write", dir); err != nil {
+func (f faultFS) Create(name string) (File, error) {
+	if err := fault.Inject("store.write", name); err != nil {
 		return nil, err
 	}
-	file, err := f.inner.CreateTemp(dir, pattern)
+	file, err := f.inner.Create(name)
 	if err != nil {
 		return nil, err
 	}
 	return faultFile{file}, nil
 }
 
-func (f faultFS) Rename(oldpath, newpath string) error {
-	if err := fault.Inject("store.rename", newpath); err != nil {
-		return err
+func (f faultFS) Open(name string) (File, error) {
+	file, err := f.inner.Open(name)
+	if err != nil {
+		return nil, err
 	}
-	return f.inner.Rename(oldpath, newpath)
+	return faultFile{file}, nil
 }
 
 func (f faultFS) Remove(name string) error {
@@ -98,6 +168,13 @@ func (f faultFS) Remove(name string) error {
 		return err
 	}
 	return f.inner.Remove(name)
+}
+
+func (f faultFS) RemoveAll(name string) error {
+	if err := fault.Inject("store.remove", name); err != nil {
+		return err
+	}
+	return f.inner.RemoveAll(name)
 }
 
 func (f faultFS) Stat(name string) (os.FileInfo, error) {
@@ -108,8 +185,8 @@ func (f faultFS) Stat(name string) (os.FileInfo, error) {
 }
 
 // faultFile interposes store.write on the data and durability steps of
-// a temp-file write, so a clause with nth= can land ENOSPC mid-write
-// rather than only at file creation.
+// an append, so a clause with nth= can land ENOSPC mid-Put rather than
+// only at segment creation, and store.read on every positioned read.
 type faultFile struct{ File }
 
 func (f faultFile) Write(p []byte) (int, error) {
@@ -124,6 +201,13 @@ func (f faultFile) Sync() error {
 		return err
 	}
 	return f.File.Sync()
+}
+
+func (f faultFile) ReadAt(p []byte, off int64) (int, error) {
+	if err := fault.Inject("store.read", f.Name()); err != nil {
+		return 0, err
+	}
+	return f.File.ReadAt(p, off)
 }
 
 // ErrorClass partitions store errors by the response they warrant.

@@ -1,8 +1,8 @@
 package store
 
 // Put tests: the entry encoding is byte-identical to marshaling the
-// whole envelope, fan-out directories are made only when missing, and
-// a write that fails midway leaves the previous entry intact.
+// whole envelope, only a handle's first Put creates a file, and a
+// write that fails midway leaves the previous entry intact.
 
 import (
 	"bytes"
@@ -10,10 +10,9 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
-	"path/filepath"
 	"reflect"
-	"strings"
 	"sync/atomic"
 	"syscall"
 	"testing"
@@ -23,9 +22,9 @@ import (
 	"repro/internal/sample"
 )
 
-// TestEntryBytesMatchEnvelopeMarshal pins Put's output byte for byte to
-// what json.Marshal gives for the whole envelope — the encoding every
-// existing store holds — for every entry kind, with strings that
+// TestEntryBytesMatchEnvelopeMarshal pins the envelope of Put's record
+// byte for byte to what json.Marshal gives for the whole envelope — the
+// encoding every earlier store held — for every entry kind, with strings that
 // encoding/json escapes (plans, whose MarshalJSON output Put stores as
 // is, included). It then round-trips each entry: what Get decodes
 // re-encodes to the stored payload exactly.
@@ -59,10 +58,12 @@ func TestEntryBytesMatchEnvelopeMarshal(t *testing.T) {
 		if err := s.Put(c.k, c.v); err != nil {
 			t.Fatalf("%s: %v", c.k, err)
 		}
-		got, err := os.ReadFile(s.path(c.k))
+		e := entryOf(t, s, c.k)
+		data, err := os.ReadFile(e.Path)
 		if err != nil {
 			t.Fatal(err)
 		}
+		got := data[e.Offset+frameHeader : e.Offset+e.Size-1]
 		payload, err := json.Marshal(c.v)
 		if err != nil {
 			t.Fatal(err)
@@ -91,53 +92,56 @@ func TestEntryBytesMatchEnvelopeMarshal(t *testing.T) {
 	}
 }
 
-// mkdirCounter counts MkdirAll calls through to the real filesystem.
-type mkdirCounter struct {
+// createCounter counts Create calls through to the real filesystem.
+type createCounter struct {
 	FS
 	n atomic.Int64
 }
 
-func (m *mkdirCounter) MkdirAll(dir string, perm os.FileMode) error {
-	m.n.Add(1)
-	return m.FS.MkdirAll(dir, perm)
+func (c *createCounter) Create(name string) (File, error) {
+	c.n.Add(1)
+	return c.FS.Create(name)
 }
 
-// TestPutCreatesFanOutDirOnce: Put creates an entry's fan-out directory
-// only when it is missing — the first write into it — not on every
-// write.
-func TestPutCreatesFanOutDirOnce(t *testing.T) {
-	fsys := &mkdirCounter{FS: FaultFS(OSFS())}
+// TestOnlyFirstPutCreatesAFile: a handle's first Put creates its
+// segment and every later Put appends to it — no file per entry, and
+// none for a Get that misses.
+func TestOnlyFirstPutCreatesAFile(t *testing.T) {
+	fsys := &createCounter{FS: FaultFS(OSFS())}
 	s, err := OpenFS(t.TempDir(), fsys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	k := CountKey("gcc", 1, "w1")
-	opened := fsys.n.Load()
-	if err := s.Put(k, &Count{Insts: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if got := fsys.n.Load() - opened; got != 1 {
-		t.Errorf("first Put into a new fan-out directory made %d MkdirAll calls, want 1", got)
-	}
-	before := fsys.n.Load()
-	for i := 0; i < 3; i++ {
+	for i := 0; i < 4; i++ {
+		k := CountKey(fmt.Sprintf("b%d", i), 1, "w1")
 		if err := s.Put(k, &Count{Insts: uint64(i)}); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if got := fsys.n.Load() - before; got != 0 {
-		t.Errorf("Puts into an existing fan-out directory made %d MkdirAll calls, want 0", got)
+		if err := s.Put(k, &Count{Insts: uint64(i) + 1}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	var c Count
-	if err := s.Get(k, &c); err != nil || c.Insts != 2 {
+	if err := s.Get(CountKey("missing", 1, "w1"), &c); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("Get of a missing key = %v", err)
+	}
+	if got := fsys.n.Load(); got != 1 {
+		t.Errorf("8 Puts and a miss made %d Create calls, want 1", got)
+	}
+	if err := s.Get(CountKey("b2", 1, "w1"), &c); err != nil || c.Insts != 3 {
 		t.Fatalf("Get = %+v, %v; want the last Put's value", c, err)
+	}
+	names, err := os.ReadDir(s.segDir())
+	if err != nil || len(names) != 1 {
+		t.Fatalf("segments/ holds %v (%v), want one segment", names, err)
 	}
 }
 
-// TestPutWriteFaultKeepsOldEntry lands an ENOSPC on the temp-file Write
-// of an overwrite — the fan-out directory already exists, so CreateTemp
-// runs once and takes call 1 — and requires the failed Put to leave the
-// previous entry intact and no temp file behind.
+// TestPutWriteFaultKeepsOldEntry lands an ENOSPC on the Sync of an
+// overwrite — the handle's segment already exists, so the append's
+// Write takes call 1 — and requires the failed Put to leave the
+// previous entry intact, no partial record behind, and the next Put to
+// start a new segment.
 func TestPutWriteFaultKeepsOldEntry(t *testing.T) {
 	defer fault.Reset()
 	s := openTemp(t)
@@ -156,13 +160,40 @@ func TestPutWriteFaultKeepsOldEntry(t *testing.T) {
 	if err := s.Get(k, &c); err != nil || c.Insts != 5 {
 		t.Fatalf("after the failed overwrite Get = %+v, %v; want the old entry", c, err)
 	}
-	names, err := os.ReadDir(filepath.Dir(s.path(k)))
+	// A fresh handle scans the segment from disk: one record, no tail.
+	fresh, err := Open(s.Dir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range names {
-		if strings.HasPrefix(e.Name(), ".tmp-") {
-			t.Errorf("failed Put left temp file %s", e.Name())
-		}
+	if err := fresh.Get(k, &c); err != nil || c.Insts != 5 {
+		t.Fatalf("fresh handle Get = %+v, %v; want the old entry", c, err)
+	}
+	if st, err := fresh.Stat(); err != nil || st.Entries != 1 || st.Superseded != 0 || st.Segments != 1 {
+		t.Fatalf("failed Put left a record behind: %+v, %v", st, err)
+	}
+	if err := s.Put(k, &Count{Insts: 6}); err != nil {
+		t.Fatal(err)
+	}
+	if st, err := s.Stat(); err != nil || st.Segments != 2 {
+		t.Fatalf("the Put after a failed append should start a new segment: %+v, %v", st, err)
+	}
+}
+
+// TestFailedFirstAppendLeavesNoFile: a Put whose first append fails
+// (the segment was created, call 1, and its Write takes call 2) removes
+// the empty segment, so a disk that keeps failing does not collect a
+// file per attempt.
+func TestFailedFirstAppendLeavesNoFile(t *testing.T) {
+	defer fault.Reset()
+	s := openTemp(t)
+	if err := fault.Enable("store.write:err=ENOSPC:nth=2"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put(CountKey("vpr", 1, "w1"), &Count{Insts: 6}); !errors.Is(err, syscall.ENOSPC) {
+		t.Fatalf("Put with ENOSPC on its first Write: %v", err)
+	}
+	names, err := os.ReadDir(s.segDir())
+	if err != nil || len(names) != 0 {
+		t.Fatalf("failed first append left %v (%v)", names, err)
 	}
 }

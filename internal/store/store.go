@@ -8,9 +8,7 @@ import (
 	"fmt"
 	"io/fs"
 	"path/filepath"
-	"sort"
-	"strings"
-	"time"
+	"sync"
 )
 
 // Format is the on-disk envelope marker; a file that does not carry it
@@ -23,8 +21,8 @@ const Format = "contopt-result-store"
 // incompatibly.
 const Version = 1
 
-// Entry kinds. Each kind is its own namespace: the kind participates
-// in the entry address, so an exact result, a sampled estimate, and an
+// Entry kinds. Each kind is its own namespace: the kind is part of
+// every Key, so an exact result, a sampled estimate, and an
 // instruction count of the same benchmark can never collide.
 const (
 	KindExact   = "exact"
@@ -145,14 +143,6 @@ func (k Key) String() string {
 	return s
 }
 
-// addr derives the entry's content address: a hash of the canonical
-// key string, NUL-separated so no field concatenation can alias.
-func (k Key) addr() string {
-	sum := sha256.Sum256([]byte(fmt.Sprintf("v1\x00%s\x00%s\x00%s\x00%d\x00%s\x00%s",
-		k.Kind, k.ConfigKey, k.Benchmark, k.Scale, k.Workload, k.Sampling)))
-	return hex.EncodeToString(sum[:16])
-}
-
 // ErrNotFound reports that no entry exists for the requested key.
 var ErrNotFound = errors.New("store: entry not found")
 
@@ -194,9 +184,25 @@ type envelopeHead struct {
 // Store is a content-addressed result store rooted at one directory.
 // A Store is safe for concurrent use by multiple goroutines and
 // multiple processes sharing the directory.
+//
+// Each handle appends to a segment of its own, created by its first
+// Put, and finds records through an in-memory index of every segment's
+// record heads (see segment.go).
 type Store struct {
 	dir string
 	fs  FS
+
+	// wmu serializes this handle's appends; w is its segment, nil until
+	// the first Put and after a failed append drops it.
+	wmu sync.Mutex
+	w   *writer
+
+	// scanMu serializes index refreshes. mu guards index, segs and own.
+	scanMu sync.Mutex
+	mu     sync.Mutex
+	index  map[Key]loc
+	segs   map[string]*segment
+	own    *segment
 }
 
 // Open opens (creating if necessary) the store rooted at dir, on the
@@ -206,26 +212,27 @@ func Open(dir string) (*Store, error) {
 }
 
 // OpenFS opens the store rooted at dir on an explicit filesystem —
-// the seam tests use to substitute or instrument I/O.
+// the seam tests use to substitute or instrument I/O — and indexes the
+// records already there.
 func OpenFS(dir string, fsys FS) (*Store, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("store: empty directory")
 	}
-	if err := fsys.MkdirAll(filepath.Join(dir, "entries"), 0o755); err != nil {
+	s := &Store{dir: dir, fs: fsys, index: map[Key]loc{}, segs: map[string]*segment{}}
+	if err := fsys.MkdirAll(s.segDir(), 0o755); err != nil {
 		return nil, fmt.Errorf("store: opening %s: %w", dir, err)
 	}
-	return &Store{dir: dir, fs: fsys}, nil
+	// A segment that cannot be read now is scanned again on the first
+	// miss, so a read failure here costs hits, not the open.
+	_ = s.refresh(false)
+	return s, nil
 }
 
 // Dir returns the store's root directory.
 func (s *Store) Dir() string { return s.dir }
 
-// path returns the entry file for k, sharded by the first address byte
-// so large stores do not degenerate into one huge directory.
-func (s *Store) path(k Key) string {
-	a := k.addr()
-	return filepath.Join(s.dir, "entries", a[:2], a+".json")
-}
+// segDir is the directory holding the segments.
+func (s *Store) segDir() string { return filepath.Join(s.dir, "segments") }
 
 // Get reads the entry for k into out (a pointer to the payload type —
 // *pipeline.Result for KindExact, *sample.Result for KindSampled,
@@ -238,27 +245,75 @@ func (s *Store) Get(k Key, out any) error {
 	if err := k.Validate(); err != nil {
 		return err
 	}
-	path := s.path(k)
-	data, err := s.fs.ReadFile(path)
+	data, where, err := s.read(k)
+	if errors.Is(err, fs.ErrNotExist) {
+		return fmt.Errorf("%w: %s", ErrNotFound, k)
+	}
 	if err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			return fmt.Errorf("%w: %s", ErrNotFound, k)
+		if IsCorrupt(err) {
+			return err
 		}
 		return fmt.Errorf("store: reading %s: %w", k, err)
 	}
-	env, err := decodeEnvelope(path, data, &k)
+	env, err := decodeEnvelope(where, data, &k)
 	if err != nil {
 		return err
 	}
 	if err := json.Unmarshal(env.Payload, out); err != nil {
-		return &CorruptError{Path: path, Reason: "payload: " + err.Error()}
+		return &CorruptError{Path: where, Reason: "payload: " + err.Error()}
 	}
 	return nil
 }
 
-// decodeEnvelope parses and integrity-checks one entry file. want,
-// when non-nil, additionally pins the stored key (an address collision
-// or a hand-moved file fails here).
+// read returns the envelope of k's record and where it lies. A key the
+// index lacks may have been appended by another handle or process since
+// the last scan, so a miss rescans before reporting fs.ErrNotExist; a
+// record whose segment was compacted away or cut back (errStale) is
+// looked up again after a rescan of every segment.
+func (s *Store) read(k Key) ([]byte, string, error) {
+	for round := 0; round < maxRounds; round++ {
+		l, ok := s.lookup(k)
+		if !ok {
+			var err error
+			if l, ok, err = s.lookupFresh(k); !ok {
+				if err != nil {
+					return nil, "", err
+				}
+				return nil, "", fs.ErrNotExist
+			}
+		}
+		data, where, err := s.readRecord(l)
+		if !errors.Is(err, errStale) {
+			return data, where, err
+		}
+		if err := s.refresh(true); err != nil {
+			return nil, "", err
+		}
+	}
+	return nil, "", errChurn
+}
+
+// lookupFresh refreshes the index and looks k up before letting go of
+// scanMu: a refresh that resets the index empties it until its rescan
+// is done.
+func (s *Store) lookupFresh(k Key) (loc, bool, error) {
+	s.scanMu.Lock()
+	defer s.scanMu.Unlock()
+	err := s.refreshLocked(false)
+	l, ok := s.lookup(k)
+	return l, ok, err
+}
+
+func (s *Store) lookup(k Key) (loc, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	l, ok := s.index[k]
+	return l, ok
+}
+
+// decodeEnvelope parses and integrity-checks one entry's envelope.
+// want, when non-nil, additionally pins the stored key (a record
+// rewritten in place under another key fails here).
 func decodeEnvelope(path string, data []byte, want *Key) (*envelope, error) {
 	var env envelope
 	if err := json.Unmarshal(data, &env); err != nil {
@@ -283,53 +338,28 @@ func decodeEnvelope(path string, data []byte, want *Key) (*envelope, error) {
 	return &env, nil
 }
 
-// Put persists v (the payload struct for k's kind) under k, atomically:
-// the entry is written to a temporary file and renamed into place, so
-// readers and a crash mid-write only ever observe complete entries.
-// Putting an existing key overwrites it — the simulator is
-// deterministic, so rewrites are idempotent and also heal corruption.
+// Put persists v (the payload struct for k's kind) under k: one record
+// appended to the handle's segment and fsynced before Put returns, so a
+// result is durable before anyone waiting on it wakes. Putting an
+// existing key appends a newer record that supersedes the old one — the
+// simulator is deterministic, so rewrites are idempotent and also heal
+// corruption; GC reclaims superseded records.
 func (s *Store) Put(k Key, v any) error {
 	if err := k.Validate(); err != nil {
 		return err
 	}
-	data, err := encodeEntry(k, v)
+	rec, err := encodeRecord(k, v)
 	if err != nil {
 		return fmt.Errorf("store: encoding %s: %w", k, err)
 	}
-
-	path := s.path(k)
-	dir := filepath.Dir(path)
-	tmp, err := s.fs.CreateTemp(dir, ".tmp-*")
-	if errors.Is(err, fs.ErrNotExist) {
-		// The first entry of its fan-out directory: create the
-		// directory and try once more.
-		if err := s.fs.MkdirAll(dir, 0o755); err != nil {
-			return fmt.Errorf("store: writing %s: %w", k, err)
-		}
-		tmp, err = s.fs.CreateTemp(dir, ".tmp-*")
-	}
-	if err != nil {
-		return fmt.Errorf("store: writing %s: %w", k, err)
-	}
-	defer s.fs.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return fmt.Errorf("store: writing %s: %w", k, err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("store: writing %s: %w", k, err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("store: writing %s: %w", k, err)
-	}
-	if err := s.fs.Rename(tmp.Name(), path); err != nil {
+	if err := s.append(k, rec); err != nil {
 		return fmt.Errorf("store: writing %s: %w", k, err)
 	}
 	return nil
 }
 
-// encodeEntry renders the entry file for v under k: exactly the bytes
+// encodeRecord renders v under k as one framed segment record (see
+// segment.go) around the entry's envelope: exactly the bytes
 // json.Marshal gives for the whole envelope. The head is marshaled on
 // its own and v's JSON appended as the payload. Marshaling the
 // envelope with the payload as a json.RawMessage would validate and
@@ -341,7 +371,7 @@ func (s *Store) Put(k Key, v any) error {
 // more. A Marshaler stored here must therefore return what json.Marshal
 // gives for it — compact, HTML-escaped JSON — as sample.Plan does by
 // marshaling its codec form with json.Marshal.
-func encodeEntry(k Key, v any) ([]byte, error) {
+func encodeRecord(k Key, v any) ([]byte, error) {
 	var payload []byte
 	var err error
 	if m, ok := v.(json.Marshaler); ok {
@@ -362,241 +392,23 @@ func encodeEntry(k Key, v any) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
+	head = head[:len(head)-1] // drop the closing brace
 	const field = `,"payload":`
-	data := make([]byte, 0, len(head)+len(field)+len(payload))
-	data = append(data, head[:len(head)-1]...) // drop the closing brace
-	data = append(data, field...)
-	data = append(data, payload...)
-	return append(data, '}'), nil
+	envLen := len(head) + len(field) + len(payload) + 1
+	if envLen > maxEnvelope {
+		return nil, fmt.Errorf("entry of %d bytes exceeds the %d-byte record limit", envLen, maxEnvelope)
+	}
+	rec := make([]byte, frameHeader, frameHeader+envLen+1)
+	rec = append(rec, head...)
+	rec = append(rec, field...)
+	rec = append(rec, payload...)
+	rec = append(rec, '}', '\n')
+	putFrameHeader(rec, envLen, len(head))
+	return rec, nil
 }
 
 // Count is the KindCount payload: a benchmark's dynamic instruction
 // count at one scale, as established by the architectural emulator.
 type Count struct {
 	Insts uint64 `json:"insts"`
-}
-
-// Entry describes one stored entry as List found it.
-type Entry struct {
-	// Key identifies the entry (zero-valued when the entry is corrupt
-	// beyond recovering its key).
-	Key Key
-	// Path, Size and ModTime describe the entry file.
-	Path    string
-	Size    int64
-	ModTime time.Time
-	// Err is non-nil when the entry failed its integrity check; the
-	// entry is then a GC candidate, not a usable result.
-	Err error
-}
-
-// List walks the store and integrity-checks every entry, returning
-// them in stable key order (corrupt entries last, by path). Abandoned
-// temporary files are not listed; GC removes them.
-func (s *Store) List() ([]Entry, error) {
-	var out []Entry
-	err := s.walk(func(path string, info fs.FileInfo) {
-		e := Entry{Path: path, Size: info.Size(), ModTime: info.ModTime()}
-		data, err := s.fs.ReadFile(path)
-		if err != nil {
-			e.Err = err
-		} else if env, derr := decodeEnvelope(path, data, nil); derr != nil {
-			e.Err = derr
-		} else {
-			e.Key = env.Key
-		}
-		out = append(out, e)
-	})
-	if err != nil {
-		return nil, err
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if (out[i].Err == nil) != (out[j].Err == nil) {
-			return out[i].Err == nil
-		}
-		if a, b := out[i].Key.String(), out[j].Key.String(); a != b {
-			return a < b
-		}
-		return out[i].Path < out[j].Path
-	})
-	return out, nil
-}
-
-// walk visits every entry file (not temp files) under entries/.
-func (s *Store) walk(fn func(path string, info fs.FileInfo)) error {
-	root := filepath.Join(s.dir, "entries")
-	return filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() {
-			return err
-		}
-		if strings.HasPrefix(d.Name(), ".tmp-") {
-			return nil
-		}
-		info, err := d.Info()
-		if err != nil {
-			return err
-		}
-		fn(path, info)
-		return nil
-	})
-}
-
-// Info is an aggregate snapshot of the store, as reported by Stat.
-type Info struct {
-	// Entries counts intact entries; ByKind breaks them down.
-	Entries int
-	ByKind  map[string]int
-	// Corrupt counts entries that failed their integrity check and
-	// TempFiles abandoned temporary files; GC removes both.
-	Corrupt   int
-	TempFiles int
-	// Bytes is the total size of all entry files, intact or not.
-	Bytes int64
-}
-
-// Stat summarizes the store without returning per-entry detail.
-func (s *Store) Stat() (Info, error) {
-	info := Info{ByKind: map[string]int{}}
-	entries, err := s.List()
-	if err != nil {
-		return info, err
-	}
-	for _, e := range entries {
-		info.Bytes += e.Size
-		if e.Err != nil {
-			info.Corrupt++
-			continue
-		}
-		info.Entries++
-		info.ByKind[e.Key.Kind]++
-	}
-	info.TempFiles = len(s.tempFiles())
-	return info, nil
-}
-
-// tempMaxAge separates abandoned temp files from live ones: a healthy
-// Put holds its temp file for milliseconds, so anything older than
-// this was orphaned by a crash. Stat and GC ignore younger temp files
-// — removing one under a concurrent writer in another process would
-// fail that writer's rename and silently cost it durability.
-const tempMaxAge = time.Hour
-
-// tempFiles returns abandoned temporary files: .tmp-* files older than
-// tempMaxAge (a crash between CreateTemp and Rename leaves one behind;
-// younger ones may belong to a live writer and are left alone).
-func (s *Store) tempFiles() []string {
-	var out []string
-	cutoff := time.Now().Add(-tempMaxAge)
-	filepath.WalkDir(filepath.Join(s.dir, "entries"), func(path string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() || !strings.HasPrefix(d.Name(), ".tmp-") {
-			return nil
-		}
-		if info, err := d.Info(); err == nil && info.ModTime().Before(cutoff) {
-			out = append(out, path)
-		}
-		return nil
-	})
-	return out
-}
-
-// GCReport says what GC removed.
-type GCReport struct {
-	RemovedCorrupt  int
-	RemovedTemp     int
-	ReclaimedBytes  int64
-	RemainingIntact int
-}
-
-// GC deletes corrupt entries and abandoned temporary files, returning
-// what it reclaimed. Intact entries are never touched — the store has
-// no expiry; delete the directory to drop it wholesale.
-func (s *Store) GC() (GCReport, error) {
-	var rep GCReport
-	entries, err := s.List()
-	if err != nil {
-		return rep, err
-	}
-	for _, e := range entries {
-		if e.Err == nil {
-			rep.RemainingIntact++
-			continue
-		}
-		// Delete only entries proven corrupt by their content. A read
-		// that failed with transient pressure (EIO under load) or a
-		// permission problem is not evidence the entry is bad — deleting
-		// on it would let a flaky disk eat intact results.
-		if Classify(e.Err) != ClassCorrupt {
-			continue
-		}
-		if err := s.fs.Remove(e.Path); err != nil && !errors.Is(err, fs.ErrNotExist) {
-			return rep, fmt.Errorf("store: gc: %w", err)
-		}
-		rep.RemovedCorrupt++
-		rep.ReclaimedBytes += e.Size
-	}
-	for _, path := range s.tempFiles() {
-		info, err := s.fs.Stat(path)
-		if err == nil {
-			rep.ReclaimedBytes += info.Size()
-		}
-		if err := s.fs.Remove(path); err != nil && !errors.Is(err, fs.ErrNotExist) {
-			return rep, fmt.Errorf("store: gc: %w", err)
-		}
-		rep.RemovedTemp++
-	}
-	return rep, nil
-}
-
-// Probe checks whether the store's directory is writable again: one
-// temp-file create/write/remove round trip through the same fault-
-// instrumented seam as real writes. The engine's degraded mode calls
-// this periodically to decide when to re-attach — a probe that fails
-// under ENOSPC keeps the store detached instead of flapping.
-func (s *Store) Probe() error {
-	dir := filepath.Join(s.dir, "entries")
-	tmp, err := s.fs.CreateTemp(dir, ".tmp-probe-*")
-	if err != nil {
-		return fmt.Errorf("store: probe: %w", err)
-	}
-	name := tmp.Name()
-	_, werr := tmp.Write([]byte(Format))
-	cerr := tmp.Close()
-	s.fs.Remove(name)
-	if werr != nil {
-		return fmt.Errorf("store: probe: %w", werr)
-	}
-	if cerr != nil {
-		return fmt.Errorf("store: probe: %w", cerr)
-	}
-	return nil
-}
-
-// Quarantine moves every corrupt entry into quarantine/ under the
-// store root — outside the entries tree, so nothing re-reads, re-lists
-// or GCs the evidence — and returns how many it moved. Intact entries
-// are never touched.
-func (s *Store) Quarantine() (int, error) {
-	entries, err := s.List()
-	if err != nil {
-		return 0, err
-	}
-	moved := 0
-	qdir := filepath.Join(s.dir, "quarantine")
-	for _, e := range entries {
-		// Move only proven-corrupt entries, same standard as GC.
-		if Classify(e.Err) != ClassCorrupt {
-			continue
-		}
-		if moved == 0 {
-			if err := s.fs.MkdirAll(qdir, 0o755); err != nil {
-				return moved, fmt.Errorf("store: quarantine: %w", err)
-			}
-		}
-		dst := filepath.Join(qdir, filepath.Base(e.Path))
-		if err := s.fs.Rename(e.Path, dst); err != nil {
-			return moved, fmt.Errorf("store: quarantine: %w", err)
-		}
-		moved++
-	}
-	return moved, nil
 }

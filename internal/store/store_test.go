@@ -1,13 +1,14 @@
 package store
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -225,25 +226,17 @@ func TestPlanCodecSkewReadsAsMiss(t *testing.T) {
 }
 
 // TestPlanGCHonorsTempGrace is the in-flight-write guard: a concurrent
-// shard's fresh temp file in a plan shard directory must survive GC
-// (removing it would fail that shard's rename), while a crash orphan
-// past the grace window is collected — and the intact plan entry is
-// never touched either way.
+// shard's append still arriving in its own segment (a fresh torn tail)
+// must survive GC, while a crash's torn tail past the grace window is
+// collected — and the intact plan entry is never lost either way.
 func TestPlanGCHonorsTempGrace(t *testing.T) {
 	s := openTemp(t)
 	k := PlanKey("b", 2, "regime", "w1")
 	if err := s.Put(k, testPlan()); err != nil {
 		t.Fatal(err)
 	}
-	shard := filepath.Dir(s.path(k))
-	fresh := filepath.Join(shard, ".tmp-inflight")
-	if err := os.WriteFile(fresh, []byte("concurrent shard mid-Put"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	orphan := filepath.Join(shard, ".tmp-orphan")
-	if err := os.WriteFile(orphan, []byte("crashed shard"), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	fresh := tornSegment(t, s, "inflight", CountKey("inflight", 1, "w1"))
+	orphan := tornSegment(t, s, "orphan", CountKey("orphan", 1, "w1"))
 	old := time.Now().Add(-2 * tempMaxAge)
 	if err := os.Chtimes(orphan, old, old); err != nil {
 		t.Fatal(err)
@@ -253,26 +246,42 @@ func TestPlanGCHonorsTempGrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Entries != 1 || st.ByKind[KindPlan] != 1 || st.TempFiles != 1 {
-		t.Fatalf("Stat = %+v, want 1 plan entry and 1 abandoned temp", st)
+	if st.Entries != 1 || st.ByKind[KindPlan] != 1 || st.TornTails != 1 {
+		t.Fatalf("Stat = %+v, want 1 plan entry and 1 abandoned torn tail", st)
 	}
 	rep, err := s.GC()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.RemovedTemp != 1 || rep.RemovedCorrupt != 0 || rep.RemainingIntact != 1 {
+	if rep.RemovedTorn != 1 || rep.RemovedCorrupt != 0 || rep.RemainingIntact != 1 {
 		t.Errorf("GC = %+v", rep)
 	}
 	if _, err := os.Stat(fresh); err != nil {
-		t.Errorf("GC removed a live (fresh) temp file: %v", err)
+		t.Errorf("GC removed a live (fresh) torn tail: %v", err)
 	}
 	if _, err := os.Stat(orphan); !errors.Is(err, fs.ErrNotExist) {
-		t.Errorf("GC left the orphaned temp file: %v", err)
+		t.Errorf("GC left the orphaned torn tail: %v", err)
 	}
 	var got sample.Plan
 	if err := s.Get(k, &got); err != nil {
 		t.Errorf("plan entry unreadable after GC: %v", err)
 	}
+}
+
+// tornSegment writes a segment of its own holding one record of k cut
+// in half — what a writer mid-append, or a crash, leaves — and returns
+// its path. tag names the segment.
+func tornSegment(t *testing.T, s *Store, tag string, k Key) string {
+	t.Helper()
+	rec, err := encodeRecord(k, &Count{Insts: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(s.segDir(), "0000000000000000-"+tag+".seg")
+	if err := os.WriteFile(path, rec[:len(rec)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
 }
 
 func TestGetMissing(t *testing.T) {
@@ -306,46 +315,94 @@ func TestKeyValidation(t *testing.T) {
 	}
 }
 
-// entryFile locates the single entry file of a one-entry store.
-func entryFile(t *testing.T, s *Store) string {
+// entryOf returns k's entry as List finds it.
+func entryOf(t testing.TB, s *Store, k Key) Entry {
 	t.Helper()
 	entries, err := s.List()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != 1 {
-		t.Fatalf("store has %d entries, want 1", len(entries))
+	for _, e := range entries {
+		if e.Key == k {
+			return e
+		}
 	}
-	return entries[0].Path
+	t.Fatalf("no entry for %s", k)
+	return Entry{}
+}
+
+// rewriteRecord replaces k's record in its segment with a well-framed
+// record around the envelope mutate makes of k's, and returns a fresh
+// handle on the store (the old one indexed the old offsets).
+func rewriteRecord(t *testing.T, s *Store, k Key, mutate func(env []byte) []byte) *Store {
+	t.Helper()
+	e := entryOf(t, s, k)
+	data, err := os.ReadFile(e.Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := data[e.Offset : e.Offset+e.Size]
+	headLen := int(binary.LittleEndian.Uint32(rec[8:]))
+	env := mutate(append([]byte(nil), rec[frameHeader:len(rec)-1]...))
+	framed := append(make([]byte, frameHeader), env...)
+	framed = append(framed, '\n')
+	if i := bytes.Index(env, []byte(`,"payload":`)); i >= 0 {
+		headLen = i
+	}
+	putFrameHeader(framed, len(env), min(headLen, len(env)-2))
+	out := append(append(append([]byte(nil), data[:e.Offset]...), framed...), data[e.Offset+e.Size:]...)
+	if err := os.WriteFile(e.Path, out, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := Open(s.Dir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fresh
+}
+
+// corruptPayload flips a byte inside k's payload in place: the record's
+// frame and head stay sound, its checksum no longer matches.
+func corruptPayload(t *testing.T, s *Store, k Key) {
+	t.Helper()
+	e := entryOf(t, s, k)
+	f, err := os.OpenFile(e.Path, os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	at := e.Offset + e.Size - 3 // inside the payload, before its closing braces
+	b := make([]byte, 1)
+	if _, err := f.ReadAt(b, at); err != nil {
+		t.Fatal(err)
+	}
+	b[0] ^= 0x01
+	if _, err := f.WriteAt(b, at); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestCorruptEntryDetected(t *testing.T) {
 	cases := []struct {
-		name     string
-		scribble func(path string) error
+		name   string
+		mutate func(env []byte) []byte
 	}{
-		{"truncated", func(p string) error { return os.WriteFile(p, []byte(`{"format":"contopt-`), 0o644) }},
-		{"not-json", func(p string) error { return os.WriteFile(p, []byte("hello\x00world"), 0o644) }},
-		{"flipped-payload", func(p string) error {
-			data, err := os.ReadFile(p)
-			if err != nil {
-				return err
-			}
+		{"truncated", func(env []byte) []byte { return env[:len(env)/2] }},
+		{"not-json", func(env []byte) []byte {
+			i := bytes.Index(env, []byte(`,"payload":`))
+			return append(env[:i+len(`,"payload":`)], "hello\x00world}"...)
+		}},
+		{"flipped-payload", func(env []byte) []byte {
 			// Corrupt a digit inside the payload without breaking JSON
 			// syntax: the checksum must catch it.
-			mut := strings.Replace(string(data), `"cycles"`, `"cYcles"`, 1)
-			if mut == string(data) {
-				mut = strings.Replace(string(data), "1", "2", 1)
+			mut := bytes.Replace(env, []byte(`"Cycles"`), []byte(`"cYcles"`), 1)
+			if bytes.Equal(mut, env) {
+				mut = bytes.Replace(env, []byte("111"), []byte("112"), 1)
 			}
-			return os.WriteFile(p, []byte(mut), 0o644)
+			return mut
 		}},
-		{"future-version", func(p string) error {
-			data, err := os.ReadFile(p)
-			if err != nil {
-				return err
-			}
-			mut := strings.Replace(string(data), `"version":1`, `"version":999`, 1)
-			return os.WriteFile(p, []byte(mut), 0o644)
+		{"future-version", func(env []byte) []byte {
+			return bytes.Replace(env, []byte(`"version":1`), []byte(`"version":999`), 1)
 		}},
 	}
 	for _, tc := range cases {
@@ -355,9 +412,7 @@ func TestCorruptEntryDetected(t *testing.T) {
 			if err := s.Put(k, &pipeline.Result{Cycles: 111}); err != nil {
 				t.Fatal(err)
 			}
-			if err := tc.scribble(entryFile(t, s)); err != nil {
-				t.Fatal(err)
-			}
+			s = rewriteRecord(t, s, k, tc.mutate)
 			var out pipeline.Result
 			err := s.Get(k, &out)
 			if err == nil {
@@ -380,24 +435,32 @@ func TestCorruptEntryDetected(t *testing.T) {
 func TestKeyMismatchDetected(t *testing.T) {
 	s := openTemp(t)
 	ka := ExactKey("cfg", "alpha", 1, "w1")
-	kb := ExactKey("cfg", "beta", 1, "w1")
+	kb := ExactKey("cfg", "bravo", 1, "w1")
 	if err := s.Put(ka, &pipeline.Result{Cycles: 1}); err != nil {
 		t.Fatal(err)
 	}
-	// Simulate a hand-moved file: alpha's entry at beta's address.
-	data, err := os.ReadFile(s.path(ka))
+	if err := s.Put(kb, &pipeline.Result{Cycles: 1}); err != nil {
+		t.Fatal(err)
+	}
+	// Simulate a hand-moved record: after s indexed both, swap the two
+	// same-length records, so alpha's place holds bravo's record.
+	ea, eb := entryOf(t, s, ka), entryOf(t, s, kb)
+	data, err := os.ReadFile(ea.Path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.MkdirAll(filepath.Dir(s.path(kb)), 0o755); err != nil {
-		t.Fatal(err)
+	if ea.Size != eb.Size || ea.Path != eb.Path {
+		t.Fatalf("records differ in size or segment: %+v %+v", ea, eb)
 	}
-	if err := os.WriteFile(s.path(kb), data, 0o644); err != nil {
+	swapped := append([]byte(nil), data...)
+	copy(swapped[ea.Offset:], data[eb.Offset:eb.Offset+eb.Size])
+	copy(swapped[eb.Offset:], data[ea.Offset:ea.Offset+ea.Size])
+	if err := os.WriteFile(ea.Path, swapped, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	var out pipeline.Result
 	if err := s.Get(kb, &out); !IsCorrupt(err) {
-		t.Errorf("Get of a mis-addressed entry = %v, want a CorruptError", err)
+		t.Errorf("Get of a mis-placed record = %v, want a CorruptError", err)
 	}
 }
 
@@ -437,8 +500,8 @@ func TestConcurrentWriters(t *testing.T) {
 	if want := 1 + writers/2; st.Entries != want {
 		t.Errorf("store holds %d entries, want %d", st.Entries, want)
 	}
-	if st.Corrupt != 0 || st.TempFiles != 0 {
-		t.Errorf("concurrent writes left debris: %+v", st)
+	if st.Corrupt != 0 || st.TornTails != 0 || st.Segments != 1 {
+		t.Errorf("concurrent writes left debris or more than the handle's one segment: %+v", st)
 	}
 }
 
@@ -450,41 +513,30 @@ func TestListStatGC(t *testing.T) {
 	if err := s.Put(SampledKey("cfg", "good", 2, "p0.t16.w200.x0", "w1"), &sample.Result{EstCycles: 2}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Put(CountKey("good", 2, "w1"), &Count{Insts: 3}); err != nil {
-		t.Fatal(err)
-	}
-	// One corrupt entry and one abandoned temp file.
+	// One corrupt record between intact ones, and an abandoned torn tail.
 	badKey := ExactKey("cfg", "bad", 2, "w1")
 	if err := s.Put(badKey, &pipeline.Result{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(s.path(badKey), []byte("junk"), 0o644); err != nil {
+	if err := s.Put(CountKey("good", 2, "w1"), &Count{Insts: 3}); err != nil {
 		t.Fatal(err)
 	}
-	tmp := filepath.Join(s.Dir(), "entries", "ab", ".tmp-leftover")
-	if err := os.MkdirAll(filepath.Dir(tmp), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(tmp, []byte("partial"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	// Backdate the orphan past tempMaxAge; a fresh temp file belongs to
+	corruptPayload(t, s, badKey)
+	orphan := tornSegment(t, s, "leftover", CountKey("leftover", 2, "w1"))
+	// Backdate the orphan past tempMaxAge; a fresh torn tail belongs to
 	// a (possibly concurrent) live writer and must be left alone.
 	old := time.Now().Add(-2 * tempMaxAge)
-	if err := os.Chtimes(tmp, old, old); err != nil {
+	if err := os.Chtimes(orphan, old, old); err != nil {
 		t.Fatal(err)
 	}
-	live := filepath.Join(s.Dir(), "entries", "ab", ".tmp-live")
-	if err := os.WriteFile(live, []byte("in flight"), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	live := tornSegment(t, s, "live", CountKey("live", 2, "w1"))
 
 	st, err := s.Stat()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Entries != 3 || st.Corrupt != 1 || st.TempFiles != 1 {
-		t.Fatalf("Stat = %+v, want 3 intact / 1 corrupt / 1 temp", st)
+	if st.Entries != 3 || st.Corrupt != 1 || st.TornTails != 1 {
+		t.Fatalf("Stat = %+v, want 3 intact / 1 corrupt / 1 torn tail", st)
 	}
 	if st.ByKind[KindExact] != 1 || st.ByKind[KindSampled] != 1 || st.ByKind[KindCount] != 1 {
 		t.Errorf("ByKind = %v", st.ByKind)
@@ -505,7 +557,7 @@ func TestListStatGC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.RemovedCorrupt != 1 || rep.RemovedTemp != 1 || rep.RemainingIntact != 3 {
+	if rep.RemovedCorrupt != 1 || rep.RemovedTorn != 1 || rep.RemainingIntact != 3 {
 		t.Errorf("GC = %+v", rep)
 	}
 	if rep.ReclaimedBytes == 0 {
@@ -515,11 +567,21 @@ func TestListStatGC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Entries != 3 || st.Corrupt != 0 || st.TempFiles != 0 {
+	if st.Entries != 3 || st.Corrupt != 0 || st.TornTails != 0 {
 		t.Errorf("after GC: %+v", st)
 	}
 	if _, err := os.Stat(live); err != nil {
-		t.Errorf("GC removed a live (fresh) temp file: %v", err)
+		t.Errorf("GC removed a live (fresh) torn tail: %v", err)
+	}
+	// The intact entries read back through the same handle, which must
+	// follow them into the compacted segment.
+	var r pipeline.Result
+	if err := s.Get(ExactKey("cfg", "good", 2, "w1"), &r); err != nil || r.Cycles != 1 {
+		t.Errorf("intact entry after GC: %+v, %v", r, err)
+	}
+	var c Count
+	if err := s.Get(CountKey("good", 2, "w1"), &c); err != nil || c.Insts != 3 {
+		t.Errorf("intact entry after GC: %+v, %v", c, err)
 	}
 }
 
@@ -537,12 +599,7 @@ func TestNamespacesDisjoint(t *testing.T) {
 		PlanKey("b", 1, "regimeA", "w1"),
 		PlanKey("b", 1, "regimeB", "w1"),
 	}
-	seen := map[string]Key{}
 	for _, k := range keys {
-		if prev, dup := seen[k.addr()]; dup {
-			t.Fatalf("keys %s and %s share an address", prev, k)
-		}
-		seen[k.addr()] = k
 		if err := s.Put(k, &Count{Insts: 9}); err != nil {
 			t.Fatal(err)
 		}
