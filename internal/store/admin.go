@@ -40,7 +40,7 @@ type segFile struct {
 	name string
 	path string
 	info os.FileInfo
-	f    File // open and locked while GC holds it; nil otherwise
+	f    *file // open and locked while GC holds it; nil otherwise
 	data []byte
 	recs []record
 	torn bool  // the segment ends inside a record
@@ -61,8 +61,8 @@ func (f *segFile) stale(now time.Time) bool {
 	return f.info.ModTime().Before(now.Add(-tempMaxAge))
 }
 
-// parse splits f.data into records and checks each in full: frame,
-// envelope and payload checksum.
+// parse splits f.data into records and checks each in full, as Get
+// does (see checkRecord).
 func (f *segFile) parse() {
 	size := int64(len(f.data))
 	r := bytes.NewReader(f.data)
@@ -81,11 +81,7 @@ func (f *segFile) parse() {
 		rec := record{off: off, n: fr.n, err: fr.headErr}
 		if fr.headErr == nil {
 			rec.key, rec.hasKey = fr.head.Key, true
-			where := fmt.Sprintf("%s@%d", f.path, off)
-			var env []byte
-			if env, rec.err = envelopeOf(f.data[off:off+fr.n], where); rec.err == nil {
-				_, rec.err = decodeEnvelope(where, env, &rec.key)
-			}
+			_, rec.err = checkRecord(f.data[off:off+fr.n], fmt.Sprintf("%s@%d", f.path, off), nil)
 		}
 		f.recs = append(f.recs, rec)
 		off += fr.n
@@ -117,15 +113,14 @@ func (s *Store) survey(lock bool) (*survey, error) {
 			continue
 		}
 		sf := &segFile{name: e.Name(), path: filepath.Join(s.segDir(), e.Name())}
-		f, err := s.fs.Open(sf.path)
+		f, err := openFile(sf.path)
 		if errors.Is(err, fs.ErrNotExist) {
 			continue // compacted away since the directory read
 		}
 		if err == nil {
-			sf.err = sf.load(f, lock)
-		} else {
-			sf.err = err
+			err = sf.load(f, lock)
 		}
+		sf.err = err
 		sv.segs = append(sv.segs, sf)
 		for i := range sf.recs {
 			r := &sf.recs[i]
@@ -142,21 +137,18 @@ func (s *Store) survey(lock bool) (*survey, error) {
 
 // load reads and parses an open segment, keeping f open when it took
 // the segment's lock.
-func (sf *segFile) load(f File, lock bool) error {
-	keep := false
-	defer func() {
-		if !keep {
-			f.Close()
-		}
-	}()
+func (sf *segFile) load(f *file, lock bool) error {
 	if lock {
-		switch err := f.Lock(false); {
+		switch err := f.lock(false); {
 		case err == nil:
-			keep = true
 			sf.f = f
 		case !errors.Is(err, errBusy):
+			f.Close()
 			return err
 		}
+	}
+	if sf.f == nil {
+		defer f.Close()
 	}
 	info, err := f.Stat()
 	if err != nil {
@@ -276,21 +268,23 @@ func (s *Store) Stat() (Info, error) {
 			}
 		}
 	}
-	info.Legacy = len(s.legacyFiles())
+	info.Legacy, _ = s.legacyFiles()
 	return info, nil
 }
 
-// legacyFiles returns the files of the pre-segment layout (one file per
-// entry under entries/).
-func (s *Store) legacyFiles() []string {
-	var out []string
+// legacyFiles counts the files of the pre-segment layout (one file per
+// entry under entries/) and their bytes.
+func (s *Store) legacyFiles() (n int, size int64) {
 	filepath.WalkDir(filepath.Join(s.dir, "entries"), func(path string, d fs.DirEntry, err error) error {
 		if err == nil && !d.IsDir() {
-			out = append(out, path)
+			n++
+			if info, err := d.Info(); err == nil {
+				size += info.Size()
+			}
 		}
 		return nil
 	})
-	return out
+	return n, size
 }
 
 // GCReport says what GC removed.
@@ -319,16 +313,11 @@ func (s *Store) GC() (GCReport, error) {
 	if err != nil {
 		return rep, err
 	}
-	if legacy := s.legacyFiles(); len(legacy) > 0 {
-		for _, path := range legacy {
-			if info, err := os.Stat(path); err == nil {
-				rep.ReclaimedBytes += info.Size()
-			}
-		}
-		if err := s.fs.RemoveAll(filepath.Join(s.dir, "entries")); err != nil {
+	if n, size := s.legacyFiles(); n > 0 {
+		if err := removeAll(filepath.Join(s.dir, "entries")); err != nil {
 			return rep, fmt.Errorf("store: gc: %w", err)
 		}
-		rep.RemovedLegacy = len(legacy)
+		rep.RemovedLegacy, rep.ReclaimedBytes = n, rep.ReclaimedBytes+size
 	}
 	return rep, nil
 }
@@ -429,7 +418,7 @@ func (s *Store) compact(quarantine bool) (GCReport, error) {
 		rep.ReclaimedBytes -= int64(len(kept))
 	}
 	for _, sf := range victims {
-		if err := s.fs.Remove(sf.path); err != nil && !errors.Is(err, fs.ErrNotExist) {
+		if err := removeFile(sf.path); err != nil && !errors.Is(err, fs.ErrNotExist) {
 			return rep, fmt.Errorf("store: gc: %w", err)
 		}
 	}
@@ -440,28 +429,37 @@ func (s *Store) compact(quarantine bool) (GCReport, error) {
 	return rep, nil
 }
 
-// writeSegment writes data, whole records, to a new segment and syncs
-// it. The new segment is locked before it is written, so no other GC
-// can compact it away meanwhile.
+// writeSegment writes data, whole records, to a new segment, syncs it
+// and then the segments directory.
 func (s *Store) writeSegment(data []byte) error {
-	f, err := s.fs.Create(filepath.Join(s.segDir(), segmentName()))
+	if err := writeNew(filepath.Join(s.segDir(), segmentName()), data); err != nil {
+		return err
+	}
+	return syncDir(s.segDir())
+}
+
+// writeNew writes data to a new file at path and syncs it, removing the
+// file again when that fails. It locks the file before writing, so no
+// GC compacts a new segment away meanwhile.
+func writeNew(path string, data []byte) error {
+	f, err := createFile(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	if err := f.Lock(true); err != nil {
-		s.fs.Remove(f.Name())
-		return err
+	err = f.lock(true)
+	if err == nil {
+		_, err = f.Write(data)
 	}
-	if _, err := f.Write(data); err != nil {
-		s.fs.Remove(f.Name())
-		return err
+	if err == nil {
+		err = f.Sync()
 	}
-	if err := f.Sync(); err != nil {
-		s.fs.Remove(f.Name())
-		return err
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	return nil
+	if err != nil {
+		_ = removeFile(path) // best effort: GC drops a partial segment left behind
+	}
+	return err
 }
 
 // saveCorrupt copies each corrupt entry of segs — a corrupt record no
@@ -469,7 +467,7 @@ func (s *Store) writeSegment(data []byte) error {
 // quarantine/.
 func (s *Store) saveCorrupt(sv *survey, segs []*segFile) error {
 	qdir := filepath.Join(s.dir, "quarantine")
-	if err := s.fs.MkdirAll(qdir, 0o755); err != nil {
+	if err := os.MkdirAll(qdir, 0o755); err != nil {
 		return fmt.Errorf("store: quarantine: %w", err)
 	}
 	for _, sf := range segs {
@@ -479,22 +477,9 @@ func (s *Store) saveCorrupt(sv *survey, segs []*segFile) error {
 				continue
 			}
 			name := fmt.Sprintf("%s-%d.rec", strings.TrimSuffix(sf.name, ".seg"), r.off)
-			f, err := s.fs.Create(filepath.Join(qdir, name))
-			if errors.Is(err, fs.ErrExist) {
-				continue // saved by an earlier run that did not finish
-			}
-			if err != nil {
+			err := writeNew(filepath.Join(qdir, name), sf.data[r.off:r.off+r.n])
+			if err != nil && !errors.Is(err, fs.ErrExist) { // ErrExist: saved by an earlier run
 				return fmt.Errorf("store: quarantine: %w", err)
-			}
-			_, werr := f.Write(sf.data[r.off : r.off+r.n])
-			if werr == nil {
-				werr = f.Sync()
-			}
-			if cerr := f.Close(); werr == nil {
-				werr = cerr
-			}
-			if werr != nil {
-				return fmt.Errorf("store: quarantine: %w", werr)
 			}
 		}
 	}
@@ -502,24 +487,23 @@ func (s *Store) saveCorrupt(sv *survey, segs []*segFile) error {
 }
 
 // Probe checks whether the store's directory is writable again: one
-// file create/write/remove round trip through the same fault-
-// instrumented seam as real writes. The engine's degraded mode calls
-// this periodically to decide when to re-attach — a probe that fails
-// under ENOSPC keeps the store detached instead of flapping.
+// file create/write/remove round trip through the same fault points as
+// real writes. The engine's degraded mode calls this periodically to
+// decide when to re-attach — a probe that fails under ENOSPC keeps the
+// store detached instead of flapping.
 func (s *Store) Probe() error {
 	name := filepath.Join(s.segDir(), fmt.Sprintf(".probe-%08x", rand.Uint32()))
-	f, err := s.fs.Create(name)
+	f, err := createFile(name)
 	if err != nil {
 		return fmt.Errorf("store: probe: %w", err)
 	}
-	_, werr := f.Write([]byte(Format))
-	cerr := f.Close()
-	s.fs.Remove(name)
-	if werr != nil {
-		return fmt.Errorf("store: probe: %w", werr)
+	_, err = f.Write([]byte(frameMagic))
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if cerr != nil {
-		return fmt.Errorf("store: probe: %w", cerr)
+	_ = removeFile(name) // best effort: a leftover probe is not a segment
+	if err != nil {
+		return fmt.Errorf("store: probe: %w", err)
 	}
 	return nil
 }

@@ -297,24 +297,3 @@ func TestGCConcurrentWithTrafficUnderFaults(t *testing.T) {
 		}
 	}
 }
-
-func TestOpenFSCustomFilesystem(t *testing.T) {
-	// A store on a bare OSFS (no fault wrapper) ignores armed clauses —
-	// proving the injection lives in the seam, not the store logic.
-	defer fault.Reset()
-	if err := fault.Enable("store.read:err=EIO; store.write:err=ENOSPC"); err != nil {
-		t.Fatal(err)
-	}
-	s, err := OpenFS(t.TempDir(), OSFS())
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := CountKey("mcf", 1, "w1")
-	if err := s.Put(key, &Count{Insts: 7}); err != nil {
-		t.Fatalf("Put on bare OSFS hit a fault: %v", err)
-	}
-	var got Count
-	if err := s.Get(key, &got); err != nil || got.Insts != 7 {
-		t.Fatalf("Get on bare OSFS: %v", err)
-	}
-}

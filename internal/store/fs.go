@@ -2,7 +2,6 @@ package store
 
 import (
 	"errors"
-	"io"
 	"io/fs"
 	"os"
 	"syscall"
@@ -10,78 +9,116 @@ import (
 	"repro/internal/fault"
 )
 
-// File is an open segment (or quarantine) file: appends and their
-// durability step for the segment's writer, positioned reads for
-// scanners and Get, and the advisory lock that keeps GC off a segment
-// while a writer appends to it.
-type File interface {
-	io.Writer
-	io.ReaderAt
-	Name() string
-	Stat() (os.FileInfo, error)
-	Sync() error
-	Truncate(size int64) error
-	// Lock takes the file's exclusive advisory lock: it waits for the
-	// lock when wait is set, and otherwise fails with errBusy when
-	// another open file holds it. Closing the file releases it.
-	Lock(wait bool) error
-	Unlock() error
-	Close() error
+// The store's file I/O goes through the helpers and the file type
+// below, which carry its fault points, keyed by path:
+//
+//	store.read    ReadAt on a segment (Get, index scans, List), and
+//	              readDir of the segments (a Get that misses the index)
+//	store.write   createFile, and Write/Sync on the created file
+//	store.remove  removeFile and removeAll
+//	store.stat    statFile
+//
+// With no clauses armed each point is one atomic load, so a production
+// process can be failure-rehearsed via CONTOPT_FAULTS alone.
+
+func readDir(dir string) ([]os.DirEntry, error) {
+	if err := fault.Inject("store.read", dir); err != nil {
+		return nil, err
+	}
+	return os.ReadDir(dir)
+}
+
+// createFile makes a new file for appending and fails if name exists.
+func createFile(name string) (*file, error) {
+	if err := fault.Inject("store.write", name); err != nil {
+		return nil, err
+	}
+	f, err := os.OpenFile(name, os.O_WRONLY|os.O_CREATE|os.O_EXCL|os.O_APPEND, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	return &file{f}, nil
+}
+
+// openFile opens an existing file for reading.
+func openFile(name string) (*file, error) {
+	f, err := os.Open(name)
+	if err != nil {
+		return nil, err
+	}
+	return &file{f}, nil
+}
+
+func removeFile(name string) error {
+	if err := fault.Inject("store.remove", name); err != nil {
+		return err
+	}
+	return os.Remove(name)
+}
+
+func removeAll(name string) error {
+	if err := fault.Inject("store.remove", name); err != nil {
+		return err
+	}
+	return os.RemoveAll(name)
+}
+
+func statFile(name string) (os.FileInfo, error) {
+	if err := fault.Inject("store.stat", name); err != nil {
+		return nil, err
+	}
+	return os.Stat(name)
+}
+
+// syncDir makes a new segment's directory entry durable. It carries no
+// fault point: the createFile before it takes store.write.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// file is an open segment (or quarantine) file. Write and Sync take
+// store.write, so an nth= clause can land ENOSPC mid-Put, and ReadAt
+// takes store.read.
+type file struct{ *os.File }
+
+func (f *file) Write(p []byte) (int, error) {
+	if err := fault.Inject("store.write", f.Name()); err != nil {
+		return 0, err
+	}
+	return f.File.Write(p)
+}
+
+func (f *file) Sync() error {
+	if err := fault.Inject("store.write", f.Name()); err != nil {
+		return err
+	}
+	return f.File.Sync()
+}
+
+func (f *file) ReadAt(p []byte, off int64) (int, error) {
+	if err := fault.Inject("store.read", f.Name()); err != nil {
+		return 0, err
+	}
+	return f.File.ReadAt(p, off)
 }
 
 // errBusy reports a lock another open file holds.
 var errBusy = errors.New("store: segment busy")
 
-// FS is the store's filesystem seam. Every byte of an entry the store
-// reads or writes goes through one of these calls, which is what lets
-// the fault registry fail them deterministically and lets tests
-// substitute a filesystem wholesale. The default (what Open uses) is the real OS
-// filesystem wrapped in fault points.
-type FS interface {
-	MkdirAll(dir string, perm os.FileMode) error
-	ReadDir(dir string) ([]os.DirEntry, error)
-	// Create makes a new file for appending and fails if name exists.
-	Create(name string) (File, error)
-	// Open opens an existing file for reading.
-	Open(name string) (File, error)
-	Remove(name string) error
-	RemoveAll(name string) error
-	Stat(name string) (os.FileInfo, error)
-}
-
-// OSFS returns the real OS filesystem, with no fault points.
-func OSFS() FS { return osFS{} }
-
-type osFS struct{}
-
-func (osFS) MkdirAll(dir string, perm os.FileMode) error { return os.MkdirAll(dir, perm) }
-func (osFS) ReadDir(dir string) ([]os.DirEntry, error)   { return os.ReadDir(dir) }
-func (osFS) Remove(name string) error                    { return os.Remove(name) }
-func (osFS) RemoveAll(name string) error                 { return os.RemoveAll(name) }
-func (osFS) Stat(name string) (os.FileInfo, error)       { return os.Stat(name) }
-
-func (osFS) Create(name string) (File, error) {
-	f, err := os.OpenFile(name, os.O_WRONLY|os.O_CREATE|os.O_EXCL|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	return osFile{f}, nil
-}
-
-func (osFS) Open(name string) (File, error) {
-	f, err := os.Open(name)
-	if err != nil {
-		return nil, err
-	}
-	return osFile{f}, nil
-}
-
-// osFile adds flock(2) locking to *os.File. A flock belongs to the open
+// lock takes the file's exclusive flock(2): it waits for the lock when
+// wait is set, and otherwise fails with errBusy when another open file
+// holds it. Closing the file releases it. A flock belongs to the open
 // file, not the process, so two handles in one process exclude each
 // other just as two processes do.
-type osFile struct{ *os.File }
-
-func (f osFile) Lock(wait bool) error {
+func (f *file) lock(wait bool) error {
 	how := syscall.LOCK_EX
 	if !wait {
 		how |= syscall.LOCK_NB
@@ -93,9 +130,9 @@ func (f osFile) Lock(wait bool) error {
 	return err
 }
 
-func (f osFile) Unlock() error { return f.flock(syscall.LOCK_UN) }
+func (f *file) unlock() error { return f.flock(syscall.LOCK_UN) }
 
-func (f osFile) flock(how int) error {
+func (f *file) flock(how int) error {
 	conn, err := f.SyscallConn()
 	if err != nil {
 		return err
@@ -115,99 +152,6 @@ func (f osFile) flock(how int) error {
 		return &os.PathError{Op: "flock", Path: f.Name(), Err: ferr}
 	}
 	return nil
-}
-
-// FaultFS wraps fsys with the store's named fault points, keyed by
-// path so key= clauses can target one segment:
-//
-//	store.read    ReadAt on a segment (Get, index scans, List), and
-//	              ReadDir of the segments (a Get that misses the index)
-//	store.write   Create, and Write/Sync on the created file
-//	store.remove  Remove and RemoveAll
-//	store.stat    Stat
-//
-// With no clauses armed each point is one atomic load; Open installs
-// this wrapper by default so a production process can be failure-
-// rehearsed via CONTOPT_FAULTS alone.
-func FaultFS(fsys FS) FS { return faultFS{inner: fsys} }
-
-type faultFS struct{ inner FS }
-
-func (f faultFS) MkdirAll(dir string, perm os.FileMode) error {
-	return f.inner.MkdirAll(dir, perm)
-}
-
-func (f faultFS) ReadDir(dir string) ([]os.DirEntry, error) {
-	if err := fault.Inject("store.read", dir); err != nil {
-		return nil, err
-	}
-	return f.inner.ReadDir(dir)
-}
-
-func (f faultFS) Create(name string) (File, error) {
-	if err := fault.Inject("store.write", name); err != nil {
-		return nil, err
-	}
-	file, err := f.inner.Create(name)
-	if err != nil {
-		return nil, err
-	}
-	return faultFile{file}, nil
-}
-
-func (f faultFS) Open(name string) (File, error) {
-	file, err := f.inner.Open(name)
-	if err != nil {
-		return nil, err
-	}
-	return faultFile{file}, nil
-}
-
-func (f faultFS) Remove(name string) error {
-	if err := fault.Inject("store.remove", name); err != nil {
-		return err
-	}
-	return f.inner.Remove(name)
-}
-
-func (f faultFS) RemoveAll(name string) error {
-	if err := fault.Inject("store.remove", name); err != nil {
-		return err
-	}
-	return f.inner.RemoveAll(name)
-}
-
-func (f faultFS) Stat(name string) (os.FileInfo, error) {
-	if err := fault.Inject("store.stat", name); err != nil {
-		return nil, err
-	}
-	return f.inner.Stat(name)
-}
-
-// faultFile interposes store.write on the data and durability steps of
-// an append, so a clause with nth= can land ENOSPC mid-Put rather than
-// only at segment creation, and store.read on every positioned read.
-type faultFile struct{ File }
-
-func (f faultFile) Write(p []byte) (int, error) {
-	if err := fault.Inject("store.write", f.Name()); err != nil {
-		return 0, err
-	}
-	return f.File.Write(p)
-}
-
-func (f faultFile) Sync() error {
-	if err := fault.Inject("store.write", f.Name()); err != nil {
-		return err
-	}
-	return f.File.Sync()
-}
-
-func (f faultFile) ReadAt(p []byte, off int64) (int, error) {
-	if err := fault.Inject("store.read", f.Name()); err != nil {
-		return 0, err
-	}
-	return f.File.ReadAt(p, off)
 }
 
 // ErrorClass partitions store errors by the response they warrant.

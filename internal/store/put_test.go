@@ -1,19 +1,17 @@
 package store
 
-// Put tests: the entry encoding is byte-identical to marshaling the
-// whole envelope, only a handle's first Put creates a file, and a
-// write that fails midway leaves the previous entry intact.
+// Put tests: every entry kind round-trips with its payload stored as
+// its JSON, only a handle's first Put creates a file, and a write that
+// fails midway leaves the previous entry intact.
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"reflect"
-	"sync/atomic"
 	"syscall"
 	"testing"
 
@@ -22,13 +20,12 @@ import (
 	"repro/internal/sample"
 )
 
-// TestEntryBytesMatchEnvelopeMarshal pins the envelope of Put's record
-// byte for byte to what json.Marshal gives for the whole envelope — the
-// encoding every earlier store held — for every entry kind, with strings that
-// encoding/json escapes (plans, whose MarshalJSON output Put stores as
-// is, included). It then round-trips each entry: what Get decodes
-// re-encodes to the stored payload exactly.
-func TestEntryBytesMatchEnvelopeMarshal(t *testing.T) {
+// TestEntryRoundTripEveryKind stores every entry kind, with strings
+// that encoding/json escapes (plans, whose MarshalJSON output Put
+// stores as is, included), and requires the record's payload to be the
+// value's JSON byte for byte and what Get decodes to re-encode to it
+// exactly.
+func TestEntryRoundTripEveryKind(t *testing.T) {
 	var exact pipeline.Result
 	var sampled sample.Result
 	var n uint64
@@ -63,21 +60,16 @@ func TestEntryBytesMatchEnvelopeMarshal(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := data[e.Offset+frameHeader : e.Offset+e.Size-1]
+		got, err := checkRecord(data[e.Offset:e.Offset+e.Size], e.Path, &c.k)
+		if err != nil {
+			t.Fatal(err)
+		}
 		payload, err := json.Marshal(c.v)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sum := sha256.Sum256(payload)
-		want, err := json.Marshal(envelope{
-			envelopeHead: envelopeHead{Format: Format, Version: Version, Key: c.k, Checksum: hex.EncodeToString(sum[:])},
-			Payload:      payload,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("%s: entry bytes differ from the marshaled envelope:\ngot  %s\nwant %s", c.k, got, want)
+		if !bytes.Equal(got, payload) {
+			t.Errorf("%s: stored payload differs from the value's JSON:\ngot  %s\nwant %s", c.k, got, payload)
 		}
 		if err := s.Get(c.k, c.out); err != nil {
 			t.Fatalf("%s: %v", c.k, err)
@@ -92,48 +84,40 @@ func TestEntryBytesMatchEnvelopeMarshal(t *testing.T) {
 	}
 }
 
-// createCounter counts Create calls through to the real filesystem.
-type createCounter struct {
-	FS
-	n atomic.Int64
-}
-
-func (c *createCounter) Create(name string) (File, error) {
-	c.n.Add(1)
-	return c.FS.Create(name)
-}
-
 // TestOnlyFirstPutCreatesAFile: a handle's first Put creates its
 // segment and every later Put appends to it — no file per entry, and
 // none for a Get that misses.
 func TestOnlyFirstPutCreatesAFile(t *testing.T) {
-	fsys := &createCounter{FS: FaultFS(OSFS())}
-	s, err := OpenFS(t.TempDir(), fsys)
-	if err != nil {
-		t.Fatal(err)
+	s := openTemp(t)
+	// files fails unless the store holds exactly one file, the segment
+	// the handle's first Put created.
+	var first string
+	files := func(after string) {
+		t.Helper()
+		got, err := filepath.Glob(filepath.Join(s.Dir(), "*", "*"))
+		if err != nil || len(got) != 1 || first != "" && got[0] != first {
+			t.Fatalf("after %s the store holds %v (%v), want only %s", after, got, err, first)
+		}
+		first = got[0]
 	}
 	for i := 0; i < 4; i++ {
 		k := CountKey(fmt.Sprintf("b%d", i), 1, "w1")
 		if err := s.Put(k, &Count{Insts: uint64(i)}); err != nil {
 			t.Fatal(err)
 		}
+		files("a Put")
 		if err := s.Put(k, &Count{Insts: uint64(i) + 1}); err != nil {
 			t.Fatal(err)
 		}
+		files("an overwrite")
 	}
 	var c Count
 	if err := s.Get(CountKey("missing", 1, "w1"), &c); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("Get of a missing key = %v", err)
 	}
-	if got := fsys.n.Load(); got != 1 {
-		t.Errorf("8 Puts and a miss made %d Create calls, want 1", got)
-	}
+	files("a miss")
 	if err := s.Get(CountKey("b2", 1, "w1"), &c); err != nil || c.Insts != 3 {
 		t.Fatalf("Get = %+v, %v; want the last Put's value", c, err)
-	}
-	names, err := os.ReadDir(s.segDir())
-	if err != nil || len(names) != 1 {
-		t.Fatalf("segments/ holds %v (%v), want one segment", names, err)
 	}
 }
 

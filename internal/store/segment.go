@@ -1,7 +1,9 @@
 package store
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -16,31 +18,41 @@ import (
 	"time"
 )
 
-// A segment is an append-only file of records. Each record frames one
-// entry's envelope:
+// A segment is an append-only file of records, one per Put:
 //
-//	magic    4 bytes   "cos1"
-//	envLen   uint32 LE length of the envelope
-//	headLen  uint32 LE length of the envelope's head: the bytes before ,"payload":
-//	crc      uint32 LE CRC-32C of the 12 bytes above and of the head
-//	envelope envLen bytes
+//	magic      4 bytes   "cos2"
+//	headLen    uint32 LE length of the head
+//	payloadLen uint32 LE length of the payload
+//	crc        uint32 LE CRC-32C of the 12 bytes above and of the head
+//	head       the JSON of the record's recordHead
+//	payload    the value's JSON, as is
 //	'\n'
 //
 // The lengths let a scanner step from record to record reading heads
 // only; the CRC covers the head, which holds the key and the payload's
 // SHA-256, so a scanner never indexes a record under a damaged key and
-// trusts a length only once it has checked it.
+// trusts a length only once it has checked it. A segment of the earlier
+// "cos1" layout fails the magic check and reads as corrupt.
 const (
-	frameMagic  = "cos1"
+	frameMagic  = "cos2"
 	frameHeader = 16
 	// headGuess is how much of a head a scan reads with its frame
 	// header; a longer head costs a second read.
 	headGuess = 512
 	// maxHead bounds a plausible head, so a damaged length is not read.
 	maxHead = 64 << 10
-	// maxEnvelope keeps envLen and a whole record within uint32.
-	maxEnvelope = 1<<32 - 2
+	// maxPayload keeps payloadLen within uint32.
+	maxPayload = 1<<32 - 1
 )
+
+// recordHead is a record's head: the codec version, the full key in
+// clear (so the store can be inspected, verified and migrated without
+// external metadata) and the payload's SHA-256.
+type recordHead struct {
+	Version int    `json:"version"`
+	Key     Key    `json:"key"`
+	SHA256  string `json:"sha256"`
+}
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
@@ -49,13 +61,15 @@ func frameCRC(hdr, head []byte) uint32 {
 	return crc32.Update(crc32.Checksum(hdr[:12], castagnoli), castagnoli, head)
 }
 
-// putFrameHeader fills rec's frame header; rec holds the header's room,
-// then the envelope.
-func putFrameHeader(rec []byte, envLen, headLen int) {
+// frameRecord frames a head and a payload as one record.
+func frameRecord(head, payload []byte) []byte {
+	rec := make([]byte, frameHeader, frameHeader+len(head)+len(payload)+1)
+	rec = append(append(append(rec, head...), payload...), '\n')
 	copy(rec, frameMagic)
-	binary.LittleEndian.PutUint32(rec[4:], uint32(envLen))
-	binary.LittleEndian.PutUint32(rec[8:], uint32(headLen))
-	binary.LittleEndian.PutUint32(rec[12:], frameCRC(rec, rec[frameHeader:frameHeader+headLen]))
+	binary.LittleEndian.PutUint32(rec[4:], uint32(len(head)))
+	binary.LittleEndian.PutUint32(rec[8:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(rec[12:], frameCRC(rec, head))
+	return rec
 }
 
 // errTorn reports a record the segment ends inside of: a writer's
@@ -70,7 +84,7 @@ var errStale = errors.New("store: stale index entry")
 // frame is one record as a scan found it.
 type frame struct {
 	n    int64 // the record's whole length
-	head envelopeHead
+	head recordHead
 	// headErr is set when the frame is sound but its head does not name
 	// a valid key: the record is corrupt, and the next one still found.
 	headErr error
@@ -83,8 +97,8 @@ type frame struct {
 // space, grown as needed and returned.
 func readFrame(r io.ReaderAt, path string, off, size int64, buf []byte) (frame, []byte, error) {
 	var fr frame
-	bad := func(reason string) (frame, []byte, error) {
-		return fr, buf, &CorruptError{Path: fmt.Sprintf("%s@%d", path, off), Reason: reason}
+	corrupt := func(reason string) error {
+		return &CorruptError{Path: fmt.Sprintf("%s@%d", path, off), Reason: reason}
 	}
 	rest := size - off
 	if rest < frameHeader {
@@ -96,60 +110,90 @@ func readFrame(r io.ReaderAt, path string, off, size int64, buf []byte) (frame, 
 		return fr, buf, err
 	}
 	if string(buf[:4]) != frameMagic {
-		return bad("no record frame")
+		return fr, buf, corrupt("no record frame")
 	}
-	envLen := int64(binary.LittleEndian.Uint32(buf[4:]))
-	headLen := int64(binary.LittleEndian.Uint32(buf[8:]))
-	if headLen > maxHead || headLen+2 > envLen {
-		return bad("record frame lengths out of range")
+	headLen := int64(binary.LittleEndian.Uint32(buf[4:]))
+	payloadLen := int64(binary.LittleEndian.Uint32(buf[8:]))
+	if headLen > maxHead {
+		return fr, buf, corrupt("record frame lengths out of range")
 	}
 	if frameHeader+headLen > rest {
 		return fr, buf, errTorn
 	}
 	if frameHeader+headLen > want {
-		buf = grow(buf, int(frameHeader+headLen+1))
-		if _, err := r.ReadAt(buf[:frameHeader+headLen], off); err != nil {
+		buf = grow(buf, int(frameHeader+headLen))
+		if _, err := r.ReadAt(buf, off); err != nil {
 			return fr, buf, err
 		}
 	}
 	head := buf[frameHeader : frameHeader+headLen]
 	if frameCRC(buf, head) != binary.LittleEndian.Uint32(buf[12:]) {
-		return bad("record frame checksum mismatch")
+		return fr, buf, corrupt("record frame checksum mismatch")
 	}
-	fr.n = frameHeader + envLen + 1
+	fr.n = frameHeader + headLen + payloadLen + 1
 	if fr.n > rest {
 		return fr, buf, errTorn
 	}
-	// The head is a JSON object missing its closing brace.
-	buf = grow(buf, int(frameHeader+headLen+1))
-	buf[frameHeader+headLen] = '}'
-	if err := json.Unmarshal(buf[frameHeader:frameHeader+headLen+1], &fr.head); err != nil {
-		fr.headErr = &CorruptError{Path: fmt.Sprintf("%s@%d", path, off), Reason: "record head: " + err.Error()}
-	} else if err := fr.head.Key.Validate(); err != nil {
-		fr.headErr = &CorruptError{Path: fmt.Sprintf("%s@%d", path, off), Reason: err.Error()}
+	var err error
+	if fr.head, err = decodeHead(head); err != nil {
+		fr.headErr = corrupt(err.Error())
 	}
 	return fr, buf, nil
 }
 
-// grow returns buf with length at least n, keeping its contents.
-func grow(buf []byte, n int) []byte {
-	if n <= len(buf) {
-		return buf
+// decodeHead parses a record's head; an error says why it is corrupt.
+func decodeHead(head []byte) (recordHead, error) {
+	var h recordHead
+	if err := json.Unmarshal(head, &h); err != nil {
+		return h, fmt.Errorf("record head: %w", err)
 	}
-	if n <= cap(buf) {
-		return buf[:n]
-	}
-	return append(buf[:cap(buf)], make([]byte, n-cap(buf))...)
+	return h, h.Key.Validate()
 }
 
-// envelopeOf returns the envelope of a whole record read back from its
-// segment. Its frame was checked when the record was indexed; what lies
-// inside, decodeEnvelope checks.
-func envelopeOf(rec []byte, where string) ([]byte, error) {
-	if len(rec) <= frameHeader || rec[len(rec)-1] != '\n' {
-		return nil, &CorruptError{Path: where, Reason: "record frame damaged"}
+// checkRecord checks one whole record read back from where — its frame,
+// head, codec version and payload checksum — and returns its payload.
+// want, when non-nil, also pins the stored key: a record moved in place
+// under another key fails here.
+func checkRecord(rec []byte, where string, want *Key) ([]byte, error) {
+	bad := func(reason string) ([]byte, error) {
+		return nil, &CorruptError{Path: where, Reason: reason}
 	}
-	return rec[frameHeader : len(rec)-1], nil
+	if len(rec) <= frameHeader || string(rec[:4]) != frameMagic {
+		return bad("no record frame")
+	}
+	headEnd := frameHeader + int64(binary.LittleEndian.Uint32(rec[4:]))
+	end := headEnd + int64(binary.LittleEndian.Uint32(rec[8:]))
+	if end+1 != int64(len(rec)) || rec[end] != '\n' {
+		return bad("record frame damaged")
+	}
+	if frameCRC(rec, rec[frameHeader:headEnd]) != binary.LittleEndian.Uint32(rec[12:]) {
+		return bad("record frame checksum mismatch")
+	}
+	h, err := decodeHead(rec[frameHeader:headEnd])
+	if err != nil {
+		return bad(err.Error())
+	}
+	if h.Version != Version {
+		return bad(fmt.Sprintf("codec version %d, this build reads %d", h.Version, Version))
+	}
+	if want != nil && h.Key != *want {
+		return bad(fmt.Sprintf("key mismatch: entry holds %s", h.Key))
+	}
+	payload := rec[headEnd:end]
+	sum := sha256.Sum256(payload)
+	if hex.EncodeToString(sum[:]) != h.SHA256 {
+		return bad("payload checksum mismatch")
+	}
+	return payload, nil
+}
+
+// grow returns a buffer of length n, reusing buf when it is large
+// enough; its contents are not kept.
+func grow(buf []byte, n int) []byte {
+	if cap(buf) < n {
+		return make([]byte, n)
+	}
+	return buf[:n]
 }
 
 // segment is what a handle's index knows of one segment file.
@@ -225,7 +269,7 @@ var errShrunk = errors.New("store: segment shrank")
 // resetting the index, or when a listed segment vanished before it was
 // scanned; the next pass then scans everything. Callers hold scanMu.
 func (s *Store) refreshOnce(all bool) (settled bool, err error) {
-	ents, err := s.fs.ReadDir(s.segDir())
+	ents, err := readDir(s.segDir())
 	if err != nil {
 		return false, err
 	}
@@ -300,7 +344,7 @@ func (s *Store) reset(present map[string]bool) {
 // is indexed as errShrunk.
 func (s *Store) scan(seg *segment) error {
 	path := filepath.Join(s.segDir(), seg.name)
-	info, err := s.fs.Stat(path)
+	info, err := statFile(path)
 	if err != nil {
 		return err
 	}
@@ -315,16 +359,12 @@ func (s *Store) scan(seg *segment) error {
 		return errShrunk
 	}
 
-	f, err := s.fs.Open(path)
+	f, err := openFile(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	type found struct {
-		k Key
-		l loc
-	}
-	var recs []found
+	found := map[Key]loc{} // each key's last record in the segment
 	var buf []byte
 	var fr frame
 	for off < size {
@@ -333,17 +373,17 @@ func (s *Store) scan(seg *segment) error {
 			break
 		}
 		if fr.headErr == nil {
-			recs = append(recs, found{fr.head.Key, loc{seg.name, off, fr.n}})
+			found[fr.head.Key] = loc{seg.name, off, fr.n}
 		}
 		off += fr.n
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, r := range recs {
+	for k, l := range found {
 		// A later record of the same segment, which its writer indexed
 		// meanwhile, stays: within a segment the last record wins.
-		if cur, ok := s.index[r.k]; !ok || cur.seg != r.l.seg || cur.off < r.l.off {
-			s.index[r.k] = r.l
+		if cur, ok := s.index[k]; !ok || cur.seg != l.seg || cur.off < l.off {
+			s.index[k] = l
 		}
 	}
 	seg.scanned = off
@@ -354,11 +394,11 @@ func (s *Store) scan(seg *segment) error {
 	return err // a failed read: the next refresh retries from off
 }
 
-// readRecord reads the record at l and returns its envelope and where
-// it lies, or errStale when the segment no longer holds it.
+// readRecord reads the record at l and returns it and where it lies, or
+// errStale when the segment no longer holds it.
 func (s *Store) readRecord(l loc) ([]byte, string, error) {
 	path := filepath.Join(s.segDir(), l.seg)
-	f, err := s.fs.Open(path)
+	f, err := openFile(path)
 	if errors.Is(err, fs.ErrNotExist) {
 		return nil, "", errStale
 	}
@@ -367,21 +407,18 @@ func (s *Store) readRecord(l loc) ([]byte, string, error) {
 	}
 	defer f.Close()
 	rec := make([]byte, l.n)
-	n, err := f.ReadAt(rec, l.off)
-	if n < len(rec) && (err == nil || errors.Is(err, io.EOF)) {
+	switch _, err := f.ReadAt(rec, l.off); {
+	case errors.Is(err, io.EOF): // a short read: the segment was cut back
 		return nil, "", errStale
-	}
-	if err != nil && !errors.Is(err, io.EOF) {
+	case err != nil:
 		return nil, "", err
 	}
-	where := fmt.Sprintf("%s@%d", path, l.off)
-	env, err := envelopeOf(rec, where)
-	return env, where, err
+	return rec, fmt.Sprintf("%s@%d", path, l.off), nil
 }
 
 // writer is a handle's own segment, the one file it appends to.
 type writer struct {
-	f    File
+	f    *file
 	seg  *segment
 	size int64 // the segment's length after this handle's last append
 }
@@ -403,7 +440,7 @@ func (s *Store) append(k Key, rec []byte) error {
 			}
 		}
 		w := s.w
-		if err := w.f.Lock(true); err != nil {
+		if err := w.f.lock(true); err != nil {
 			s.dropWriter()
 			return err
 		}
@@ -436,7 +473,7 @@ func (s *Store) append(k Key, rec []byte) error {
 			w.seg.scanned, w.seg.seen = w.size, w.size
 		}
 		s.mu.Unlock()
-		if err := w.f.Unlock(); err != nil {
+		if err := w.f.unlock(); err != nil {
 			s.dropWriter() // the record is durable; closing releases the lock
 		}
 		return nil
@@ -452,7 +489,7 @@ func (s *Store) failAppend(err error) error {
 	// which readers skip and GC drops once stale; if the removal fails,
 	// GC drops the empty segment once stale.
 	if s.w.size == 0 {
-		_ = s.fs.Remove(s.w.f.Name())
+		_ = removeFile(s.w.f.Name())
 	} else {
 		_ = s.w.f.Truncate(s.w.size)
 	}
@@ -460,15 +497,21 @@ func (s *Store) failAppend(err error) error {
 	return err
 }
 
-// newWriter creates the handle's segment. Callers hold wmu.
+// newWriter creates the handle's segment and syncs the segments
+// directory; a failed sync removes the empty segment. Callers hold wmu.
 func (s *Store) newWriter() error {
 	for attempt := 0; ; attempt++ {
 		name := segmentName()
-		f, err := s.fs.Create(filepath.Join(s.segDir(), name))
+		f, err := createFile(filepath.Join(s.segDir(), name))
 		if errors.Is(err, fs.ErrExist) && attempt < 3 {
 			continue
 		}
 		if err != nil {
+			return err
+		}
+		if err := syncDir(s.segDir()); err != nil {
+			f.Close()
+			_ = removeFile(f.Name()) // best effort, as in failAppend
 			return err
 		}
 		seg := &segment{name: name}

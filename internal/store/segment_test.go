@@ -1,11 +1,16 @@
 package store
 
 // Segment tests: records one handle appends are visible to another
-// without reopening, a torn tail is a miss until GC retires it, and the
-// segment scanner survives arbitrary damage.
+// without reopening, a torn tail is a miss until GC retires it, a
+// segment of the earlier record layout is corrupt until GC removes it,
+// and the segment scanner survives arbitrary damage.
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -143,6 +148,92 @@ func TestTornTailIsMissUntilStale(t *testing.T) {
 	}
 }
 
+// cos1Record frames v under k in the earlier "cos1" record layout: a
+// frame (magic, envelope length, head length, CRC-32C) around a JSON
+// envelope of format marker, version, key, checksum and payload, whose
+// head is the envelope's bytes before its payload field.
+func cos1Record(t *testing.T, k Key, v any) []byte {
+	t.Helper()
+	payload, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(payload)
+	head, err := json.Marshal(struct {
+		Format   string `json:"format"`
+		Version  int    `json:"version"`
+		Key      Key    `json:"key"`
+		Checksum string `json:"checksum"`
+	}{"contopt-result-store", 1, k, hex.EncodeToString(sum[:])})
+	if err != nil {
+		t.Fatal(err)
+	}
+	head = head[:len(head)-1]
+	env := append(append(append(head, `,"payload":`...), payload...), '}')
+	rec := append(append(make([]byte, 16), env...), '\n')
+	copy(rec, "cos1")
+	binary.LittleEndian.PutUint32(rec[4:], uint32(len(env)))
+	binary.LittleEndian.PutUint32(rec[8:], uint32(len(head)))
+	binary.LittleEndian.PutUint32(rec[12:], frameCRC(rec, rec[16:16+len(head)]))
+	return rec
+}
+
+// TestOldLayoutReadsAsCorrupt: a store holding a segment of the earlier
+// "cos1" layout opens with this build; a key stored only there is a
+// miss and never yields a value, Stat counts the segment as corrupt,
+// and GC removes it and keeps the current entries. A record whose head
+// names the next codec version reads as corrupt too.
+func TestOldLayoutReadsAsCorrupt(t *testing.T) {
+	s := openTemp(t)
+	old, cur, future := CountKey("mcf", 1, "w1"), CountKey("vpr", 1, "w1"), CountKey("gcc", 1, "w1")
+	if err := s.Put(cur, &Count{Insts: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put(future, &Count{Insts: 3}); err != nil {
+		t.Fatal(err)
+	}
+	oldSeg := filepath.Join(s.segDir(), "0000000000000000-cos1.seg")
+	data := append(cos1Record(t, old, &Count{Insts: 1}), cos1Record(t, CountKey("art", 1, "w1"), &Count{Insts: 4})...)
+	if err := os.WriteFile(oldSeg, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s = rewriteRecord(t, s, future, func(h *recordHead, payload []byte) []byte {
+		h.Version = Version + 1
+		return payload
+	})
+
+	var c Count
+	if err := s.Get(old, &c); Classify(err) != ClassNotFound || c.Insts != 0 {
+		t.Fatalf("Get of a cos1 record = %+v, %v; want a miss", c, err)
+	}
+	if err := s.Get(future, &c); !IsCorrupt(err) || c.Insts != 0 {
+		t.Fatalf("Get of a version %d record = %+v, %v; want a CorruptError", Version+1, c, err)
+	}
+	if err := s.Get(cur, &c); err != nil || c.Insts != 2 {
+		t.Fatalf("Get of a current record = %+v, %v", c, err)
+	}
+	if st, err := s.Stat(); err != nil || st.Entries != 1 || st.Corrupt != 2 || st.Segments != 2 {
+		t.Fatalf("Stat = %+v, %v; want 1 intact entry, the cos1 segment and the version %d record corrupt", st, err, Version+1)
+	}
+
+	rep, err := s.GC()
+	if err != nil || rep.RemovedCorrupt != 2 || rep.RemainingIntact != 1 {
+		t.Fatalf("GC = %+v, %v", rep, err)
+	}
+	if _, err := os.Stat(oldSeg); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("GC left the cos1 segment: %v", err)
+	}
+	if st, err := s.Stat(); err != nil || st.Entries != 1 || st.Corrupt != 0 || st.Segments != 1 {
+		t.Fatalf("Stat after GC = %+v, %v", st, err)
+	}
+	if err := s.Get(cur, &c); err != nil || c.Insts != 2 {
+		t.Fatalf("Get of a current record after GC = %+v, %v", c, err)
+	}
+	if err := s.Get(old, &c); Classify(err) != ClassNotFound {
+		t.Fatalf("Get of the cos1 record after GC = %v; want a miss", err)
+	}
+}
+
 // fuzzSegment is a segment of four records, and each record's key,
 // value and end offset.
 type fuzzSegment struct {
@@ -183,8 +274,8 @@ func buildFuzzSegment(f *testing.F) fuzzSegment {
 // FuzzSegmentScan damages a segment — truncating it, appending bytes
 // or overwriting bytes at an arbitrary offset — and opens a store on
 // it. The scanner must not panic; the index must hold only records
-// whose frame and head are sound, and each must either decode whole
-// (envelope, key, checksum) and read back the value stored, or be
+// whose frame and head are sound, and each must either pass checkRecord
+// (frame, head, key, checksum) and read back the value stored, or be
 // reported corrupt by Get — never served; and every
 // record that ends before the damage must still read. The index is
 // built from record heads, so a record damaged inside its payload is
@@ -193,7 +284,7 @@ func FuzzSegmentScan(f *testing.F) {
 	seg := buildFuzzSegment(f)
 	f.Add(uint8(0), uint32(0), []byte{})
 	f.Add(uint8(0), uint32(seg.ends[1]+20), []byte{})
-	f.Add(uint8(1), uint32(0), []byte("cos1\xff\xff\xff\x00garbage"))
+	f.Add(uint8(1), uint32(0), []byte("cos2\xff\xff\xff\x00garbage"))
 	f.Add(uint8(1), uint32(0), seg.data[:40])
 	f.Add(uint8(2), uint32(seg.ends[0]+3), []byte{0xff, 0xff, 0xff, 0xff})
 	f.Add(uint8(2), uint32(seg.ends[2]-5), []byte("}}"))
@@ -242,10 +333,7 @@ func FuzzSegmentScan(f *testing.F) {
 				t.Fatalf("index holds %s at a record its frame does not describe", k)
 			}
 			if ferr == nil {
-				var env []byte
-				if env, ferr = envelopeOf(data[l.off:l.off+l.n], "fuzz"); ferr == nil {
-					_, ferr = decodeEnvelope("fuzz", env, &k)
-				}
+				_, ferr = checkRecord(data[l.off:l.off+l.n], "fuzz", &k)
 			}
 			switch {
 			case ferr != nil && err == nil:
@@ -311,12 +399,12 @@ func TestGCLeavesCopiesABusySegmentMayLose(t *testing.T) {
 	}
 	// B's segment is the newer one: hold its lock, as B does mid-append.
 	bseg := filepath.Join(b.segDir(), b.own.name)
-	held, err := OSFS().Open(bseg)
+	held, err := openFile(bseg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer held.Close()
-	if err := held.Lock(false); err != nil {
+	if err := held.lock(false); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := a.GC(); err != nil {

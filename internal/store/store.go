@@ -7,17 +7,14 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
+	"os"
 	"path/filepath"
 	"sync"
 )
 
-// Format is the on-disk envelope marker; a file that does not carry it
-// is not a store entry.
-const Format = "contopt-result-store"
-
 // Version is the codec version this build reads and writes. Entries
 // with a different version are treated as corrupt (skipped and
-// resimulated); bump it when the envelope or payload schema changes
+// resimulated); bump it when the record head or payload schema changes
 // incompatibly.
 const Version = 1
 
@@ -146,10 +143,10 @@ func (k Key) String() string {
 // ErrNotFound reports that no entry exists for the requested key.
 var ErrNotFound = errors.New("store: entry not found")
 
-// CorruptError reports an entry that exists but cannot be trusted:
-// unreadable, wrong format or version, key mismatch, or checksum
-// failure. Callers layering the store under a cache treat it as a
-// miss; GC deletes such entries.
+// CorruptError reports an entry that exists but cannot be trusted: a
+// damaged frame or head, a wrong version, a key mismatch, or a checksum
+// failure. Callers layering the store under a cache treat it as a miss;
+// GC deletes such entries.
 type CorruptError struct {
 	Path   string
 	Reason string
@@ -165,22 +162,6 @@ func IsCorrupt(err error) bool {
 	return errors.As(err, &ce)
 }
 
-// envelope is the on-disk form of one entry: self-describing (format,
-// version, the full key in clear) and self-checking (payload checksum).
-type envelope struct {
-	envelopeHead
-	Payload json.RawMessage `json:"payload"`
-}
-
-// envelopeHead is every envelope field before the payload; Put
-// marshals it alone and appends the payload (see encodeEntry).
-type envelopeHead struct {
-	Format   string `json:"format"`
-	Version  int    `json:"version"`
-	Key      Key    `json:"key"`
-	Checksum string `json:"checksum"`
-}
-
 // Store is a content-addressed result store rooted at one directory.
 // A Store is safe for concurrent use by multiple goroutines and
 // multiple processes sharing the directory.
@@ -190,7 +171,6 @@ type envelopeHead struct {
 // record heads (see segment.go).
 type Store struct {
 	dir string
-	fs  FS
 
 	// wmu serializes this handle's appends; w is its segment, nil until
 	// the first Put and after a failed append drops it.
@@ -205,21 +185,14 @@ type Store struct {
 	own    *segment
 }
 
-// Open opens (creating if necessary) the store rooted at dir, on the
-// real filesystem with fault points armed-but-idle (see FaultFS).
+// Open opens (creating if necessary) the store rooted at dir and
+// indexes the records already there.
 func Open(dir string) (*Store, error) {
-	return OpenFS(dir, FaultFS(OSFS()))
-}
-
-// OpenFS opens the store rooted at dir on an explicit filesystem —
-// the seam tests use to substitute or instrument I/O — and indexes the
-// records already there.
-func OpenFS(dir string, fsys FS) (*Store, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("store: empty directory")
 	}
-	s := &Store{dir: dir, fs: fsys, index: map[Key]loc{}, segs: map[string]*segment{}}
-	if err := fsys.MkdirAll(s.segDir(), 0o755); err != nil {
+	s := &Store{dir: dir, index: map[Key]loc{}, segs: map[string]*segment{}}
+	if err := os.MkdirAll(s.segDir(), 0o755); err != nil {
 		return nil, fmt.Errorf("store: opening %s: %w", dir, err)
 	}
 	// A segment that cannot be read now is scanned again on the first
@@ -245,29 +218,26 @@ func (s *Store) Get(k Key, out any) error {
 	if err := k.Validate(); err != nil {
 		return err
 	}
-	data, where, err := s.read(k)
+	rec, where, err := s.read(k)
 	if errors.Is(err, fs.ErrNotExist) {
 		return fmt.Errorf("%w: %s", ErrNotFound, k)
 	}
 	if err != nil {
-		if IsCorrupt(err) {
-			return err
-		}
 		return fmt.Errorf("store: reading %s: %w", k, err)
 	}
-	env, err := decodeEnvelope(where, data, &k)
+	payload, err := checkRecord(rec, where, &k)
 	if err != nil {
 		return err
 	}
-	if err := json.Unmarshal(env.Payload, out); err != nil {
+	if err := json.Unmarshal(payload, out); err != nil {
 		return &CorruptError{Path: where, Reason: "payload: " + err.Error()}
 	}
 	return nil
 }
 
-// read returns the envelope of k's record and where it lies. A key the
-// index lacks may have been appended by another handle or process since
-// the last scan, so a miss rescans before reporting fs.ErrNotExist; a
+// read returns k's whole record and where it lies. A key the index
+// lacks may have been appended by another handle or process since the
+// last scan, so a miss rescans before reporting fs.ErrNotExist; a
 // record whose segment was compacted away or cut back (errStale) is
 // looked up again after a rescan of every segment.
 func (s *Store) read(k Key) ([]byte, string, error) {
@@ -311,33 +281,6 @@ func (s *Store) lookup(k Key) (loc, bool) {
 	return l, ok
 }
 
-// decodeEnvelope parses and integrity-checks one entry's envelope.
-// want, when non-nil, additionally pins the stored key (a record
-// rewritten in place under another key fails here).
-func decodeEnvelope(path string, data []byte, want *Key) (*envelope, error) {
-	var env envelope
-	if err := json.Unmarshal(data, &env); err != nil {
-		return nil, &CorruptError{Path: path, Reason: "envelope: " + err.Error()}
-	}
-	if env.Format != Format {
-		return nil, &CorruptError{Path: path, Reason: fmt.Sprintf("format %q, want %q", env.Format, Format)}
-	}
-	if env.Version != Version {
-		return nil, &CorruptError{Path: path, Reason: fmt.Sprintf("codec version %d, this build reads %d", env.Version, Version)}
-	}
-	if want != nil && env.Key != *want {
-		return nil, &CorruptError{Path: path, Reason: fmt.Sprintf("key mismatch: entry holds %s", env.Key)}
-	}
-	if err := env.Key.Validate(); err != nil {
-		return nil, &CorruptError{Path: path, Reason: err.Error()}
-	}
-	sum := sha256.Sum256(env.Payload)
-	if got := hex.EncodeToString(sum[:]); got != env.Checksum {
-		return nil, &CorruptError{Path: path, Reason: "payload checksum mismatch"}
-	}
-	return &env, nil
-}
-
 // Put persists v (the payload struct for k's kind) under k: one record
 // appended to the handle's segment and fsynced before Put returns, so a
 // result is durable before anyone waiting on it wakes. Putting an
@@ -359,18 +302,9 @@ func (s *Store) Put(k Key, v any) error {
 }
 
 // encodeRecord renders v under k as one framed segment record (see
-// segment.go) around the entry's envelope: exactly the bytes
-// json.Marshal gives for the whole envelope. The head is marshaled on
-// its own and v's JSON appended as the payload. Marshaling the
-// envelope with the payload as a json.RawMessage would validate and
-// compact it a second time, although json.Marshal already made it
-// compact — a second full scan, costly for large plans.
-//
-// For the same reason a json.Marshaler's payload is its MarshalJSON
-// output as is: json.Marshal would validate and compact that once
-// more. A Marshaler stored here must therefore return what json.Marshal
-// gives for it — compact, HTML-escaped JSON — as sample.Plan does by
-// marshaling its codec form with json.Marshal.
+// segment.go). A json.Marshaler's payload is its MarshalJSON output as
+// is: json.Marshal would validate and compact it a second time, a full
+// scan that is costly for large plans.
 func encodeRecord(k Key, v any) ([]byte, error) {
 	var payload []byte
 	var err error
@@ -383,28 +317,14 @@ func encodeRecord(k Key, v any) ([]byte, error) {
 		return nil, err
 	}
 	sum := sha256.Sum256(payload)
-	head, err := json.Marshal(envelopeHead{
-		Format:   Format,
-		Version:  Version,
-		Key:      k,
-		Checksum: hex.EncodeToString(sum[:]),
-	})
+	head, err := json.Marshal(recordHead{Version: Version, Key: k, SHA256: hex.EncodeToString(sum[:])})
 	if err != nil {
 		return nil, err
 	}
-	head = head[:len(head)-1] // drop the closing brace
-	const field = `,"payload":`
-	envLen := len(head) + len(field) + len(payload) + 1
-	if envLen > maxEnvelope {
-		return nil, fmt.Errorf("entry of %d bytes exceeds the %d-byte record limit", envLen, maxEnvelope)
+	if len(head) > maxHead || len(payload) > maxPayload {
+		return nil, fmt.Errorf("record of %d+%d bytes exceeds the record limits", len(head), len(payload))
 	}
-	rec := make([]byte, frameHeader, frameHeader+envLen+1)
-	rec = append(rec, head...)
-	rec = append(rec, field...)
-	rec = append(rec, payload...)
-	rec = append(rec, '}', '\n')
-	putFrameHeader(rec, envLen, len(head))
-	return rec, nil
+	return frameRecord(head, payload), nil
 }
 
 // Count is the KindCount payload: a benchmark's dynamic instruction

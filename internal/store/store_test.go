@@ -2,7 +2,10 @@ package store
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -332,9 +335,10 @@ func entryOf(t testing.TB, s *Store, k Key) Entry {
 }
 
 // rewriteRecord replaces k's record in its segment with a well-framed
-// record around the envelope mutate makes of k's, and returns a fresh
-// handle on the store (the old one indexed the old offsets).
-func rewriteRecord(t *testing.T, s *Store, k Key, mutate func(env []byte) []byte) *Store {
+// record of the head and payload mutate makes of k's — the head's
+// checksum is left as mutate sets it, never recomputed — and returns a
+// fresh handle on the store (the old one indexed the old offsets).
+func rewriteRecord(t *testing.T, s *Store, k Key, mutate func(h *recordHead, payload []byte) []byte) *Store {
 	t.Helper()
 	e := entryOf(t, s, k)
 	data, err := os.ReadFile(e.Path)
@@ -342,15 +346,17 @@ func rewriteRecord(t *testing.T, s *Store, k Key, mutate func(env []byte) []byte
 		t.Fatal(err)
 	}
 	rec := data[e.Offset : e.Offset+e.Size]
-	headLen := int(binary.LittleEndian.Uint32(rec[8:]))
-	env := mutate(append([]byte(nil), rec[frameHeader:len(rec)-1]...))
-	framed := append(make([]byte, frameHeader), env...)
-	framed = append(framed, '\n')
-	if i := bytes.Index(env, []byte(`,"payload":`)); i >= 0 {
-		headLen = i
+	headEnd := frameHeader + int(binary.LittleEndian.Uint32(rec[4:]))
+	var h recordHead
+	if err := json.Unmarshal(rec[frameHeader:headEnd], &h); err != nil {
+		t.Fatal(err)
 	}
-	putFrameHeader(framed, len(env), min(headLen, len(env)-2))
-	out := append(append(append([]byte(nil), data[:e.Offset]...), framed...), data[e.Offset+e.Size:]...)
+	payload := mutate(&h, append([]byte(nil), rec[headEnd:len(rec)-1]...))
+	head, err := json.Marshal(h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := append(append(append([]byte(nil), data[:e.Offset]...), frameRecord(head, payload)...), data[e.Offset+e.Size:]...)
 	if err := os.WriteFile(e.Path, out, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -371,7 +377,7 @@ func corruptPayload(t *testing.T, s *Store, k Key) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	at := e.Offset + e.Size - 3 // inside the payload, before its closing braces
+	at := e.Offset + e.Size - 3 // inside the payload, before its closing brace
 	b := make([]byte, 1)
 	if _, err := f.ReadAt(b, at); err != nil {
 		t.Fatal(err)
@@ -385,24 +391,29 @@ func corruptPayload(t *testing.T, s *Store, k Key) {
 func TestCorruptEntryDetected(t *testing.T) {
 	cases := []struct {
 		name   string
-		mutate func(env []byte) []byte
+		mutate func(h *recordHead, payload []byte) []byte
 	}{
-		{"truncated", func(env []byte) []byte { return env[:len(env)/2] }},
-		{"not-json", func(env []byte) []byte {
-			i := bytes.Index(env, []byte(`,"payload":`))
-			return append(env[:i+len(`,"payload":`)], "hello\x00world}"...)
+		{"truncated", func(h *recordHead, payload []byte) []byte { return payload[:len(payload)/2] }},
+		{"not-json", func(h *recordHead, payload []byte) []byte {
+			// A payload that is not JSON under a matching checksum: the
+			// decode must catch it.
+			payload = []byte("hello\x00world}")
+			sum := sha256.Sum256(payload)
+			h.SHA256 = hex.EncodeToString(sum[:])
+			return payload
 		}},
-		{"flipped-payload", func(env []byte) []byte {
-			// Corrupt a digit inside the payload without breaking JSON
-			// syntax: the checksum must catch it.
-			mut := bytes.Replace(env, []byte(`"Cycles"`), []byte(`"cYcles"`), 1)
-			if bytes.Equal(mut, env) {
-				mut = bytes.Replace(env, []byte("111"), []byte("112"), 1)
+		{"flipped-payload", func(h *recordHead, payload []byte) []byte {
+			// Corrupt the payload without breaking JSON syntax: the
+			// stored checksum must catch it.
+			mut := bytes.Replace(payload, []byte(`"Cycles"`), []byte(`"cYcles"`), 1)
+			if bytes.Equal(mut, payload) {
+				mut = bytes.Replace(payload, []byte("111"), []byte("112"), 1)
 			}
 			return mut
 		}},
-		{"future-version", func(env []byte) []byte {
-			return bytes.Replace(env, []byte(`"version":1`), []byte(`"version":999`), 1)
+		{"future-version", func(h *recordHead, payload []byte) []byte {
+			h.Version = Version + 1
+			return payload
 		}},
 	}
 	for _, tc := range cases {
