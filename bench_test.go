@@ -103,22 +103,12 @@ func BenchmarkFigure6(b *testing.B) {
 func BenchmarkTable3(b *testing.B) {
 	var early, addr, lds, recov float64
 	for i := 0; i < b.N; i++ {
-		var e, r, m, mem, a, l, lr, mis uint64
+		var sum pipeline.Counts
 		for _, bench := range workloads.All() {
-			res := benchRun(b, pipeline.DefaultConfig(), bench.Program(benchScale))
-			e += res.Opt.EarlyExecuted
-			r += res.Opt.Renamed
-			a += res.Opt.AddrKnown
-			mem += res.Opt.MemOps
-			l += res.Opt.Loads
-			lr += res.Opt.LoadsRemoved
-			m += res.EarlyRecovered
-			mis += res.Mispredicted
+			sum = sum.Add(benchRun(b, pipeline.DefaultConfig(), bench.Program(benchScale)).Counts())
 		}
-		early = 100 * float64(e) / float64(r)
-		addr = 100 * float64(a) / float64(mem)
-		lds = 100 * float64(lr) / float64(l)
-		recov = 100 * float64(m) / float64(mis)
+		early, addr = sum.PctEarlyExecuted(), sum.PctAddrGen()
+		lds, recov = sum.PctLoadsRemoved(), sum.PctMispredRecovered()
 	}
 	b.ReportMetric(early, "exec-early-%")
 	b.ReportMetric(recov, "recov-mispred-%")

@@ -48,8 +48,14 @@ type Config = pipeline.Config
 
 // Result carries the outcome of one simulation, including the optional
 // Intervals telemetry time series and a Truncated reason when a RunOpts
-// limit stopped the run early.
+// limit stopped the run early. Result.Counts returns its event counters
+// as one Counts.
 type Result = pipeline.Result
+
+// Counts is the event bundle of one measured stretch of a run — cycles,
+// retirements, branch and optimizer events — with IPC, CPI, the Table 3
+// percentages, and field-wise Add and Sub; see pipeline.Counts.
+type Counts = pipeline.Counts
 
 // Session is one machine instance bound to one program — the unit of
 // execution. Sessions are single-use: build with NewSession, drive with
@@ -61,7 +67,9 @@ type Session = pipeline.Session
 type RunOpts = pipeline.RunOpts
 
 // IntervalStats is one interval of a simulation's telemetry time
-// series; see pipeline.IntervalStats.
+// series: its position, start cycle and embedded Counts. Summing a
+// run's intervals with Counts.Add gives Result.Counts; see
+// pipeline.IntervalStats.
 type IntervalStats = pipeline.IntervalStats
 
 // TruncateReason says why a simulation stopped before completion.

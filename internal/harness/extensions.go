@@ -51,31 +51,18 @@ func (o Options) DeadValues(ctx context.Context, w io.Writer) error {
 	fmt.Fprintln(w, "Extension — dead destination values, baseline vs. optimized (§2.3)")
 	tw := newTab(w)
 	fmt.Fprintln(tw, "suite\tbaseline dead\toptimized dead")
-	type acc struct{ bd, bc, od, oc uint64 }
-	per := map[string]*acc{}
+	per := map[string][2]pipeline.Counts{}
 	for _, r := range runs {
 		a := per[r.bench.Suite]
-		if a == nil {
-			a = &acc{}
-			per[r.bench.Suite] = a
-		}
-		a.bd += r.results[0].Opt.DeadValues
-		a.bc += r.results[0].Opt.DeadCandidates
-		a.od += r.results[1].Opt.DeadValues
-		a.oc += r.results[1].Opt.DeadCandidates
+		a[0], a[1] = a[0].Add(r.results[0].Counts()), a[1].Add(r.results[1].Counts())
+		per[r.bench.Suite] = a
+	}
+	dead := func(c pipeline.Counts) float64 {
+		return 100 * float64(c.Opt.DeadValues) / float64(max(c.Opt.DeadCandidates, 1))
 	}
 	for _, s := range workloads.Suites() {
 		a := per[s]
-		fmt.Fprintf(tw, "%s\t%.1f%%\t%.1f%%\n", s,
-			100*float64(a.bd)/float64(max64(a.bc, 1)),
-			100*float64(a.od)/float64(max64(a.oc, 1)))
+		fmt.Fprintf(tw, "%s\t%.1f%%\t%.1f%%\n", s, dead(a[0]), dead(a[1]))
 	}
 	return tw.Flush()
-}
-
-func max64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }

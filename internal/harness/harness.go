@@ -207,45 +207,20 @@ func (o Options) Table3Data(ctx context.Context) ([]Effects, error) {
 		return nil, err
 	}
 
-	type agg struct {
-		early, renamed          uint64
-		recovered, mispredicted uint64
-		addrKnown, memOps       uint64
-		loadsRemoved, loads     uint64
-	}
-	per := map[string]*agg{}
-	total := &agg{}
+	per := map[string]pipeline.Counts{}
+	var total pipeline.Counts
 	for _, r := range runs {
-		a := per[r.bench.Suite]
-		if a == nil {
-			a = &agg{}
-			per[r.bench.Suite] = a
-		}
-		res := r.results[0]
-		for _, dst := range []*agg{a, total} {
-			dst.early += res.Opt.EarlyExecuted
-			dst.renamed += res.Opt.Renamed
-			dst.recovered += res.EarlyRecovered
-			dst.mispredicted += res.Mispredicted
-			dst.addrKnown += res.Opt.AddrKnown
-			dst.memOps += res.Opt.MemOps
-			dst.loadsRemoved += res.Opt.LoadsRemoved
-			dst.loads += res.Opt.Loads
-		}
+		c := r.results[0].Counts()
+		per[r.bench.Suite] = per[r.bench.Suite].Add(c)
+		total = total.Add(c)
 	}
-	pct := func(n, d uint64) float64 {
-		if d == 0 {
-			return 0
-		}
-		return 100 * float64(n) / float64(d)
-	}
-	row := func(name string, a *agg) Effects {
+	row := func(name string, c pipeline.Counts) Effects {
 		return Effects{
 			Name:             name,
-			ExecEarly:        pct(a.early, a.renamed),
-			MispredRecovered: pct(a.recovered, a.mispredicted),
-			AddrGen:          pct(a.addrKnown, a.memOps),
-			LoadsRemoved:     pct(a.loadsRemoved, a.loads),
+			ExecEarly:        c.PctEarlyExecuted(),
+			MispredRecovered: c.PctMispredRecovered(),
+			AddrGen:          c.PctAddrGen(),
+			LoadsRemoved:     c.PctLoadsRemoved(),
 		}
 	}
 	out := make([]Effects, 0, 4)

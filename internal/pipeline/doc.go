@@ -31,6 +31,12 @@
 // functionally warmed caches and predictor to a session, which is how
 // internal/sample drops into detailed simulation mid-program.
 //
+// Every measured stretch of a run reports one Counts (cycles,
+// retirements, branch and optimizer events): Result.Counts for the whole
+// run, embedded in IntervalStats and MeasuredWindow for an interval and
+// the post-warmup region. Add and Sub work field-wise, so a run's
+// intervals sum to its total; IPC, CPI and Table 3's shares are methods.
+//
 // Sessions build almost nothing. The caches and branch predictor (the
 // front-end) come reset from a pool per front-end geometry; everything
 // else — register file, optimizer tables with the MBC, wheels, rings,

@@ -72,8 +72,8 @@ type Result struct {
 
 	// Intervals is the run's telemetry time series, populated when
 	// RunOpts.Interval > 0: one record per Interval cycles (the last may
-	// be shorter). Summing the interval counters field-wise reproduces
-	// the run totals above.
+	// be shorter). Summing the intervals' Counts with Counts.Add
+	// reproduces the run's Counts.
 	Intervals []IntervalStats
 
 	// Truncated reports why the simulation stopped early (TruncNone for
@@ -101,8 +101,8 @@ func (r *Result) Bytes() uint64 {
 	return n
 }
 
-// MeasuredWindow is the measured region of a warmup+measure run: every
-// counter covers only the cycles after the RunOpts.WarmupRetired
+// MeasuredWindow is the measured region of a warmup+measure run: its
+// Counts cover only the cycles after the RunOpts.WarmupRetired
 // boundary, so WarmupCycles + Cycles equals the run's total cycles and
 // WarmupRetired + Retired equals its total retirements.
 type MeasuredWindow struct {
@@ -113,75 +113,81 @@ type MeasuredWindow struct {
 	WarmupCycles  uint64
 	WarmupRetired uint64
 
-	// Cycles and Retired are the measured region's extent.
+	// Counts holds the measured region's extent and events.
+	Counts
+}
+
+// Counts is the event bundle of one measured stretch of a run: a whole
+// run (Result.Counts), an interval, a post-warmup or sampled window, or
+// a sum of them. Every field is a monotone event count, so stretches
+// Add up and snapshots Sub to the events between them.
+type Counts struct {
+	// Cycles and Retired give raw performance; IPC combines them.
 	Cycles  uint64
 	Retired uint64
 
-	// Branch events of the measured region (see Result).
+	// Branch events (see Result for their meanings).
 	Mispredicted    uint64
 	EarlyRecovered  uint64
 	LateRecovered   uint64
 	DecodeRedirects uint64
 
-	// Opt holds the optimizer events of the measured region.
+	// Opt is the optimizer's event counters.
 	Opt core.Stats
 }
 
-// IPC returns the measured region's retired instructions per cycle.
-func (m *MeasuredWindow) IPC() float64 {
-	if m.Cycles == 0 {
-		return 0
-	}
-	return float64(m.Retired) / float64(m.Cycles)
+// Sub returns the field-wise difference c - prev: the events after the
+// earlier snapshot prev up to c.
+func (c Counts) Sub(prev Counts) Counts {
+	c.Cycles -= prev.Cycles
+	c.Retired -= prev.Retired
+	c.Mispredicted -= prev.Mispredicted
+	c.EarlyRecovered -= prev.EarlyRecovered
+	c.LateRecovered -= prev.LateRecovered
+	c.DecodeRedirects -= prev.DecodeRedirects
+	c.Opt = c.Opt.Sub(prev.Opt)
+	return c
 }
 
-// CPI returns the measured region's cycles per retired instruction.
-func (m *MeasuredWindow) CPI() float64 {
-	if m.Retired == 0 {
-		return 0
-	}
-	return float64(m.Cycles) / float64(m.Retired)
+// Add returns the field-wise sum c + other — the inverse of Sub.
+func (c Counts) Add(other Counts) Counts {
+	c.Cycles += other.Cycles
+	c.Retired += other.Retired
+	c.Mispredicted += other.Mispredicted
+	c.EarlyRecovered += other.EarlyRecovered
+	c.LateRecovered += other.LateRecovered
+	c.DecodeRedirects += other.DecodeRedirects
+	c.Opt = c.Opt.Add(other.Opt)
+	return c
 }
 
-// IPC returns retired instructions per cycle.
-func (r *Result) IPC() float64 {
-	if r.Cycles == 0 {
-		return 0
-	}
-	return float64(r.Retired) / float64(r.Cycles)
-}
+// IPC returns retired instructions per cycle (0 for no cycles).
+func (c Counts) IPC() float64 { return ratio(c.Retired, c.Cycles) }
 
-// SpeedupOver returns base.Cycles / r.Cycles — the paper's speedup
-// metric (both runs execute the same instruction count).
-func (r *Result) SpeedupOver(base *Result) float64 {
-	if r.Cycles == 0 {
-		return 0
-	}
-	return float64(base.Cycles) / float64(r.Cycles)
-}
+// CPI returns cycles per retired instruction (0 for no retirements).
+func (c Counts) CPI() float64 { return ratio(c.Cycles, c.Retired) }
 
 // PctEarlyExecuted returns the share of the instruction stream executed
 // in the optimizer (Table 3, "exec. early").
-func (r *Result) PctEarlyExecuted() float64 {
-	return pct(r.Opt.EarlyExecuted, r.Opt.Renamed)
-}
+func (c Counts) PctEarlyExecuted() float64 { return pct(c.Opt.EarlyExecuted, c.Opt.Renamed) }
 
 // PctMispredRecovered returns the share of mispredicted branches
 // resolved in the optimizer (Table 3, "recov. mispred. brs.").
-func (r *Result) PctMispredRecovered() float64 {
-	return pct(r.EarlyRecovered, r.Mispredicted)
-}
+func (c Counts) PctMispredRecovered() float64 { return pct(c.EarlyRecovered, c.Mispredicted) }
 
 // PctAddrGen returns the share of memory operations whose address was
 // generated in the optimizer (Table 3, "ld/st addr. gen.").
-func (r *Result) PctAddrGen() float64 {
-	return pct(r.Opt.AddrKnown, r.Opt.MemOps)
-}
+func (c Counts) PctAddrGen() float64 { return pct(c.Opt.AddrKnown, c.Opt.MemOps) }
 
 // PctLoadsRemoved returns the share of loads converted to moves
 // (Table 3, "lds removed").
-func (r *Result) PctLoadsRemoved() float64 {
-	return pct(r.Opt.LoadsRemoved, r.Opt.Loads)
+func (c Counts) PctLoadsRemoved() float64 { return pct(c.Opt.LoadsRemoved, c.Opt.Loads) }
+
+func ratio(num, den uint64) float64 {
+	if den == 0 {
+		return 0
+	}
+	return float64(num) / float64(den)
 }
 
 func pct(num, den uint64) float64 {
@@ -190,6 +196,40 @@ func pct(num, den uint64) float64 {
 	}
 	return 100 * float64(num) / float64(den)
 }
+
+// Counts returns the run's event counts. Result keeps them flat, not
+// embedded, because its JSON order (which stored results pin) puts the
+// stall and occupancy fields between DecodeRedirects and Opt.
+func (r *Result) Counts() Counts {
+	return Counts{
+		Cycles:          r.Cycles,
+		Retired:         r.Retired,
+		Mispredicted:    r.Mispredicted,
+		EarlyRecovered:  r.EarlyRecovered,
+		LateRecovered:   r.LateRecovered,
+		DecodeRedirects: r.DecodeRedirects,
+		Opt:             r.Opt,
+	}
+}
+
+// IPC returns retired instructions per cycle.
+func (r *Result) IPC() float64 { return r.Counts().IPC() }
+
+// SpeedupOver returns base.Cycles / r.Cycles — the paper's speedup
+// metric (both runs execute the same instruction count).
+func (r *Result) SpeedupOver(base *Result) float64 { return ratio(base.Cycles, r.Cycles) }
+
+// PctEarlyExecuted is Counts.PctEarlyExecuted of the whole run.
+func (r *Result) PctEarlyExecuted() float64 { return r.Counts().PctEarlyExecuted() }
+
+// PctMispredRecovered is Counts.PctMispredRecovered of the whole run.
+func (r *Result) PctMispredRecovered() float64 { return r.Counts().PctMispredRecovered() }
+
+// PctAddrGen is Counts.PctAddrGen of the whole run.
+func (r *Result) PctAddrGen() float64 { return r.Counts().PctAddrGen() }
+
+// PctLoadsRemoved is Counts.PctLoadsRemoved of the whole run.
+func (r *Result) PctLoadsRemoved() float64 { return r.Counts().PctLoadsRemoved() }
 
 // String summarizes the run.
 func (r *Result) String() string {

@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-
-	"repro/internal/core"
 )
 
 // RunOpts controls one Session.Run: execution limits and interval
@@ -60,60 +58,28 @@ const (
 )
 
 // IntervalStats is one slice of a simulation's time series: the events
-// of the cycles [StartCycle, StartCycle+Cycles). Every counter field is
-// an interval delta, so summing a run's intervals field-wise reproduces
-// the final Result totals; IPC is derived per interval. The last
-// interval of a run may be shorter than RunOpts.Interval.
+// of the cycles [StartCycle, StartCycle+Cycles). Its Counts are interval
+// deltas, so summing a run's intervals with Counts.Add reproduces the
+// final Result.Counts. The last interval of a run may be shorter than
+// RunOpts.Interval.
 type IntervalStats struct {
 	// Index is the interval's position in the run, from 0.
 	Index int
 	// StartCycle is the machine cycle the interval opened at.
 	StartCycle uint64
-	// Cycles is the interval length (== RunOpts.Interval except for the
-	// final partial interval).
-	Cycles uint64
-	// Retired counts instructions retired during the interval.
-	Retired uint64
-	// Branch events of the interval (see Result for field meanings).
-	Mispredicted    uint64
-	EarlyRecovered  uint64
-	LateRecovered   uint64
-	DecodeRedirects uint64
-	// Opt holds the optimizer events of the interval.
-	Opt core.Stats
+	// Counts holds the interval's events; Cycles is its length
+	// (== RunOpts.Interval except for the final partial interval).
+	Counts
 }
 
 // EndCycle returns the first cycle after the interval.
 func (iv IntervalStats) EndCycle() uint64 { return iv.StartCycle + iv.Cycles }
 
-// IPC returns the interval's retired instructions per cycle (0 for an
-// empty interval).
-func (iv IntervalStats) IPC() float64 {
-	if iv.Cycles == 0 {
-		return 0
-	}
-	return float64(iv.Retired) / float64(iv.Cycles)
-}
-
-// snapshot freezes the monotone event counters for interval deltas.
-type snapshot struct {
-	retired         uint64
-	mispredicted    uint64
-	earlyRecovered  uint64
-	lateRecovered   uint64
-	decodeRedirects uint64
-	opt             core.Stats
-}
-
-func (s *Session) snap() snapshot {
-	return snapshot{
-		retired:         s.res.Retired,
-		mispredicted:    s.res.Mispredicted,
-		earlyRecovered:  s.res.EarlyRecovered,
-		lateRecovered:   s.res.LateRecovered,
-		decodeRedirects: s.res.DecodeRedirects,
-		opt:             *s.opt.Stats(),
-	}
+// snap returns the run's counts so far, for interval and warmup deltas.
+func (s *Session) snap() Counts {
+	c := s.res.Counts()
+	c.Cycles, c.Opt = s.cycle, *s.opt.Stats()
+	return c
 }
 
 // ctxCheckMask throttles context polling to every 4096 cycles: cheap
@@ -156,26 +122,14 @@ func (s *Session) Run(ctx context.Context, opts RunOpts) (*Result, error) {
 		truncated    TruncateReason
 		lastRetired  uint64
 		lastProgress uint64
-		ivStart      uint64 // first cycle of the open interval
-		prev         snapshot
+		prev         Counts // snapshot at the open interval's start
 		warmed       bool
-		warmSnap     snapshot
-		warmCycle    uint64
+		warm         Counts // snapshot at the warmup boundary
 	)
 	ivIndex := 0
 	closeInterval := func() {
 		cur := s.snap()
-		iv := IntervalStats{
-			Index:           ivIndex,
-			StartCycle:      ivStart,
-			Cycles:          s.cycle - ivStart,
-			Retired:         cur.retired - prev.retired,
-			Mispredicted:    cur.mispredicted - prev.mispredicted,
-			EarlyRecovered:  cur.earlyRecovered - prev.earlyRecovered,
-			LateRecovered:   cur.lateRecovered - prev.lateRecovered,
-			DecodeRedirects: cur.decodeRedirects - prev.decodeRedirects,
-			Opt:             cur.opt.Sub(prev.opt),
-		}
+		iv := IntervalStats{Index: ivIndex, StartCycle: prev.Cycles, Counts: cur.Sub(prev)}
 		ivIndex++
 		if !opts.StreamOnly {
 			s.res.Intervals = append(s.res.Intervals, iv)
@@ -183,7 +137,6 @@ func (s *Session) Run(ctx context.Context, opts RunOpts) (*Result, error) {
 		if opts.Observer != nil {
 			opts.Observer(iv)
 		}
-		ivStart = s.cycle
 		prev = cur
 	}
 
@@ -215,13 +168,12 @@ func (s *Session) Run(ctx context.Context, opts RunOpts) (*Result, error) {
 		s.schedOccSum += uint64(s.schedOcc)
 		s.cycle++
 
-		if opts.Interval > 0 && s.cycle-ivStart >= opts.Interval {
+		if opts.Interval > 0 && s.cycle-prev.Cycles >= opts.Interval {
 			closeInterval()
 		}
 		if opts.WarmupRetired > 0 && !warmed && s.res.Retired >= opts.WarmupRetired {
 			warmed = true
-			warmSnap = s.snap()
-			warmCycle = s.cycle
+			warm = s.snap()
 		}
 
 		if s.res.Retired != lastRetired {
@@ -232,22 +184,15 @@ func (s *Session) Run(ctx context.Context, opts RunOpts) (*Result, error) {
 				noProgressLimit, s.cycle, s.res.Machine, s.res.Program, s.window.len(), s.fetchQ.len(), s.renQ.len())
 		}
 	}
-	if opts.Interval > 0 && s.cycle > ivStart {
+	if opts.Interval > 0 && s.cycle > prev.Cycles {
 		closeInterval() // final partial interval
 	}
 
 	if warmed {
-		cur := s.snap()
 		s.res.Measured = &MeasuredWindow{
-			WarmupCycles:    warmCycle,
-			WarmupRetired:   warmSnap.retired,
-			Cycles:          s.cycle - warmCycle,
-			Retired:         cur.retired - warmSnap.retired,
-			Mispredicted:    cur.mispredicted - warmSnap.mispredicted,
-			EarlyRecovered:  cur.earlyRecovered - warmSnap.earlyRecovered,
-			LateRecovered:   cur.lateRecovered - warmSnap.lateRecovered,
-			DecodeRedirects: cur.decodeRedirects - warmSnap.decodeRedirects,
-			Opt:             cur.opt.Sub(warmSnap.opt),
+			WarmupCycles:  warm.Cycles,
+			WarmupRetired: warm.Retired,
+			Counts:        s.snap().Sub(warm),
 		}
 	}
 	s.res.Truncated = truncated

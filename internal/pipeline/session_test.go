@@ -147,7 +147,7 @@ func TestIntervalTelemetrySumsToTotals(t *testing.T) {
 			if len(observed) != len(res.Intervals) {
 				t.Fatalf("observer saw %d intervals, result holds %d", len(observed), len(res.Intervals))
 			}
-			var sum pipeline.IntervalStats
+			var sum pipeline.Counts
 			for i, iv := range res.Intervals {
 				if iv.Index != i {
 					t.Errorf("interval %d has Index %d", i, iv.Index)
@@ -159,28 +159,10 @@ func TestIntervalTelemetrySumsToTotals(t *testing.T) {
 					t.Errorf("interval %d starts at %d, previous ended at %d",
 						i, iv.StartCycle, res.Intervals[i-1].EndCycle())
 				}
-				sum.Cycles += iv.Cycles
-				sum.Retired += iv.Retired
-				sum.Mispredicted += iv.Mispredicted
-				sum.EarlyRecovered += iv.EarlyRecovered
-				sum.LateRecovered += iv.LateRecovered
-				sum.DecodeRedirects += iv.DecodeRedirects
-				sum.Opt = sum.Opt.Add(iv.Opt)
+				sum = sum.Add(iv.Counts)
 			}
-			if sum.Cycles != res.Cycles {
-				t.Errorf("interval cycles sum %d != total %d", sum.Cycles, res.Cycles)
-			}
-			if sum.Retired != res.Retired {
-				t.Errorf("interval retired sum %d != total %d", sum.Retired, res.Retired)
-			}
-			if sum.Mispredicted != res.Mispredicted || sum.EarlyRecovered != res.EarlyRecovered ||
-				sum.LateRecovered != res.LateRecovered || sum.DecodeRedirects != res.DecodeRedirects {
-				t.Errorf("branch-event sums (%d/%d/%d/%d) != totals (%d/%d/%d/%d)",
-					sum.Mispredicted, sum.EarlyRecovered, sum.LateRecovered, sum.DecodeRedirects,
-					res.Mispredicted, res.EarlyRecovered, res.LateRecovered, res.DecodeRedirects)
-			}
-			if sum.Opt != res.Opt {
-				t.Errorf("optimizer-event sums differ from totals:\n got %+v\nwant %+v", sum.Opt, res.Opt)
+			if want := res.Counts(); sum != want {
+				t.Errorf("interval sums differ from run totals:\n got %+v\nwant %+v", sum, want)
 			}
 		})
 	}
@@ -218,22 +200,12 @@ func TestTruncatedRunEmitsFinalPartialInterval(t *testing.T) {
 	if end := last.EndCycle(); end != res.Cycles {
 		t.Errorf("final interval ends at cycle %d, run stopped at %d", end, res.Cycles)
 	}
-	var sum pipeline.IntervalStats
+	var sum pipeline.Counts
 	for _, iv := range res.Intervals {
-		sum.Cycles += iv.Cycles
-		sum.Retired += iv.Retired
-		sum.Mispredicted += iv.Mispredicted
-		sum.EarlyRecovered += iv.EarlyRecovered
-		sum.LateRecovered += iv.LateRecovered
-		sum.DecodeRedirects += iv.DecodeRedirects
-		sum.Opt = sum.Opt.Add(iv.Opt)
+		sum = sum.Add(iv.Counts)
 	}
-	if sum.Cycles != res.Cycles || sum.Retired != res.Retired {
-		t.Errorf("interval sums (%d cycles, %d retired) != truncated totals (%d, %d)",
-			sum.Cycles, sum.Retired, res.Cycles, res.Retired)
-	}
-	if sum.Mispredicted != res.Mispredicted || sum.Opt != res.Opt {
-		t.Errorf("interval event sums differ from truncated run totals")
+	if want := res.Counts(); sum != want {
+		t.Errorf("interval sums differ from truncated run totals:\n got %+v\nwant %+v", sum, want)
 	}
 }
 
@@ -258,13 +230,12 @@ func TestMaxRetiredTruncationEmitsFinalPartialInterval(t *testing.T) {
 	if last := res.Intervals[len(res.Intervals)-1]; last.EndCycle() != res.Cycles {
 		t.Errorf("final interval ends at %d, run stopped at %d", last.EndCycle(), res.Cycles)
 	}
-	var cycles, retired uint64
+	var sum pipeline.Counts
 	for _, iv := range res.Intervals {
-		cycles += iv.Cycles
-		retired += iv.Retired
+		sum = sum.Add(iv.Counts)
 	}
-	if cycles != res.Cycles || retired != res.Retired {
-		t.Errorf("interval sums (%d, %d) != totals (%d, %d)", cycles, retired, res.Cycles, res.Retired)
+	if want := res.Counts(); sum != want {
+		t.Errorf("interval sums differ from truncated run totals:\n got %+v\nwant %+v", sum, want)
 	}
 	if len(observed) != len(res.Intervals) {
 		t.Errorf("observer saw %d intervals, result holds %d", len(observed), len(res.Intervals))
@@ -300,6 +271,7 @@ func TestResultRatiosZeroSafe(t *testing.T) {
 		"PctAddrGen":          r.PctAddrGen(),
 		"PctLoadsRemoved":     r.PctLoadsRemoved(),
 		"IntervalStats.IPC":   iv.IPC(),
+		"IntervalStats.CPI":   iv.CPI(),
 	} {
 		if v != 0 || math.IsNaN(v) || math.IsInf(v, 0) {
 			t.Errorf("%s on zero-value receiver = %v, want 0", name, v)

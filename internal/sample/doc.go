@@ -17,7 +17,9 @@
 // next Window instructions. Whole-run CPI is estimated as the
 // retirement-weighted mean CPI of the measured windows, whole-run
 // cycles as TotalInsts × CPI, and the spread of per-window CPIs yields
-// a 95% confidence interval on the estimate.
+// a 95% confidence interval on the estimate. A Window embeds its
+// session's pipeline.MeasuredWindow; one sum of the windows' Counts
+// gives both the CPI and the events Estimate extrapolates.
 //
 // The windows' checkpoints come from one functional pass (BuildPlan):
 // it runs the program to HALT, counting it while keeping a bounded,

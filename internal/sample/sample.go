@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"unsafe"
 
-	"repro/internal/core"
 	"repro/internal/emu"
 	"repro/internal/fault"
 	"repro/internal/mem"
@@ -189,35 +188,9 @@ type Window struct {
 	// StartInst is the dynamic instruction the detailed session was
 	// seeded at (the checkpoint position; warmup begins here).
 	StartInst uint64
-	// WarmupCycles and WarmupRetired cover the discarded warmup region.
-	WarmupCycles  uint64
-	WarmupRetired uint64
-	// Cycles and Retired are the measured region's extent.
-	Cycles  uint64
-	Retired uint64
-	// Branch events of the measured region (see pipeline.Result).
-	Mispredicted    uint64
-	EarlyRecovered  uint64
-	LateRecovered   uint64
-	DecodeRedirects uint64
-	// Opt holds the optimizer events of the measured region.
-	Opt core.Stats
-}
-
-// CPI returns the window's measured cycles per instruction.
-func (w Window) CPI() float64 {
-	if w.Retired == 0 {
-		return 0
-	}
-	return float64(w.Cycles) / float64(w.Retired)
-}
-
-// IPC returns the window's measured instructions per cycle.
-func (w Window) IPC() float64 {
-	if w.Cycles == 0 {
-		return 0
-	}
-	return float64(w.Retired) / float64(w.Cycles)
+	// MeasuredWindow holds the discarded warmup's extent and the
+	// measured region's Counts.
+	pipeline.MeasuredWindow
 }
 
 // Result is a sampled-simulation estimate of one (machine, program)
@@ -274,10 +247,7 @@ func (r *Result) Bytes() uint64 {
 
 // EstIPC returns the estimated whole-run IPC.
 func (r *Result) EstIPC() float64 {
-	if r.MeasuredCycles == 0 {
-		return 0
-	}
-	return float64(r.MeasuredRetired) / float64(r.MeasuredCycles)
+	return pipeline.Counts{Cycles: r.MeasuredCycles, Retired: r.MeasuredRetired}.IPC()
 }
 
 // DetailedInsts returns how many instructions ran through the detailed
@@ -333,36 +303,34 @@ func (r *Result) Estimate() *pipeline.Result {
 	if r.MeasuredRetired == 0 {
 		return est
 	}
-	var mis, early, late, dec uint64
-	var opt core.Stats
-	for _, w := range r.Windows {
-		mis += w.Mispredicted
-		early += w.EarlyRecovered
-		late += w.LateRecovered
-		dec += w.DecodeRedirects
-		opt = opt.Add(w.Opt)
-	}
+	sum := r.measured()
 	f := float64(r.TotalInsts) / float64(r.MeasuredRetired)
 	scale := func(v uint64) uint64 { return uint64(math.Round(float64(v) * f)) }
-	est.Mispredicted = scale(mis)
-	est.EarlyRecovered = scale(early)
-	est.LateRecovered = scale(late)
-	est.DecodeRedirects = scale(dec)
-	est.Opt = opt.Scale(f)
+	est.Mispredicted = scale(sum.Mispredicted)
+	est.EarlyRecovered = scale(sum.EarlyRecovered)
+	est.LateRecovered = scale(sum.LateRecovered)
+	est.DecodeRedirects = scale(sum.DecodeRedirects)
+	est.Opt = sum.Opt.Scale(f)
 	return est
+}
+
+// measured sums the windows' measured Counts.
+func (r *Result) measured() pipeline.Counts {
+	var sum pipeline.Counts
+	for _, w := range r.Windows {
+		sum = sum.Add(w.Counts)
+	}
+	return sum
 }
 
 // finalize derives the whole-run estimate from the collected windows.
 func (r *Result) finalize() {
-	for _, w := range r.Windows {
-		r.MeasuredCycles += w.Cycles
-		r.MeasuredRetired += w.Retired
-	}
-	if r.MeasuredRetired == 0 {
+	sum := r.measured()
+	r.MeasuredCycles, r.MeasuredRetired = sum.Cycles, sum.Retired
+	if sum.Retired == 0 {
 		return
 	}
-	cpi := float64(r.MeasuredCycles) / float64(r.MeasuredRetired)
-	r.EstCycles = uint64(math.Round(float64(r.TotalInsts) * cpi))
+	r.EstCycles = uint64(math.Round(float64(r.TotalInsts) * sum.CPI()))
 	if n := len(r.Windows); n >= 2 {
 		mean := 0.0
 		for _, w := range r.Windows {
@@ -826,15 +794,7 @@ func (r *Result) exactFallback(ctx context.Context, cfg pipeline.Config, prog *e
 		return err
 	}
 	r.ExactFallback = true
-	r.Windows = append(r.Windows, Window{
-		Cycles:          er.Cycles,
-		Retired:         er.Retired,
-		Mispredicted:    er.Mispredicted,
-		EarlyRecovered:  er.EarlyRecovered,
-		LateRecovered:   er.LateRecovered,
-		DecodeRedirects: er.DecodeRedirects,
-		Opt:             er.Opt,
-	})
+	r.Windows = append(r.Windows, Window{MeasuredWindow: pipeline.MeasuredWindow{Counts: er.Counts()}})
 	r.finalize()
 	return nil
 }
@@ -848,31 +808,11 @@ func windowOf(r *pipeline.Result, start uint64, sc Config) (Window, bool) {
 		if r.Retired == 0 {
 			return Window{}, false
 		}
-		return Window{
-			StartInst:       start,
-			Cycles:          r.Cycles,
-			Retired:         r.Retired,
-			Mispredicted:    r.Mispredicted,
-			EarlyRecovered:  r.EarlyRecovered,
-			LateRecovered:   r.LateRecovered,
-			DecodeRedirects: r.DecodeRedirects,
-			Opt:             r.Opt,
-		}, true
+		return Window{StartInst: start, MeasuredWindow: pipeline.MeasuredWindow{Counts: r.Counts()}}, true
 	}
 	mw := r.Measured
 	if mw == nil || mw.Retired == 0 {
 		return Window{}, false
 	}
-	return Window{
-		StartInst:       start,
-		WarmupCycles:    mw.WarmupCycles,
-		WarmupRetired:   mw.WarmupRetired,
-		Cycles:          mw.Cycles,
-		Retired:         mw.Retired,
-		Mispredicted:    mw.Mispredicted,
-		EarlyRecovered:  mw.EarlyRecovered,
-		LateRecovered:   mw.LateRecovered,
-		DecodeRedirects: mw.DecodeRedirects,
-		Opt:             mw.Opt,
-	}, true
+	return Window{StartInst: start, MeasuredWindow: *mw}, true
 }
