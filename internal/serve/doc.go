@@ -35,6 +35,14 @@
 // carrying the result payload). Reconnecting clients resume with the
 // standard Last-Event-ID header.
 //
+// A job's durable history is kept as the SSE frames themselves, one
+// append-only byte log formatted once per event, so a replay is one
+// write of a suffix of it. When a job reaches its terminal event it
+// drops everything it needed to run — spec, resolved cells, cancel
+// hook, subscribers — and keeps its view and that log, about 2 KB for
+// a sweep of 2 benchmarks × 4 machines; the server keeps the last 8192
+// finished jobs per tenant (about 16 MB of them).
+//
 // GET /healthz reports liveness (503 while draining) and GET /metrics
 // exposes the engine's exper.Stats snapshot plus queue depths per
 // class and job-state counts as JSON.

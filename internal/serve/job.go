@@ -1,9 +1,13 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"slices"
+	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -70,24 +74,75 @@ const (
 	StateCanceled State = "canceled"
 )
 
-// Event is one record of a job's progress stream, numbered
-// monotonically from 1 within the job. Durable events (queued, start,
-// cell, done, error, canceled) replay to late or reconnecting
-// subscribers; interval-telemetry progress events are ephemeral —
-// delivered to live streams only, so a long sweep's history stays
-// bounded by its cell count.
-type Event struct {
-	Seq  uint64          `json:"seq"`
-	Type string          `json:"type"`
-	Data json.RawMessage `json:"data,omitempty"`
-}
-
-// Terminal event types.
+// Event types. A job's events are numbered monotonically from 1.
+// Durable events (queued, start, cell, and the terminal done, error or
+// canceled) replay to late or reconnecting subscribers; interval
+// telemetry progress events are ephemeral — delivered to live streams
+// only, so a long sweep's history stays bounded by its cell count.
 const (
+	eventQueued   = "queued"
+	eventStart    = "start"
+	eventCell     = "cell"
+	eventProgress = "progress"
 	eventDone     = "done"
 	eventError    = "error"
 	eventCanceled = "canceled"
 )
+
+// Event payloads. Their fields are in sorted key order, so each one
+// encodes to the same bytes as a map of the same keys and values.
+type (
+	queuedData struct {
+		Cells  int    `json:"cells"`
+		Class  string `json:"class"`
+		ID     string `json:"id"`
+		Tenant string `json:"tenant"`
+	}
+	startData struct {
+		Cells int `json:"cells"`
+	}
+	cellData struct {
+		Benchmark string `json:"benchmark"`
+		Done      int    `json:"done"`
+		Machine   string `json:"machine"`
+		Total     int    `json:"total"`
+	}
+	progressData struct {
+		Benchmark string  `json:"benchmark"`
+		Cycle     uint64  `json:"cycle"`
+		IPC       float64 `json:"ipc"`
+		Machine   string  `json:"machine"`
+		Retired   uint64  `json:"retired"`
+		Scale     int     `json:"scale"`
+	}
+	errorData struct {
+		Error string `json:"error"`
+	}
+	canceledData struct {
+		Reason string `json:"reason"`
+	}
+)
+
+// marshal encodes an event payload. The payloads are plain structs and
+// a JobResult, which always encode, except a result holding a NaN or
+// infinite speedup: that done event carries empty data.
+func marshal(v any) []byte {
+	raw, _ := json.Marshal(v)
+	return raw
+}
+
+// appendFrame appends one event as a Server-Sent-Events frame. Event
+// data is JSON, which never contains raw newlines, so a single data:
+// line suffices.
+func appendFrame(b []byte, typ string, seq uint64, data []byte) []byte {
+	b = append(b, "event: "...)
+	b = append(b, typ...)
+	b = append(b, "\nid: "...)
+	b = strconv.AppendUint(b, seq, 10)
+	b = append(b, "\ndata: "...)
+	b = append(b, data...)
+	return append(b, "\n\n"...)
+}
 
 // JobResult is the rendered outcome of a finished sweep: the same
 // speedup table the CLI prints, plus the structured per-benchmark
@@ -120,23 +175,24 @@ type JobView struct {
 	Result   *JobResult `json:"result,omitempty"`
 }
 
-// Job is one submitted sweep: identity, resolved cells, scheduling
-// state, and the event history subscribers stream. All mutable state is
-// guarded by mu.
+// Job is one submitted sweep: identity, scheduling state, and the event
+// history subscribers stream. A job that reaches a terminal state keeps
+// only what its view and its history need: the execution state (spec,
+// resolved cells, cancel hook, subscribers, finish hook) is dropped at
+// the terminal event. All mutable state is guarded by mu.
 type Job struct {
 	ID     string
 	Tenant string
 	Class  Class
 
+	// What running the job needs: the parsed spec and the resolved
+	// cells, cfgs[0] being the reference machine. Read without mu by
+	// the job's run, the only path that finishes a running job; nil
+	// once the job is terminal.
 	spec    *exper.SweepSpec
 	sampled *sample.Config
-
-	// The resolved execution cells: cfgs[0] is the reference machine.
-	// cfgKeys[i] is cfgs[i].Key(), hashed once at admission for the
-	// telemetry routing table.
 	benches []*workloads.Benchmark
 	cfgs    []pipeline.Config
-	cfgKeys []string
 
 	mu       sync.Mutex
 	state    State
@@ -144,18 +200,29 @@ type Job struct {
 	created  time.Time
 	started  time.Time
 	finished time.Time
+	cells    int // benchmarks × configs
 	done     int
-	result   *JobResult
 	cancel   context.CancelFunc // set while running
 
-	seq      uint64
-	events   []Event // durable history, replayable
-	subs     map[chan Event]bool
+	// The durable history: its events as SSE frames, back to back, and
+	// where each one starts. A terminal job's done frame carries its
+	// result; View decodes it from there.
+	seq    uint64
+	log    []byte
+	frames []frameMark
+	// subs are the live streams; each receives every later frame.
+	subs     map[chan []byte]bool
 	terminal bool
 
 	// onFinish, when set, runs once the job reaches a terminal state,
 	// after mu is released (the server's history bound).
 	onFinish func(*Job)
+}
+
+// frameMark locates one durable event's frame in a job's log.
+type frameMark struct {
+	seq uint64
+	off int
 }
 
 // newJob builds a queued job for an already-resolved spec.
@@ -169,35 +236,27 @@ func newJob(id, tenant string, class Class, spec *exper.SweepSpec, sc *sample.Co
 		sampled: sc,
 		benches: benches,
 		cfgs:    cfgs,
-		cfgKeys: make([]string, len(cfgs)),
 		state:   StateQueued,
 		created: time.Now(),
-		subs:    map[chan Event]bool{},
+		cells:   len(benches) * len(cfgs),
 	}
-	for i := range cfgs {
-		j.cfgKeys[i] = cfgs[i].Key()
-	}
-	j.emit("queued", map[string]any{
-		"id": id, "tenant": tenant, "class": class.String(), "cells": j.totalCells(),
-	}, true)
+	j.emit(eventQueued, marshal(queuedData{
+		Cells: j.cells, Class: class.String(), ID: id, Tenant: tenant,
+	}), true)
 	return j
 }
-
-func (j *Job) totalCells() int { return len(j.benches) * len(j.cfgs) }
 
 // View snapshots the job for JSON rendering.
 func (j *Job) View() JobView {
 	j.mu.Lock()
-	defer j.mu.Unlock()
 	v := JobView{
 		ID:      j.ID,
 		Tenant:  j.Tenant,
 		Class:   j.Class.String(),
 		State:   j.state,
-		Cells:   CellCount{Total: j.totalCells(), Done: j.done},
+		Cells:   CellCount{Total: j.cells, Done: j.done},
 		Created: j.created,
 		Error:   j.errMsg,
-		Result:  j.result,
 	}
 	if !j.started.IsZero() {
 		t := j.started
@@ -206,6 +265,20 @@ func (j *Job) View() JobView {
 	if !j.finished.IsZero() {
 		t := j.finished
 		v.Finished = &t
+	}
+	var last []byte
+	if j.state == StateDone {
+		last = j.log[j.frames[len(j.frames)-1].off:]
+	}
+	j.mu.Unlock()
+	// A terminal job's log no longer changes, so its done frame is read
+	// unlocked: the data line between "\ndata: " and the closing "\n\n".
+	if last != nil {
+		data := last[bytes.Index(last, []byte("\ndata: "))+len("\ndata: ") : len(last)-2]
+		var res JobResult
+		if json.Unmarshal(data, &res) == nil {
+			v.Result = &res
+		}
 	}
 	return v
 }
@@ -217,32 +290,35 @@ func (j *Job) State() State {
 	return j.state
 }
 
-// emit appends (durable) or broadcasts (ephemeral) one event. A slow
-// subscriber whose buffer cannot take a durable event has its stream
-// closed — it reconnects with Last-Event-ID rather than silently
-// missing history; ephemeral events are simply dropped for it.
-func (j *Job) emit(typ string, data any, durable bool) {
-	var raw json.RawMessage
-	if data != nil {
-		raw, _ = json.Marshal(data)
-	}
+// emit appends (durable) or broadcasts (ephemeral) one event whose
+// payload is already encoded.
+func (j *Job) emit(typ string, data []byte, durable bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.emitLocked(typ, raw, durable)
+	j.emitLocked(typ, data, durable)
 }
 
-func (j *Job) emitLocked(typ string, raw json.RawMessage, durable bool) {
+// emitLocked formats the event's frame once and hands it to every live
+// stream. A slow subscriber whose buffer cannot take a durable event has
+// its stream closed — it reconnects with Last-Event-ID rather than
+// silently missing history; ephemeral events are simply dropped for it.
+func (j *Job) emitLocked(typ string, data []byte, durable bool) {
 	if j.terminal {
 		return
 	}
 	j.seq++
-	ev := Event{Seq: j.seq, Type: typ, Data: raw}
+	var frame []byte
 	if durable {
-		j.events = append(j.events, ev)
+		off := len(j.log)
+		j.log = appendFrame(j.log, typ, j.seq, data)
+		j.frames = append(j.frames, frameMark{seq: j.seq, off: off})
+		frame = j.log[off:len(j.log):len(j.log)]
+	} else {
+		frame = appendFrame(nil, typ, j.seq, data)
 	}
 	for ch := range j.subs {
 		select {
-		case ch <- ev:
+		case ch <- frame:
 		default:
 			if durable {
 				delete(j.subs, ch)
@@ -253,30 +329,36 @@ func (j *Job) emitLocked(typ string, raw json.RawMessage, durable bool) {
 	if typ == eventDone || typ == eventError || typ == eventCanceled {
 		j.terminal = true
 		for ch := range j.subs {
-			delete(j.subs, ch)
 			close(ch)
 		}
+		j.subs = nil
 	}
 }
 
 // subscribe registers a live event stream: the durable history after
-// seq `after` (0 = from the beginning), plus a channel of subsequent
-// events. The channel is closed by the emitter at the terminal event
-// (or immediately when the job is already terminal); the caller must
-// call unsubscribe when it stops reading early.
-func (j *Job) subscribe(after uint64) ([]Event, chan Event) {
+// seq `after` (0 = from the beginning) as one run of frames, plus a
+// channel of the frames of subsequent events. The channel is closed by
+// the emitter at the terminal event (or immediately when the job is
+// already terminal); the caller must call unsubscribe when it stops
+// reading early. Neither the backlog nor a received frame may be
+// modified.
+func (j *Job) subscribe(after uint64) ([]byte, chan []byte) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	var backlog []Event
-	for _, ev := range j.events {
-		if ev.Seq > after {
-			backlog = append(backlog, ev)
-		}
+	i := sort.Search(len(j.frames), func(i int) bool { return j.frames[i].seq > after })
+	var backlog []byte
+	if i < len(j.frames) {
+		backlog = j.log[j.frames[i].off:len(j.log):len(j.log)]
 	}
-	ch := make(chan Event, 256)
+	// Room for a burst of cell and progress frames while the handler
+	// writes to a slow client, before a durable event closes the stream.
+	ch := make(chan []byte, 256)
 	if j.terminal {
 		close(ch)
 		return backlog, ch
+	}
+	if j.subs == nil {
+		j.subs = map[chan []byte]bool{}
 	}
 	j.subs[ch] = true
 	return backlog, ch
@@ -285,7 +367,7 @@ func (j *Job) subscribe(after uint64) ([]Event, chan Event) {
 // unsubscribe detaches an abandoned stream. Closing is the emitter's
 // job; a channel already closed at the terminal event is simply gone
 // from the map.
-func (j *Job) unsubscribe(ch chan Event) {
+func (j *Job) unsubscribe(ch chan []byte) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	delete(j.subs, ch)
@@ -303,8 +385,7 @@ func (j *Job) begin(cancel context.CancelFunc) bool {
 	j.state = StateRunning
 	j.started = time.Now()
 	j.cancel = cancel
-	raw, _ := json.Marshal(map[string]any{"cells": j.totalCells()})
-	j.emitLocked("start", raw, true)
+	j.emitLocked(eventStart, marshal(startData{Cells: j.cells}), true)
 	return true
 }
 
@@ -313,55 +394,50 @@ func (j *Job) cellDone(benchmark, machine string) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.done++
-	raw, _ := json.Marshal(map[string]any{
-		"benchmark": benchmark, "machine": machine,
-		"done": j.done, "total": j.totalCells(),
-	})
-	j.emitLocked("cell", raw, true)
+	j.emitLocked(eventCell, marshal(cellData{
+		Benchmark: benchmark, Done: j.done, Machine: machine, Total: j.cells,
+	}), true)
 }
 
-// finishDone renders the sweep result and marks the job done, emitting
-// the terminal done event with the result payload.
+// finishDone marks the job done, emitting the terminal done event with
+// the result payload.
 func (j *Job) finishDone(res *JobResult) {
-	raw, _ := json.Marshal(res)
-	j.finish(StateDone, "", res, eventDone, raw)
+	j.finish(StateDone, "", eventDone, marshal(res))
 }
 
 // finishFailed marks the job failed with err's message.
 func (j *Job) finishFailed(err error) {
-	raw, _ := json.Marshal(map[string]any{"error": err.Error()})
-	j.finish(StateFailed, err.Error(), nil, eventError, raw)
+	j.finish(StateFailed, err.Error(), eventError, marshal(errorData{Error: err.Error()}))
 }
 
 // finishCanceled marks the job canceled (client DELETE, drain, or a
 // canceled run context), with a human-readable reason.
 func (j *Job) finishCanceled(reason string) {
-	raw, _ := json.Marshal(map[string]any{"reason": reason})
-	j.finish(StateCanceled, reason, nil, eventCanceled, raw)
+	j.finish(StateCanceled, reason, eventCanceled, marshal(canceledData{Reason: reason}))
 }
 
 // finish moves the job to its terminal state and emits the terminal
-// event, unless it is already terminal; then it runs onFinish.
-func (j *Job) finish(state State, errMsg string, res *JobResult, typ string, raw json.RawMessage) {
+// event, unless it is already terminal; it then drops the execution
+// state and runs onFinish. A job canceled while queued never runs, so
+// the release is here rather than at the end of a run.
+func (j *Job) finish(state State, errMsg, typ string, data []byte) {
 	j.mu.Lock()
-	if j.terminalLocked() {
+	if j.terminal {
 		j.mu.Unlock()
 		return
 	}
 	j.state = state
 	j.finished = time.Now()
 	j.errMsg = errMsg
-	j.result = res
-	j.emitLocked(typ, raw, true)
+	j.emitLocked(typ, data, true)
+	// The history is complete: keep it without append's spare capacity.
+	j.log = slices.Clone(j.log)
+	j.frames = slices.Clone(j.frames)
 	hook := j.onFinish
+	j.spec, j.sampled, j.benches, j.cfgs = nil, nil, nil, nil
+	j.cancel, j.onFinish = nil, nil
 	j.mu.Unlock()
 	if hook != nil {
 		hook(j)
 	}
-}
-
-// terminalLocked reports whether the job already reached a terminal
-// state (mu held).
-func (j *Job) terminalLocked() bool {
-	return j.state == StateDone || j.state == StateFailed || j.state == StateCanceled
 }

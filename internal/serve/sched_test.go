@@ -9,7 +9,7 @@ import (
 
 // testJob builds the minimal Job the scheduler needs.
 func testJob(id, tenant string, class Class) *Job {
-	return &Job{ID: id, Tenant: tenant, Class: class, state: StateQueued, subs: map[chan Event]bool{}}
+	return &Job{ID: id, Tenant: tenant, Class: class, state: StateQueued}
 }
 
 // gatedSched builds a scheduler whose jobs block until their personal

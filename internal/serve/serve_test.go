@@ -608,16 +608,16 @@ func TestProgressRoutesToWatchingJobs(t *testing.T) {
 	}
 	j := newJob("j1", "t", Critical, &spec, nil, benches, cfgs)
 	_, ch := j.subscribe(0)
-	s.watchCells(j)
-	if got, want := len(s.watch), len(benches)*len(cfgs); got != want {
-		t.Fatalf("watching %d cells, want %d", got, want)
+	keys := s.watchCells(j)
+	if got, want := len(s.watch), len(benches)*len(cfgs); got != want || len(keys) != want {
+		t.Fatalf("watching %d cells under %d keys, want %d", got, len(keys), want)
 	}
 	for _, c := range cfgs {
 		s.routeProgress(exper.Progress{ConfigKey: c.Key(), Benchmark: "tst", Machine: c.Name})
 		select {
-		case ev := <-ch:
-			if ev.Type != "progress" {
-				t.Fatalf("event %q, want progress", ev.Type)
+		case frame := <-ch:
+			if !strings.HasPrefix(string(frame), "event: progress\n") {
+				t.Fatalf("frame %q, want a progress event", frame)
 			}
 		default:
 			t.Fatalf("no progress event for %s", c.Name)
@@ -625,11 +625,11 @@ func TestProgressRoutesToWatchingJobs(t *testing.T) {
 	}
 	s.routeProgress(exper.Progress{ConfigKey: "other", Benchmark: "tst"})
 	select {
-	case ev := <-ch:
-		t.Fatalf("unwatched cell routed %q", ev.Type)
+	case frame := <-ch:
+		t.Fatalf("unwatched cell routed %q", frame)
 	default:
 	}
-	s.unwatchCells(j)
+	s.unwatch(j, keys)
 	if len(s.watch) != 0 {
 		t.Fatalf("%d routing entries left after unwatch", len(s.watch))
 	}

@@ -48,9 +48,11 @@ type Config struct {
 // jobHistory is how many finished (done, failed or canceled) jobs the
 // server keeps per tenant; past it the tenant's oldest finished job is
 // dropped, and a GET or an event subscription on it answers 404. A
-// finished job of a few benchmarks and machines keeps about 7 KB (its
-// events, table and cells), so the bound holds a tenant's history to
-// about 56 MB where it used to grow with every job ever run. A client
+// finished job keeps only its view and its event history as SSE frames
+// (the done frame carrying the result): about 2 KB for 2 benchmarks ×
+// 4 machines, which TestFinishedJobFootprint bounds at 2.5 KB. So the
+// bound holds a tenant's history to about 16 MB (20 MB at the test's
+// bound) where it used to grow with every job ever run. A client
 // that reads its jobs back after a batch must read within the last
 // jobHistory of them: perfbench's traced serve-mixed pass, which reads
 // back every job of its run, plans 30 per second of -seconds plus 20
@@ -215,9 +217,11 @@ func (s *Server) runJob(j *Job) {
 	if !j.begin(cancel) {
 		return // canceled while queued
 	}
-	s.cfg.Logf("serve: job %s start (%s, tenant %s, %d cells)", j.ID, j.Class, j.Tenant, j.totalCells())
-	s.watchCells(j)
-	defer s.unwatchCells(j)
+	s.cfg.Logf("serve: job %s start (%s, tenant %s, %d cells)", j.ID, j.Class, j.Tenant, j.cells)
+	// The job drops its cells when it finishes, so the watch is undone
+	// from the keys it registered.
+	keys := s.watchCells(j)
+	defer s.unwatch(j, keys)
 	res, err := s.executeSafe(ctx, j)
 	switch {
 	case err == nil:
@@ -298,34 +302,38 @@ func renderResult(sr *exper.SweepResult) *JobResult {
 	return out
 }
 
-// watchCells routes engine interval telemetry for j's cells to j.
-func (s *Server) watchCells(j *Job) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, b := range j.benches {
-		for _, key := range j.cfgKeys {
-			k := watchKey{cfg: key, bench: b.Name}
-			m := s.watch[k]
-			if m == nil {
-				m = map[*Job]bool{}
-				s.watch[k] = m
-			}
-			m[j] = true
+// watchCells routes engine interval telemetry for j's cells to j and
+// returns the routing keys it registered, for unwatch.
+func (s *Server) watchCells(j *Job) []watchKey {
+	keys := make([]watchKey, 0, j.cells)
+	for _, c := range j.cfgs {
+		cfg := c.Key()
+		for _, b := range j.benches {
+			keys = append(keys, watchKey{cfg: cfg, bench: b.Name})
 		}
 	}
-}
-
-func (s *Server) unwatchCells(j *Job) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, b := range j.benches {
-		for _, key := range j.cfgKeys {
-			k := watchKey{cfg: key, bench: b.Name}
-			if m := s.watch[k]; m != nil {
-				delete(m, j)
-				if len(m) == 0 {
-					delete(s.watch, k)
-				}
+	for _, k := range keys {
+		m := s.watch[k]
+		if m == nil {
+			m = map[*Job]bool{}
+			s.watch[k] = m
+		}
+		m[j] = true
+	}
+	return keys
+}
+
+// unwatch removes j from the routing entries of keys.
+func (s *Server) unwatch(j *Job, keys []watchKey) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, k := range keys {
+		if m := s.watch[k]; m != nil {
+			delete(m, j)
+			if len(m) == 0 {
+				delete(s.watch, k)
 			}
 		}
 	}
@@ -344,16 +352,16 @@ func (s *Server) routeProgress(p exper.Progress) {
 	if len(jobs) == 0 {
 		return
 	}
-	data := map[string]any{
-		"benchmark": p.Benchmark,
-		"machine":   p.Machine,
-		"scale":     p.Scale,
-		"cycle":     p.Interval.EndCycle(),
-		"retired":   p.Interval.Retired,
-		"ipc":       p.Interval.IPC(),
-	}
+	data := marshal(progressData{
+		Benchmark: p.Benchmark,
+		Cycle:     p.Interval.EndCycle(),
+		IPC:       p.Interval.IPC(),
+		Machine:   p.Machine,
+		Retired:   p.Interval.Retired,
+		Scale:     p.Scale,
+	})
 	for _, j := range jobs {
-		j.emit("progress", data, false)
+		j.emit(eventProgress, data, false)
 	}
 }
 
@@ -550,28 +558,24 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 
 	backlog, ch := j.subscribe(after)
 	defer j.unsubscribe(ch)
-	for _, ev := range backlog {
-		writeEvent(w, ev)
+	if _, err := w.Write(backlog); err != nil {
+		return // client gone
 	}
 	flusher.Flush()
 	for {
 		select {
-		case ev, ok := <-ch:
+		case frame, ok := <-ch:
 			if !ok {
 				return // terminal event delivered (or stream dropped)
 			}
-			writeEvent(w, ev)
+			if _, err := w.Write(frame); err != nil {
+				return
+			}
 			flusher.Flush()
 		case <-r.Context().Done():
 			return
 		}
 	}
-}
-
-// writeEvent renders one SSE frame. Event data is JSON, which never
-// contains raw newlines, so a single data: line suffices.
-func writeEvent(w http.ResponseWriter, ev Event) {
-	fmt.Fprintf(w, "event: %s\nid: %d\ndata: %s\n\n", ev.Type, ev.Seq, ev.Data)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
